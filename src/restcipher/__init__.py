@@ -8,6 +8,7 @@ composition encrypts different tags for different recipients and seals each
 subtree with a keyed digest.
 """
 
+from .charsets import arrangement_for, charset_for
 from .codec import (
     EncryptedMessage,
     Session,
@@ -73,11 +74,9 @@ from .tables import (
     TagTable,
     TatContext,
     TempTable,
-    arrangement_for,
     build_st,
     build_tt,
     cell_value,
-    charset_for,
     tat_upsert,
 )
 

@@ -22,8 +22,6 @@ SPECIAL = "".join(
 
 CLASS_CHARS = {"small": SMALL, "capital": CAPITAL, "digit": DIGIT, "special": SPECIAL}
 
-PRINTABLE = frozenset(chr(c) for c in range(0x20, 0x7F))
-
 
 def _enumerate() -> tuple:
     ranked = ("small", "capital", "digit", "special")
@@ -51,4 +49,5 @@ def charset_for(symbol_type: int) -> str:
 
 
 def is_printable(text: str) -> bool:
-    return all(c in PRINTABLE for c in text)
+    """Every character in 0x20..0x7E; for ASCII, isprintable is exactly that."""
+    return text.isascii() and text.isprintable()

@@ -23,15 +23,7 @@ from .composition import (
 from .docmodel import AttrValue, Variable, emit_json, emit_xml, parse_json, parse_xml, tag_ordinals
 from .errors import Malformed, RestCipherError
 from .keycore import DEFAULT_BOUNDS, generate_key, parse_key, serialize_key
-from .keyxchg import (
-    GET_KEY_COMMAND,
-    KeyStore,
-    http_get,
-    http_post,
-    load_store,
-    request_key,
-    save_store,
-)
+from .keyxchg import load_store
 from .restkit import (
     PLAIN_HTTP_WARNING,
     ResourceClient,
@@ -40,7 +32,6 @@ from .restkit import (
     run_composition_scenario,
     serve,
 )
-from .tables import TagTable, TatContext, build_st
 
 
 def _read(path: str) -> str:
@@ -121,11 +112,14 @@ def _load_state(path: str) -> Session:
     if not lines:
         raise Malformed(f"state file {path} is empty")
     session = Session.for_key(parse_key(lines[0]))
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        kind, word, code = line.split("\t")
-        session.tat.insert(word, int(code), kind)
+        try:
+            kind, word, code = line.split("\t")
+            session.tat.insert(word, int(code), kind)
+        except ValueError as exc:
+            raise Malformed(f"state file {path} line {number}: {exc}") from None
     return session
 
 

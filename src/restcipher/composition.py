@@ -11,6 +11,7 @@ under the group key comes last and covers the body words, digests excluded.
 
 import enum
 import hashlib
+import hmac
 from dataclasses import dataclass, field
 
 from .codec import (
@@ -499,7 +500,7 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing,
             continue
         segment = _covered_words(msg.words, spans[ordinal])
         expected = sign_segment(segment, ring[key_id].key, algorithm)
-        if expected == msg.words[index]:
+        if hmac.compare_digest(expected, msg.words[index]):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))

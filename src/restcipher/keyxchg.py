@@ -47,9 +47,6 @@ class KeyStore:
     def get(self, peer_id: str, key_id: str):
         return self._records.get((peer_id, key_id))
 
-    def for_peer(self, peer_id: str) -> list:
-        return [r for r in self._records.values() if r.peer_id == peer_id]
-
     def records(self) -> list:
         return list(self._records.values())
 

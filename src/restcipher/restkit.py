@@ -68,7 +68,13 @@ class _QuietHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> str:
         length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length).decode("ascii")
+        try:
+            return self.rfile.read(length).decode("ascii")
+        except UnicodeDecodeError:
+            raise BadRequest("request body is not ASCII text") from None
+
+    def _reply_error(self, exc: RestCipherError) -> None:
+        self._reply(400, f"error: {exc.name}: {exc}")
 
     def _reply(self, status: int, body: str) -> None:
         data = body.encode("ascii")
@@ -130,7 +136,12 @@ class ResourceServer(_HttpService):
 
         class Handler(_QuietHandler):
             def do_POST(self):
-                server._handle(self, self._read_body())
+                try:
+                    body = self._read_body()
+                except BadRequest as exc:
+                    self._reply_error(exc)
+                    return
+                server._handle(self, body)
 
             def do_GET(self):
                 server._handle(self, None)
@@ -168,7 +179,7 @@ class ResourceServer(_HttpService):
                     reply = state.session.encrypt(self.stream, mode="tat", access=(1,))
             http._reply(200, reply.serialize())
         except RestCipherError as exc:
-            http._reply(400, f"error: {exc.name}: {exc}")
+            http._reply_error(exc)
 
 
 def serve(document: str, **kwargs) -> ResourceServer:
@@ -328,13 +339,13 @@ class _Provider(_HttpService):
 
         class Handler(_QuietHandler):
             def do_POST(self):
-                body = self._read_body()
                 try:
+                    body = self._read_body()
                     with provider._lock:
                         reply = provider.process(body)
                     self._reply(200, reply)
                 except RestCipherError as exc:
-                    self._reply(400, f"error: {exc.name}: {exc}")
+                    self._reply_error(exc)
 
         super().__init__(Handler, config.host, 0)
 

@@ -9,7 +9,7 @@ intermediate: callers normally go straight to ``build_st`` and drop it.
 
 from dataclasses import dataclass
 
-from .charsets import arrangement_for, charset_for  # noqa: F401  (re-exported)
+from .charsets import charset_for
 from .errors import CodeSpaceExhausted, UnknownCode, UnsupportedCharacter
 from .keycore import TenElementKey
 
@@ -77,42 +77,67 @@ def cell_value(tt: TempTable, cell: tuple, power: int) -> int:
     return tt.row_headers[r] ** power + tt.col_headers[c] ** power
 
 
+class _CodeMap(dict):
+    """ord(char) -> code string, the translation table of ``str.translate``.
+
+    translate copies a character unchanged when the lookup raises a
+    LookupError, so a missing character must raise something else.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, ordinal):
+        raise UnsupportedCharacter(f"character {chr(ordinal)!r} not in symbol table")
+
+
+class _CharMap(dict):
+    """code string -> char; a missing code raises UnknownCode."""
+
+    __slots__ = ()
+
+    def __missing__(self, code):
+        raise UnknownCode(f"no symbol table entry for code {code}")
+
+
 class SymbolTable:
-    """Bijection between characters and fixed-width decimal codes."""
+    """Bijection between characters and fixed-width decimal codes.
+
+    Held as two compiled maps, built once per key: ``codes`` maps
+    ``ord(char)`` to its code string, so spelling a word is one
+    ``str.translate``; ``chars`` maps a code string back to its character,
+    so reading a word is one lookup per ``width``-digit chunk.
+    """
 
     def __init__(self, width: int, entries):
         self.width = width
-        self._by_char = {}
-        self._by_code = {}
+        self.codes = _CodeMap()
+        self.chars = _CharMap()
         for char, code in entries:
-            if char in self._by_char or code in self._by_code:
+            code = str(code)
+            if ord(char) in self.codes or code in self.chars:
                 raise ValueError("symbol table entries must be bijective")
-            if len(str(code)) != width or str(code)[0] == "0":
+            if len(code) != width or code[0] == "0":
                 raise ValueError(f"code {code} is not a {width}-digit code")
-            self._by_char[char] = code
-            self._by_code[code] = char
+            self.codes[ord(char)] = code
+            self.chars[code] = char
 
     def __len__(self):
-        return len(self._by_char)
+        return len(self.codes)
 
     def __contains__(self, char):
-        return char in self._by_char
+        return len(char) == 1 and ord(char) in self.codes
 
     def code_for(self, char: str) -> int:
-        try:
-            return self._by_char[char]
-        except KeyError:
-            raise UnsupportedCharacter(f"character {char!r} not in symbol table") from None
+        if len(char) != 1:
+            raise UnsupportedCharacter(f"character {char!r} not in symbol table")
+        return int(self.codes[ord(char)])
 
     def char_for(self, code: int) -> str:
-        try:
-            return self._by_code[code]
-        except KeyError:
-            raise UnknownCode(f"no symbol table entry for code {code}") from None
+        return self.chars[str(code)]
 
     def items(self):
         """(char, code) pairs in construction order."""
-        return list(self._by_char.items())
+        return [(chr(o), int(code)) for o, code in self.codes.items()]
 
 
 def _adjust_width(value: int, width: int) -> int:

@@ -1,13 +1,20 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from restcipher import (
     EncryptedMessage,
     Session,
+    TagTable,
+    TatContext,
     WordKind,
     classify_word,
     encode_word,
+    generate_key,
+    parse_key,
     parse_json,
     parse_xml,
     stbd,
@@ -15,6 +22,7 @@ from restcipher import (
     tatbd,
     tatbe,
 )
+from restcipher.codec import decode_chars
 from restcipher.errors import (
     MalformedMessage,
     MalformedWord,
@@ -25,7 +33,7 @@ from restcipher.errors import (
     UnsupportedCharacter,
 )
 
-from conftest import JSON1, STENC_XML1, TATENC_XML1, TATENC_XML2, XML1, XML2
+from conftest import JSON1, K1_TEXT, STENC_XML1, TATENC_XML1, TATENC_XML2, XML1, XML2
 from docgen import random_doc_key, random_stream
 
 
@@ -278,3 +286,152 @@ def test_grammar_safety_no_code_starts_with_zero():
             assert str(code)[0] != "0"
         for _, code, _ in session.tat.items():
             assert code >= 1
+
+
+# a failed message leaves the tag table and its context as they were
+
+BAD_CHAR_XML = '<r><p q="v">ok</p><s>bad.char</s></r>'   # K1 has no "."
+
+
+def _state(session):
+    return tat_rows(session), replace(session.ctx)
+
+
+@pytest.mark.parametrize("mode", ["st", "tat"])
+def test_failed_encrypt_leaves_the_table_unchanged(pair, mode):
+    encoder, decoder = pair
+    decoder.decrypt(encoder.encrypt(parse_xml(XML1), mode="st"), "st")
+    before = _state(encoder)
+    with pytest.raises(UnsupportedCharacter):
+        encoder.encrypt(parse_xml(BAD_CHAR_XML), mode=mode)
+    assert _state(encoder) == before
+
+    stream = parse_xml(XML2)
+    message = tatbe(stream, encoder.st, encoder.tat, encoder.ctx)
+    assert tatbd(EncryptedMessage.parse(message.serialize()),
+                 decoder.st, decoder.tat, decoder.ctx) == stream
+    assert tat_rows(decoder) == tat_rows(encoder)
+
+
+def test_failed_decrypt_leaves_the_table_unchanged(pair):
+    encoder, decoder = pair
+    stream = parse_xml('<r><p q="v">ok</p></r>')
+    message = encoder.encrypt(stream, mode="st")
+    before = _state(decoder)
+    with pytest.raises(UnbalancedClosers):
+        stbd(EncryptedMessage(message.access, message.words[:-1]),
+             decoder.st, decoder.tat, decoder.ctx)
+    assert _state(decoder) == before
+
+    assert stbd(message, decoder.st, decoder.tat, decoder.ctx) == stream
+    assert tat_rows(decoder) == tat_rows(encoder)
+    again = tatbe(stream, encoder.st, encoder.tat, encoder.ctx)
+    assert tatbd(again, decoder.st, decoder.tat, decoder.ctx) == stream
+    assert tat_rows(decoder) == tat_rows(encoder)
+
+
+@pytest.mark.parametrize("words,error", [
+    (("0117126126104", "1171", "0"), MalformedWord),    # variable, no multiple of the width
+    (("0117126126104", "999", "0"), UnknownCode),       # variable, unassigned code
+    (("0117126126104", "0", "0"), UnbalancedClosers),
+    (("0117126126104",), UnbalancedClosers),
+])
+def test_a_fault_after_a_new_word_inserts_nothing(pair, words, error):
+    _, decoder = pair
+    with pytest.raises(error):
+        stbd(EncryptedMessage((), words), decoder.st, decoder.tat, decoder.ctx)
+    assert _state(decoder) == ([], TatContext())
+
+
+# peers stay in step over random sessions with rejected messages mixed in
+
+_IDS = [f"i{n}" for n in range(12)]
+_KINDS = ["book", "disc", "tool"]
+_ITEM = hs.tuples(hs.sampled_from(_IDS), hs.sampled_from(_KINDS),
+                  hs.text("abcdefXYZ019", min_size=1, max_size=6),
+                  hs.integers(0, 999))
+_CORRUPTIONS = {
+    "drop-last-closer": lambda words: words[:-1],
+    "extra-closer": lambda words: words + ("0",),
+    "digest-word": lambda words: words[:1] + ("adc1aeffe1fe867740f976fd55c0c481",)
+    + words[1:],
+}
+_STEP = hs.tuples(hs.sampled_from(["clean", "bad-char", *_CORRUPTIONS]),
+                  hs.lists(_ITEM, min_size=1, max_size=4))
+
+
+def _catalog(items, bad_char: bool) -> str:
+    body = "".join(
+        f'<item id="{i}" kind="{k}"><name>{n}{"." if bad_char else ""}</name>'
+        f"<qty>{q}</qty></item>"
+        for i, k, n, q in items
+    )
+    return f"<catalog>{body}</catalog>"
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(_STEP, min_size=1, max_size=8))
+def test_peers_stay_in_step_when_messages_fail(steps):
+    key = parse_key(K1_TEXT)
+    encoder, decoder = Session.for_key(key), Session.for_key(key)
+    sent = 0
+    for action, items in steps:
+        stream = parse_xml(_catalog(items, action == "bad-char"))
+        mode = "tat" if sent else "st"
+        if action == "bad-char":
+            with pytest.raises(UnsupportedCharacter):
+                encoder.encrypt(stream, mode=mode)
+        else:
+            wire = encoder.encrypt(stream, mode=mode).serialize()
+            sent += 1
+            if action != "clean":
+                message = EncryptedMessage.parse(wire)
+                damaged = EncryptedMessage(message.access,
+                                           _CORRUPTIONS[action](message.words))
+                before = _state(decoder)
+                with pytest.raises((UnbalancedClosers, MalformedWord)):
+                    decoder.decrypt(damaged, mode)
+                assert _state(decoder) == before
+            assert decoder.decrypt(EncryptedMessage.parse(wire), mode) == stream
+        assert tat_rows(decoder) == tat_rows(encoder)
+
+
+# the compiled symbol table raises what the per-character lookups raised
+
+
+@pytest.fixture
+def letters_only_st():
+    key = generate_key({"symbol_type": (0, 0)}, rng=random.Random(5))
+    return Session.for_key(key).st
+
+
+def test_characters_outside_the_charset_are_never_copied(session_k1, letters_only_st):
+    with pytest.raises(UnsupportedCharacter):
+        encode_word("ab.", WordKind.VARIABLE, session_k1.st)
+    for word in ("a7", "7", "b0c"):
+        with pytest.raises(UnsupportedCharacter):
+            encode_word(word, WordKind.TAG, letters_only_st)
+    with pytest.raises(UnsupportedCharacter):
+        stbe(parse_xml("<a>b1</a>"), letters_only_st, TagTable(), TatContext())
+    with pytest.raises(UnsupportedCharacter):
+        letters_only_st.code_for("1")
+
+
+def test_payload_width_and_unknown_chunks(session_k1):
+    st = session_k1.st
+    assert decode_chars("117126126104", st) == "root"
+    for payload in ("", "1171", "11712"):
+        with pytest.raises(MalformedWord):
+            decode_chars(payload, st)
+    for payload in ("999", "117999", "099", "117099"):
+        with pytest.raises(UnknownCode):
+            decode_chars(payload, st)
+    with pytest.raises(UnknownCode):
+        st.char_for(99)
+
+
+@pytest.mark.parametrize("word", ["0000123", "0000" + "1234567890" * 2 + "12345678",
+                                  "abc", "12a", "1,2"])
+def test_parse_rejects_words_outside_the_grammar(word):
+    with pytest.raises(MalformedMessage, match="matches no word class"):
+        EncryptedMessage.parse(f"1, 04 {word} 0")
