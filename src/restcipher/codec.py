@@ -78,14 +78,6 @@ def classify_word(word: str) -> WordKind:
     raise Unclassifiable(f"word {word!r} matches no word class")
 
 
-def strip_marker(word: str) -> tuple:
-    """(kind, payload digits) for a marked or variable word."""
-    kind = classify_word(word)
-    if kind in (WordKind.CLOSER, WordKind.DIGEST):
-        return kind, ""
-    return kind, word[len(_MARKER[kind]):]
-
-
 def encode_word(word: str, kind: WordKind, st: SymbolTable) -> str:
     """Marker plus the concatenated fixed-width code of every character."""
     return _MARKER[kind] + word.translate(st.codes)
@@ -225,7 +217,9 @@ def _decode_word(word, st, tat, new: dict, short_codes: bool):
     if not marker:
         return Variable(decode_chars(payload, st))
     cls, kind = _MARKED_TOKEN[marker]
-    if short_codes and tat.has_code(int(payload)):
+    # a payload wider than every code is spelled out, and may be too long
+    # for int() to read
+    if short_codes and len(payload) <= tat.widest and tat.has_code(int(payload)):
         return cls(tat.word_for(int(payload)))
     if short_codes and len(payload) % st.width:
         raise UnknownTatCode(

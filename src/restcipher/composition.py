@@ -12,7 +12,9 @@ under the group key comes last and covers the body words, digests excluded.
 import enum
 import hashlib
 import hmac
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .codec import (
     EncryptedMessage,
@@ -20,11 +22,11 @@ from .codec import (
     classify_word,
     decode_chars,
     encode_word,
-    strip_marker,
     _MARKER,
+    _commit,
     _word_of,
 )
-from .docmodel import AttrName, AttrValue, Close, Open, Variable
+from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from .errors import MalformedMessage, MissingKey, RestCipherError, UnknownTatCode
 from .keycore import TenElementKey, serialize_key
 from .tables import SymbolTable, TagTable, TatContext, build_st, tat_upsert
@@ -42,6 +44,10 @@ class KeyEntry:
     tat: TagTable
     ctx: TatContext
     is_group: bool = False
+    key_text: str = field(init=False, repr=False)   # serialize_key(key), for digests
+
+    def __post_init__(self):
+        self.key_text = serialize_key(self.key)
 
     @classmethod
     def for_key(cls, key_id: str, key: TenElementKey, is_group: bool = False):
@@ -169,8 +175,7 @@ def access_header(policy: CompositionPolicy, ring: KeyRing, held_ids,
 # structural scanning of ciphertext bodies
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One tag subtree in a word list: words[start..end] inclusive of closer."""
 
     ordinal: int
@@ -186,26 +191,38 @@ def subtree_spans(words, allow_digests: bool = False):
     words are legal only directly after a closer; they attach to the subtree
     that closer ended and are excluded from all spans' coverage.
     """
+    spans, digests, _ = _scan(words, allow_digests)
+    return spans, digests
+
+
+def _scan(words, allow_digests: bool = False):
+    """subtree_spans plus the kind of every word; each distinct word is
+    classified once."""
     spans = {}
     digests = {}
+    kinds = []
+    kind_of = {}
     stack = []
     ordinal = 0
     last_closed = None
+    tag, closer = WordKind.TAG, WordKind.CLOSER
     for i, word in enumerate(words):
-        kind = classify_word(word)
-        if kind is WordKind.TAG:
+        kind = kind_of.get(word)
+        if kind is None:
+            kind = kind_of[word] = classify_word(word)
+        kinds.append(kind)
+        if kind is tag:
             if not stack and spans:
                 raise MalformedMessage("multiple roots in one message")
             ordinal += 1
-            stack.append([ordinal, i, 0])
+            stack.append((ordinal, i))
             last_closed = None
-        elif kind is WordKind.CLOSER:
+        elif kind is closer:
             if not stack:
                 raise MalformedMessage(f"closer at word {i} with no open tag")
-            opened, start, inner = stack.pop()
-            spans[opened] = Span(opened, start, i, inner)
-            if stack:
-                stack[-1][2] += inner + 1
+            opened, start = stack.pop()
+            # every tag opened since this one lies inside it
+            spans[opened] = Span(opened, start, i, ordinal - opened)
             last_closed = opened
         elif kind is WordKind.DIGEST:
             if not allow_digests:
@@ -223,14 +240,7 @@ def subtree_spans(words, allow_digests: bool = False):
         raise MalformedMessage(f"{len(stack)} tags left open")
     if not spans:
         raise MalformedMessage("message contains no tags")
-    return spans, digests
-
-
-def _covered_words(words, span: Span) -> list:
-    return [
-        w for w in words[span.start:span.end + 1]
-        if classify_word(w) is not WordKind.DIGEST
-    ]
+    return spans, digests, kinds
 
 
 # decryption to a partial stream
@@ -273,15 +283,28 @@ def policy_resolver(policy: CompositionPolicy, ring: KeyRing):
     return resolve
 
 
-def _resolve_text(word: str, entry: KeyEntry):
-    """(kind, text) of one non-variable word under a session: tag-table
-    lookup first, character decoding as fallback."""
-    kind, payload = strip_marker(word)
-    if entry.tat.has_code(int(payload)):
-        return kind, entry.tat.word_for(int(payload)), True
+_TOKEN_OF = {WordKind.TAG: Open, WordKind.ATTR_NAME: AttrName,
+             WordKind.ATTR_VALUE: AttrValue}
+
+
+def _decode_held(word: str, kind: WordKind, entry: KeyEntry, new: dict):
+    """Token of one word under a held key.  A non-variable word is looked up
+    in the tag table first, then decoded character by character; a
+    spelled-out one absent from the table is added to ``new``."""
+    if kind is WordKind.VARIABLE:
+        return Variable(decode_chars(word, entry.st))
+    payload = word[len(_MARKER[kind]):]
+    tat = entry.tat
+    # a payload wider than every code is spelled out, and may be too long
+    # for int() to read
+    if len(payload) <= tat.widest and tat.has_code(int(payload)):
+        return _TOKEN_OF[kind](tat.word_for(int(payload)))
     if len(payload) % entry.st.width:
         raise UnknownTatCode(f"word {word!r} unknown under key {entry.key_id!r}")
-    return kind, decode_chars(payload, entry.st), False
+    text = decode_chars(payload, entry.st)
+    if text not in tat:
+        new.setdefault(text, kind.value)
+    return _TOKEN_OF[kind](text)
 
 
 def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
@@ -290,10 +313,14 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
 
     Digest words must be stripped first (see strip_digests).  Without a
     policy the recipient rule applies: access-listed tags via the pairwise
-    key, the outermost tag via the group key.
+    key, the outermost tag via the group key.  Each distinct word is decoded
+    once per key, against the tag tables as they stood before the message;
+    the words new to each key's table enter it, in order of first
+    appearance as the encoder inserted them, once the whole message is
+    decoded.
     """
     words = msg.words
-    spans, _ = subtree_spans(words)
+    spans, _, kinds = _scan(words)
     resolve = policy_resolver(policy, ring) if policy else \
         recipient_resolver(msg.access, ring)
 
@@ -301,70 +328,41 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
                ((s.ordinal, resolve(s.ordinal)) for s in spans.values())
                if kid is not None and kid in ring}
 
-    # mirror the encoder's per-key context before any insertion
-    new_by_key = {}
-    ordinal = 0
-    i = 0
-    stack = []
-    while i < len(words):
-        kind = classify_word(words[i])
-        if kind is WordKind.TAG:
-            ordinal += 1
-            if ordinal not in held_of:
-                i = spans[ordinal].end + 1
-                ordinal += spans[ordinal].opens_inside
-                continue
-            stack.append(held_of[ordinal])
-        if kind is WordKind.CLOSER:
-            stack.pop()
-            i += 1
-            continue
-        if stack and kind in (WordKind.TAG, WordKind.ATTR_NAME, WordKind.ATTR_VALUE):
-            owner = stack[-1]
-            _, text, known = _resolve_text(words[i], ring[owner])
-            if not known and text not in ring[owner].tat:
-                new_by_key.setdefault(owner, {}).setdefault(text, None)
-        i += 1
-    for key_id, new in new_by_key.items():
-        entry = ring[key_id]
-        entry.ctx.begin_message(len(entry.tat), len(new))
-
+    frames = {}         # key id -> (entry, {word: token}, {new text: kind})
     items = []
     stack = []
     ordinal = 0
     i = 0
     while i < len(words):
         word = words[i]
-        kind = classify_word(word)
+        kind = kinds[i]
+        if kind is WordKind.CLOSER:
+            stack.pop()
+            items.append(CLOSE)
+            i += 1
+            continue
         if kind is WordKind.TAG:
             ordinal += 1
-            span = spans[ordinal]
             if ordinal not in held_of:
+                span = spans[ordinal]
                 items.append(OpaqueRun(tuple(words[i:span.end + 1]),
                                        ordinal, span.opens_inside))
                 ordinal += span.opens_inside
                 i = span.end + 1
                 continue
-            entry = ring[held_of[ordinal]]
-            _, text, known = _resolve_text(word, entry)
-            if not known:
-                tat_upsert(entry.tat, entry.ctx, text, WordKind.TAG.value, entry.st)
-            items.append(Open(text))
-            stack.append(entry)
-        elif kind is WordKind.CLOSER:
-            if not stack:
-                raise MalformedMessage(f"closer at word {i} with no open tag")
-            stack.pop()
-            items.append(Close())
-        elif kind is WordKind.VARIABLE:
-            items.append(Variable(decode_chars(word, stack[-1].st)))
-        else:
-            entry = stack[-1]
-            k, text, known = _resolve_text(word, entry)
-            if not known and text not in entry.tat:
-                tat_upsert(entry.tat, entry.ctx, text, k.value, entry.st)
-            items.append(AttrName(text) if k is WordKind.ATTR_NAME else AttrValue(text))
+            key_id = held_of[ordinal]
+            if key_id not in frames:
+                frames[key_id] = (ring[key_id], {}, {})
+            stack.append(frames[key_id])
+        entry, decoded, new = stack[-1]
+        token = decoded.get(word)
+        if token is None:
+            token = decoded[word] = _decode_held(word, kind, entry, new)
+        items.append(token)
         i += 1
+    for entry, _, new in frames.values():
+        if new:
+            _commit(new, entry.st, entry.tat, entry.ctx)
     return items
 
 
@@ -425,7 +423,11 @@ def compose_reencrypt(items, policy: CompositionPolicy, ring: KeyRing,
 def sign_segment(segment_words, key: TenElementKey,
                  algorithm: str = DEFAULT_DIGEST) -> str:
     """Hash of the serialized key followed by the space-joined segment."""
-    payload = serialize_key(key) + " ".join(segment_words)
+    return _digest(serialize_key(key), segment_words, algorithm)
+
+
+def _digest(key_text: str, segment_words, algorithm: str) -> str:
+    payload = key_text + " ".join(segment_words)
     return hashlib.new(algorithm, payload.encode("ascii")).hexdigest()
 
 
@@ -444,14 +446,14 @@ def attach_digests(body_words, policy: CompositionPolicy, ring: KeyRing,
         key_id = policy.key_for(span.ordinal, ring)
         if key_id == ring.group_id or key_id not in ring:
             continue
-        segment = list(body_words[span.start:span.end + 1])
-        by_closer[span.end] = sign_segment(segment, ring[key_id].key, algorithm)
+        segment = body_words[span.start:span.end + 1]
+        by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
     out = []
     for i, word in enumerate(body_words):
         out.append(word)
         if i in by_closer:
             out.append(by_closer[i])
-    out.append(sign_segment(list(body_words), ring.group.key, algorithm))
+    out.append(_digest(ring.group.key_text, body_words, algorithm))
     return out
 
 
@@ -492,15 +494,24 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing,
             resolve = recipient_resolver(msg.access, ring)
         except ValueError as exc:
             return [Verdict(0, Status.REJECT, str(exc))]
+    words = msg.words
+    # a subtree's segment is its words minus the digests inside it: a slice
+    # of the digest-free body, whose index is the word's less the digests
+    # before it
+    cuts = sorted(digests.values())
+    cut_set = set(cuts)
+    body = [w for i, w in enumerate(words) if i not in cut_set]
     verdicts = []
     for ordinal, index in sorted(digests.items(), key=lambda kv: kv[1]):
         key_id = ring.group_id if ordinal == 1 else resolve(ordinal)
         if key_id is None or key_id not in ring:
             verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
             continue
-        segment = _covered_words(msg.words, spans[ordinal])
-        expected = sign_segment(segment, ring[key_id].key, algorithm)
-        if hmac.compare_digest(expected, msg.words[index]):
+        span = spans[ordinal]
+        segment = body[span.start - bisect_left(cuts, span.start):
+                       span.end + 1 - bisect_left(cuts, span.end)]
+        expected = _digest(ring[key_id].key_text, segment, algorithm)
+        if hmac.compare_digest(expected, words[index]):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
@@ -521,8 +532,8 @@ def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
         span = spans[ordinal]
         key_id = resolve(ordinal)
         if key_id is not None and key_id in ring:
-            segment = list(body_words[span.start:span.end + 1])
-            by_closer[span.end] = sign_segment(segment, ring[key_id].key, algorithm)
+            segment = body_words[span.start:span.end + 1]
+            by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
         else:
             by_closer[span.end] = old
     out = []
@@ -531,5 +542,5 @@ def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
         if i in by_closer:
             out.append(by_closer[i])
     if 1 in preserved:
-        out.append(sign_segment(list(body_words), ring.group.key, algorithm))
+        out.append(_digest(ring.group.key_text, body_words, algorithm))
     return out

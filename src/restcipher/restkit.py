@@ -7,9 +7,12 @@ signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
-in front.  Bodies are text/plain and no custom header is used.
+in front.  Bodies are text/plain and no custom header is used.  Each service
+accepts on a thread of its own that blocks until a connection arrives, so
+closing one does not wait on a poll: ``close`` wakes it with a connection.
 """
 
+import socket
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -32,7 +35,7 @@ from .composition import (
     verify_digests,
 )
 from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml, tag_ordinals
-from .errors import BadRequest, Bind, RestCipherError, VerificationFailed
+from .errors import BadRequest, Bind, MalformedMessage, RestCipherError, VerificationFailed
 from .keycore import TenElementKey, parse_key, validate_key
 from .keyxchg import GET_KEY_COMMAND, KeyStore, handle_key_request, http_get, http_post
 
@@ -93,7 +96,14 @@ class _HttpService:
             self._httpd = ThreadingHTTPServer((host, port), handler_cls)
         except OSError as exc:
             raise Bind(f"cannot bind {host}:{port}: {exc}") from None
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._closing = False
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self) -> None:
+        # handle_request blocks in select with no timeout until a connection
+        # arrives; close() sends one after setting the flag
+        while not self._closing:
+            self._httpd.handle_request()
 
     @property
     def url(self) -> str:
@@ -105,7 +115,11 @@ class _HttpService:
         return self
 
     def close(self) -> None:
-        self._httpd.shutdown()
+        if self._thread.is_alive():
+            self._closing = True
+            with socket.create_connection(self._httpd.server_address[:2]):
+                pass
+            self._thread.join()
         self._httpd.server_close()
 
 
@@ -273,19 +287,47 @@ class ScenarioResult:
     reject_ordinals: tuple = ()
 
 
-def _subtree_token_span(stream, ordinal: int):
-    """(start, end) token indexes of a tag subtree, closer inclusive."""
-    ordinals = tag_ordinals(stream)
-    start = next(i for i, o in ordinals.items() if o == ordinal)
-    depth = 0
-    for i in range(start, len(stream)):
-        if isinstance(stream[i], Open):
-            depth += 1
-        elif isinstance(stream[i], Close):
-            depth -= 1
-            if depth == 0:
-                return start, i
-    raise ValueError(f"no subtree for ordinal {ordinal}")
+def _token_spans(stream) -> dict:
+    """Ordinal -> (start, end, tags inside) of every tag subtree of a token
+    stream, closer inclusive, from one stack pass."""
+    spans = {}
+    stack = []
+    ordinal = 0
+    for i, token in enumerate(stream):
+        if isinstance(token, Open):
+            ordinal += 1
+            stack.append((ordinal, i))
+        elif isinstance(token, Close):
+            opened, start = stack.pop()
+            spans[opened] = (start, i, ordinal - opened)
+    return spans
+
+
+def _splice_subtrees(final, decoded, ordinals) -> tuple:
+    """``final`` with the subtrees of ``ordinals`` copied in from ``decoded``.
+
+    Only the outermost listed subtrees are copied, in stream order; a listed
+    tag nested in one of them comes along with it.  This equals replacing the
+    listed subtrees one by one as long as each copied subtree holds as many
+    tags as the one it replaces, so a reply that changes that is refused.
+    """
+    dst, src = _token_spans(final), _token_spans(decoded)
+    out = []
+    pos = 0
+    for ordinal in sorted(set(ordinals)):
+        if ordinal not in dst or ordinal not in src:
+            raise MalformedMessage(f"tag {ordinal} is missing from the document or the reply")
+        start, end, inside = dst[ordinal]
+        if start < pos:
+            continue            # copied with an enclosing subtree
+        src_start, src_end, src_inside = src[ordinal]
+        if src_inside != inside:
+            raise MalformedMessage(f"reply changes the tags inside tag {ordinal}")
+        out.extend(final[pos:start])
+        out.extend(decoded[src_start:src_end + 1])
+        pos = end + 1
+    out.extend(final[pos:])
+    return tuple(out)
 
 
 def _apply_edits(items: list, edits: dict) -> list:
@@ -415,18 +457,14 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             replies[name] = reply_msg
 
         # assemble: take each provider's edited subtrees, everything else from S's copy
-        final = list(stream)
-        for name, provider in providers.items():
-            stripped, _ = strip_digests(replies[name].words)
-            items = compose_decrypt(
-                EncryptedMessage(replies[name].access, tuple(stripped)), ring, policy
-            )
-            decoded = tuple(items)  # full ring + policy: no opaque runs remain
-            for ordinal in replies[name].access:
-                src = _subtree_token_span(decoded, ordinal)
-                dst = _subtree_token_span(tuple(final), ordinal)
-                final[dst[0]:dst[1] + 1] = list(decoded[src[0]:src[1] + 1])
-        final = tuple(final)
+        final = stream
+        for name in providers:
+            reply = replies[name]
+            stripped, _ = strip_digests(reply.words)
+            # full ring + policy: no opaque runs remain
+            decoded = compose_decrypt(EncryptedMessage(reply.access, tuple(stripped)),
+                                      ring, policy)
+            final = _splice_subtrees(final, decoded, reply.access)
         document = emit_xml(final)
         transcript.append(TranscriptEntry("S", "final", document, kind="document"))
         return ScenarioResult(transcript, verdicts, final_document=document,

@@ -179,6 +179,7 @@ class TagTable:
     def __init__(self):
         self._by_word = {}      # word -> (code, kind)
         self._by_code = {}
+        self.widest = 0         # digit count of the widest code held
 
     def __len__(self):
         return len(self._by_word)
@@ -205,6 +206,7 @@ class TagTable:
             raise ValueError("tag codes are positive")
         self._by_word[word] = (code, kind)
         self._by_code[code] = word
+        self.widest = max(self.widest, len(str(code)))
 
     def items(self):
         """(word, code, kind) in insertion order."""

@@ -435,3 +435,21 @@ def test_payload_width_and_unknown_chunks(session_k1):
 def test_parse_rejects_words_outside_the_grammar(word):
     with pytest.raises(MalformedMessage, match="matches no word class"):
         EncryptedMessage.parse(f"1, 04 {word} 0")
+
+
+# a spelled-out word wider than every tag code is never read as a code
+
+#: 1,500 characters: a 4,503-digit attribute-value word at width 3, past the
+#: 4,300 digits int() reads from a string
+LONG_VALUE = "abcdefghij" * 150
+
+
+@pytest.mark.parametrize("mode", ["st", "tat"])
+def test_long_spelled_out_words_round_trip(pair, mode):
+    sender, receiver = pair
+    for value in (LONG_VALUE, LONG_VALUE[::-1]):
+        stream = parse_xml(f'<root a="{value}"><p q="{value}">x1</p></root>')
+        for _ in range(2):      # spelled out, then (tat) a short code
+            msg = EncryptedMessage.parse(sender.encrypt(stream, mode=mode).serialize())
+            assert receiver.decrypt(msg, mode=mode) == stream
+    assert receiver.tat.items() == sender.tat.items()

@@ -325,3 +325,21 @@ def test_tamper_fuzz_over_every_position(stream, ring, policy):
             rejects += 1
         trials += 1
     assert rejects == trials
+
+
+@pytest.mark.parametrize("mode", ["st", "tat"])
+def test_long_spelled_out_words_round_trip(k1, k2, k3, mode):
+    """A 4,503-digit attribute-value word is decoded, not read as a code."""
+    value = "abcdefghij" * 150
+    sender = make_ring(k1, k2, k3, "K1", "K2", "K3")
+    receiver = make_ring(k1, k2, k3, "K1", "K2", "K3")
+    policy = CompositionPolicy({2: "K1", 3: "K2"})
+    for doc in (f'<root a="{value}"><p q="{value}">x1</p><s b="{value}">y2</s></root>',
+                f'<root a="{value[::-1]}"><p q="{value}">x1</p><s b="v">y2</s></root>'):
+        stream = parse_xml(doc)
+        for _ in range(2):      # spelled out, then (tat) short codes
+            body = compose_encrypt(stream, policy, sender, mode)
+            assert compose_decrypt(EncryptedMessage((), tuple(body)), receiver, policy) \
+                == list(stream)
+    for key_id in ("K1", "K2", "K3"):
+        assert receiver[key_id].tat.items() == sender[key_id].tat.items()
