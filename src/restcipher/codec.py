@@ -13,11 +13,20 @@ the words new to the tag table are collected in order of first appearance
 and inserted once the whole message has been encoded, or decoded with every
 tag closed.  A message that raises leaves the tag table and its TatContext
 as they were.
+
+One encode walker, ``_encode``, serves single- and multi-key messages: it
+takes ``(token, owner)`` pairs, where the owner is the Session whose tables
+encode the token.  ``stbe``/``tatbe`` give every token the same owner;
+composition gives each token the key that owns its subtree.  One word
+decoder, ``_decode_word``, likewise serves ``stbd``/``tatbd`` and
+composition's decoder.
 """
 
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from .errors import (
@@ -27,7 +36,7 @@ from .errors import (
     Unclassifiable,
     UnknownTatCode,
 )
-from .keycore import TenElementKey
+from .keycore import TenElementKey, serialize_key
 from .tables import SymbolTable, TagTable, TatContext, build_st, tat_upsert
 
 
@@ -117,7 +126,10 @@ class EncryptedMessage:
         tokens = text.split(" ") if text else []
         access = ()
         if tokens and _ACCESS_RE.fullmatch(tokens[0]):
-            access = tuple(int(o) for o in tokens[0][:-1].split(","))
+            try:
+                access = tuple(int(o) for o in tokens[0][:-1].split(","))
+            except ValueError:      # an ordinal too long for int() to read
+                raise MalformedMessage("access-list ordinal too long") from None
             tokens = tokens[1:]
         if not tokens:
             raise MalformedMessage("message has no body words")
@@ -134,15 +146,11 @@ _TOKEN_KIND = {Open: WordKind.TAG, AttrName: WordKind.ATTR_NAME,
                AttrValue: WordKind.ATTR_VALUE}
 
 
-def _word_of(token) -> tuple:
-    """(kind, text) of a stream token; Close maps to (CLOSER, None)."""
-    if isinstance(token, Close):
-        return WordKind.CLOSER, None
-    if isinstance(token, Variable):
-        return WordKind.VARIABLE, token.text
-    if isinstance(token, (Open, AttrName)):
-        return _TOKEN_KIND[type(token)], token.name
-    return WordKind.ATTR_VALUE, token.text
+def _short_codes(mode: str) -> bool:
+    """Whether ``mode`` sends known non-variable words as tag-table codes."""
+    if mode not in ("st", "tat"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode == "tat"
 
 
 def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
@@ -153,32 +161,50 @@ def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
         tat_upsert(tat, ctx, text, kind, st)
 
 
-def _encrypt(stream, st, tat, ctx, access, short_codes: bool) -> EncryptedMessage:
-    """One pass over the stream; the tag table changes only once it is done.
+def _encode(pairs, short_codes: bool) -> list:
+    """The encode walker: body words of ``(token, owner)`` pairs.
 
-    Words absent from the tag table at the start of the message are spelled
-    out at every occurrence.  With ``short_codes`` a word already in the
-    table is sent as its code.
+    The owner is the Session whose tables encode the token; a pair with no
+    owner holds an opaque run, whose words are copied verbatim.  Words absent
+    from their owner's tag table at the start of the message are spelled out
+    at every occurrence; with ``short_codes`` a word already in the table is
+    sent as its code.  Each owner's new words enter its tag table only once
+    the whole message has been encoded.
     """
-    codes = st.codes
     words = []
-    new = {}
-    for token in stream:
+    pending = {}        # owner -> {new text: kind}
+    owner = None
+    for token, who in pairs:
+        if who is None:
+            words.extend(token.words)
+            continue
         cls = type(token)
         if cls is Close:
             words.append("0")
-        elif cls is Variable:
+            continue
+        if who is not owner:
+            owner, codes, tat = who, who.st.codes, who.tat
+            new = pending.setdefault(who, {})
+        if cls is Variable:
             words.append(token.text.translate(codes))
-        else:
-            kind = _TOKEN_KIND[cls]
-            text = token.text if cls is AttrValue else token.name
-            if text not in tat:
-                new.setdefault(text, kind.value)
-            elif short_codes:
-                words.append(_MARKER[kind] + str(tat.code_for(text)))
-                continue
-            words.append(_MARKER[kind] + text.translate(codes))
-    _commit(new, st, tat, ctx)
+            continue
+        kind = _TOKEN_KIND[cls]
+        text = token.text if cls is AttrValue else token.name
+        if text not in tat:
+            new.setdefault(text, kind.value)
+        elif short_codes:
+            words.append(_MARKER[kind] + str(tat.code_for(text)))
+            continue
+        words.append(_MARKER[kind] + text.translate(codes))
+    for who, new in pending.items():
+        _commit(new, who.st, who.tat, who.ctx)
+    return words
+
+
+def _encrypt(stream, st, tat, ctx, access, short_codes: bool) -> EncryptedMessage:
+    """A single-key message: every token owned by one Session."""
+    owner = Session(None, st, tat, ctx)
+    words = _encode(zip(stream, repeat(owner)), short_codes)
     return EncryptedMessage(tuple(access), tuple(words))
 
 
@@ -206,9 +232,10 @@ _MARKED_TOKEN = {1: (Open, WordKind.TAG.value),
 
 
 def _decode_word(word, st, tat, new: dict, short_codes: bool):
-    """Token of one marked or variable word.  With ``short_codes`` a
-    non-variable word is looked up in the tag table first; a spelled-out one
-    absent from the table is added to ``new``."""
+    """Token of one marked or variable word, for ``_decrypt`` and
+    composition's decoder alike.  With ``short_codes`` a non-variable word is
+    looked up in the tag table first; a spelled-out one absent from the table
+    is added to ``new``."""
     split = _split_marker(word)
     if split is None:
         classify_word(word)     # raises Unclassifiable unless a digest
@@ -270,29 +297,34 @@ def tatbd(msg: EncryptedMessage, st: SymbolTable, tat: TagTable,
     return _decrypt(msg, st, tat, ctx, short_codes=True)
 
 
-@dataclass
+@dataclass(eq=False)
 class Session:
-    """Per-peer state: one key, its symbol table, and the shared tag table."""
+    """Per-peer state: one key, its symbol table, and the shared tag table.
+
+    A key ring's members are Sessions too, named by ``key_id``; one of them
+    is the ring's group key.
+    """
 
     key: TenElementKey
     st: SymbolTable
     tat: TagTable
     ctx: TatContext
+    key_id: str = ""
+    is_group: bool = False
 
     @classmethod
     def for_key(cls, key: TenElementKey) -> "Session":
         return cls(key, build_st(key), TagTable(), TatContext())
 
+    @cached_property
+    def key_text(self) -> str:
+        """The serialized key, which prefixes every digest under it."""
+        return serialize_key(self.key)
+
     def encrypt(self, stream, mode: str = "st", access=()) -> EncryptedMessage:
-        if mode == "st":
-            return stbe(stream, self.st, self.tat, self.ctx, access)
-        if mode == "tat":
-            return tatbe(stream, self.st, self.tat, self.ctx, access)
-        raise ValueError(f"unknown mode {mode!r}")
+        encrypt = tatbe if _short_codes(mode) else stbe
+        return encrypt(stream, self.st, self.tat, self.ctx, access)
 
     def decrypt(self, msg: EncryptedMessage, mode: str = "tat") -> tuple:
-        if mode == "st":
-            return stbd(msg, self.st, self.tat, self.ctx)
-        if mode == "tat":
-            return tatbd(msg, self.st, self.tat, self.ctx)
-        raise ValueError(f"unknown mode {mode!r}")
+        decrypt = tatbd if _short_codes(mode) else stbd
+        return decrypt(msg, self.st, self.tat, self.ctx)

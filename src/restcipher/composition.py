@@ -7,6 +7,14 @@ serves every recipient; the access header tells each which ordinals its
 pairwise key covers.  A digest word (keyed hash of the serialized key plus a
 subtree's words) may follow any subtree's closer; the whole-document digest
 under the group key comes last and covers the body words, digests excluded.
+
+Composition only decides which key owns each word.  The words themselves go
+through the single-key codec's machinery: ``compose_encrypt`` and
+``compose_reencrypt`` hand ``(token, owning Session)`` pairs to the one
+encode walker, ``codec._encode``, and ``compose_decrypt`` decodes each held
+word with ``codec._decode_word``.  Its message loop stays its own, because a
+composition body is checked by ``_scan`` (MalformedMessage) and may hold
+foreign subtrees, which it keeps as OpaqueRuns.
 """
 
 import enum
@@ -18,40 +26,25 @@ from typing import NamedTuple
 
 from .codec import (
     EncryptedMessage,
+    Session,
     WordKind,
     classify_word,
-    decode_chars,
-    encode_word,
-    _MARKER,
     _commit,
-    _word_of,
+    _decode_word,
+    _encode,
+    _short_codes,
 )
-from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
-from .errors import MalformedMessage, MissingKey, RestCipherError, UnknownTatCode
+from .docmodel import CLOSE, Close, Open
+from .errors import MalformedMessage, MissingKey, RestCipherError
 from .keycore import TenElementKey, serialize_key
-from .tables import SymbolTable, TagTable, TatContext, build_st, tat_upsert
+from .tables import TagTable, TatContext, build_st
+# unused here, but kept bound: perfbench's tests check that its tracer
+# wraps composition.tat_upsert
+from .tables import tat_upsert  # noqa: F401
 
 DEFAULT_DIGEST = "md5"
 
-
-@dataclass
-class KeyEntry:
-    """One ring member: a key with its derived tables and session state."""
-
-    key_id: str
-    key: TenElementKey
-    st: SymbolTable
-    tat: TagTable
-    ctx: TatContext
-    is_group: bool = False
-    key_text: str = field(init=False, repr=False)   # serialize_key(key), for digests
-
-    def __post_init__(self):
-        self.key_text = serialize_key(self.key)
-
-    @classmethod
-    def for_key(cls, key_id: str, key: TenElementKey, is_group: bool = False):
-        return cls(key_id, key, build_st(key), TagTable(), TatContext(), is_group)
+KeyEntry = Session     # a ring member is a Session with a key id
 
 
 class KeyRing:
@@ -61,21 +54,21 @@ class KeyRing:
         self._entries = {}
         self.group_id = None
 
-    def add_key(self, key_id: str, key: TenElementKey, is_group: bool = False) -> KeyEntry:
+    def add_key(self, key_id: str, key: TenElementKey, is_group: bool = False) -> Session:
         if key_id in self._entries:
             raise ValueError(f"duplicate key id {key_id!r}")
         if is_group:
             if self.group_id is not None:
                 raise ValueError("a ring holds exactly one group key")
             self.group_id = key_id
-        entry = KeyEntry.for_key(key_id, key, is_group)
+        entry = Session(key, build_st(key), TagTable(), TatContext(), key_id, is_group)
         self._entries[key_id] = entry
         return entry
 
     def __contains__(self, key_id: str) -> bool:
         return key_id in self._entries
 
-    def __getitem__(self, key_id: str) -> KeyEntry:
+    def __getitem__(self, key_id: str) -> Session:
         try:
             return self._entries[key_id]
         except KeyError:
@@ -85,7 +78,7 @@ class KeyRing:
         return iter(self._entries.values())
 
     @property
-    def group(self) -> KeyEntry:
+    def group(self) -> Session:
         if self.group_id is None:
             raise MissingKey("ring has no group key")
         return self._entries[self.group_id]
@@ -109,54 +102,33 @@ class CompositionPolicy:
         return key_id
 
 
-def _stream_owners(stream, policy: CompositionPolicy, ring: KeyRing) -> list:
-    """Owning key id per token; a closer belongs to the tag it closes."""
-    owners = []
+def _owned(items, policy: CompositionPolicy, ring: KeyRing):
+    """(item, owning Session) pairs of a stream or partial stream.
+
+    A closer belongs to the tag it closes; an OpaqueRun has no owner and
+    stands for its own tag plus every tag inside it.
+    """
     stack = []
     ordinal = 0
-    for token in stream:
-        if isinstance(token, Open):
+    for item in items:
+        cls = type(item)
+        if cls is OpaqueRun:
+            ordinal += 1 + item.opens_inside
+            yield item, None
+        elif cls is Open:
             ordinal += 1
-            stack.append(policy.key_for(ordinal, ring))
-            owners.append(stack[-1])
-        elif isinstance(token, Close):
-            owners.append(stack.pop())
+            stack.append(ring[policy.key_for(ordinal, ring)])
+            yield item, stack[-1]
+        elif cls is Close:
+            yield item, stack.pop()
         else:
-            owners.append(stack[-1])
-    return owners
+            yield item, stack[-1]
 
 
 def compose_encrypt(stream, policy: CompositionPolicy, ring: KeyRing,
                     mode: str = "st") -> list:
     """Encrypt each word with its owning key's tables; returns body words."""
-    if mode not in ("st", "tat"):
-        raise ValueError(f"unknown mode {mode!r}")
-    owners = _stream_owners(stream, policy, ring)
-    new_by_key = {}
-    for token, owner in zip(stream, owners):
-        kind, text = _word_of(token)
-        if kind in (WordKind.TAG, WordKind.ATTR_NAME, WordKind.ATTR_VALUE):
-            if text not in ring[owner].tat:
-                new_by_key.setdefault(owner, {}).setdefault(text, None)
-    for key_id, new in new_by_key.items():
-        entry = ring[key_id]
-        entry.ctx.begin_message(len(entry.tat), len(new))
-
-    words = []
-    for token, owner in zip(stream, owners):
-        entry = ring[owner]
-        kind, text = _word_of(token)
-        if kind is WordKind.CLOSER:
-            words.append("0")
-        elif kind is WordKind.VARIABLE:
-            words.append(encode_word(text, kind, entry.st))
-        elif mode == "tat" and text not in new_by_key.get(owner, {}) \
-                and text in entry.tat:
-            words.append(_MARKER[kind] + str(entry.tat.code_for(text)))
-        else:
-            words.append(encode_word(text, kind, entry.st))
-            tat_upsert(entry.tat, entry.ctx, text, kind.value, entry.st)
-    return words
+    return _encode(_owned(stream, policy, ring), _short_codes(mode))
 
 
 def access_header(policy: CompositionPolicy, ring: KeyRing, held_ids,
@@ -283,30 +255,6 @@ def policy_resolver(policy: CompositionPolicy, ring: KeyRing):
     return resolve
 
 
-_TOKEN_OF = {WordKind.TAG: Open, WordKind.ATTR_NAME: AttrName,
-             WordKind.ATTR_VALUE: AttrValue}
-
-
-def _decode_held(word: str, kind: WordKind, entry: KeyEntry, new: dict):
-    """Token of one word under a held key.  A non-variable word is looked up
-    in the tag table first, then decoded character by character; a
-    spelled-out one absent from the table is added to ``new``."""
-    if kind is WordKind.VARIABLE:
-        return Variable(decode_chars(word, entry.st))
-    payload = word[len(_MARKER[kind]):]
-    tat = entry.tat
-    # a payload wider than every code is spelled out, and may be too long
-    # for int() to read
-    if len(payload) <= tat.widest and tat.has_code(int(payload)):
-        return _TOKEN_OF[kind](tat.word_for(int(payload)))
-    if len(payload) % entry.st.width:
-        raise UnknownTatCode(f"word {word!r} unknown under key {entry.key_id!r}")
-    text = decode_chars(payload, entry.st)
-    if text not in tat:
-        new.setdefault(text, kind.value)
-    return _TOKEN_OF[kind](text)
-
-
 def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
                     policy: CompositionPolicy = None) -> list:
     """Decode held segments to tokens; foreign subtrees become OpaqueRuns.
@@ -357,64 +305,19 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
         entry, decoded, new = stack[-1]
         token = decoded.get(word)
         if token is None:
-            token = decoded[word] = _decode_held(word, kind, entry, new)
+            token = decoded[word] = _decode_word(word, entry.st, entry.tat, new,
+                                                 short_codes=True)
         items.append(token)
         i += 1
     for entry, _, new in frames.values():
-        if new:
-            _commit(new, entry.st, entry.tat, entry.ctx)
+        _commit(new, entry.st, entry.tat, entry.ctx)
     return items
 
 
 def compose_reencrypt(items, policy: CompositionPolicy, ring: KeyRing,
                       mode: str = "st") -> list:
     """Re-encode a partial stream; opaque runs are spliced back verbatim."""
-    new_by_key = {}
-    ordinal = 0
-    stack = []
-    for item in items:
-        if isinstance(item, OpaqueRun):
-            ordinal += 1 + item.opens_inside
-            continue
-        if isinstance(item, Open):
-            ordinal += 1
-            stack.append(policy.key_for(ordinal, ring))
-        kind, text = _word_of(item)
-        if kind in (WordKind.TAG, WordKind.ATTR_NAME, WordKind.ATTR_VALUE):
-            owner = stack[-1]
-            if text not in ring[owner].tat:
-                new_by_key.setdefault(owner, {}).setdefault(text, None)
-        if isinstance(item, Close):
-            stack.pop()
-    for key_id, new in new_by_key.items():
-        entry = ring[key_id]
-        entry.ctx.begin_message(len(entry.tat), len(new))
-
-    words = []
-    ordinal = 0
-    stack = []
-    for item in items:
-        if isinstance(item, OpaqueRun):
-            words.extend(item.words)
-            ordinal += 1 + item.opens_inside
-            continue
-        if isinstance(item, Open):
-            ordinal += 1
-            stack.append(policy.key_for(ordinal, ring))
-        kind, text = _word_of(item)
-        entry = ring[stack[-1]] if stack else None
-        if kind is WordKind.CLOSER:
-            words.append("0")
-            stack.pop()
-        elif kind is WordKind.VARIABLE:
-            words.append(encode_word(text, kind, entry.st))
-        elif mode == "tat" and text not in new_by_key.get(entry.key_id, {}) \
-                and text in entry.tat:
-            words.append(_MARKER[kind] + str(entry.tat.code_for(text)))
-        else:
-            words.append(encode_word(text, kind, entry.st))
-            tat_upsert(entry.tat, entry.ctx, text, kind.value, entry.st)
-    return words
+    return _encode(_owned(items, policy, ring), _short_codes(mode))
 
 
 # keyed digests

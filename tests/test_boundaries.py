@@ -39,6 +39,19 @@ def test_non_ascii_post_to_the_resource_server_is_a_bad_request():
         server.close()
 
 
+def test_overlong_access_ordinal_is_a_malformed_message():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        client = ResourceClient(server.url, "peer")
+        client.exchange_key()
+        status, body = _post_bytes(client.url, b"1" * 5000 + b", 04 0")
+        assert status == 400
+        assert body.startswith("error: MalformedMessage: ")
+        assert client.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+
+
 def test_non_ascii_post_to_a_scenario_provider_is_a_bad_request():
     config = ScenarioConfig()
     provider = _Provider("SP1", ("K1", config.keys["K1"]),

@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from restcipher import (
     AttrName,
@@ -19,6 +22,7 @@ from restcipher import (
     compose_decrypt,
     compose_encrypt,
     compose_reencrypt,
+    parse_key,
     parse_xml,
     refresh_digests,
     sign_segment,
@@ -33,9 +37,10 @@ from restcipher.errors import (
     MissingKey,
     UnknownCode,
     UnknownTatCode,
+    UnsupportedCharacter,
 )
 
-from conftest import COMPOSE_ST_BODY, D1, D2, XML2, make_ring
+from conftest import COMPOSE_ST_BODY, D1, D2, K3_TEXT, XML2, make_ring
 
 TAT_SEGMENT = ["05", "122122104122", "0"]
 TAT_BODY = "01 009 0002 003 0004 05 122122104122 0 07 313 0 08 356290 0 0".split(" ")
@@ -122,6 +127,35 @@ def test_degenerate_policy_equals_plain_stbe(k1, k3, stream):
     assert tuple(body) == plain.words
 
 
+_ITEM = hs.tuples(hs.sampled_from([f"i{n}" for n in range(12)]),
+                  hs.sampled_from(["book", "disc", "tool"]),
+                  hs.text("abcdefXYZ019", min_size=1, max_size=6))
+_MESSAGE = hs.tuples(hs.sampled_from(["st", "tat"]), hs.lists(_ITEM, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(_MESSAGE, min_size=1, max_size=6))
+def test_single_key_session_equals_a_one_key_composition(messages):
+    key = parse_key(K3_TEXT)
+    session = Session.for_key(key)
+    ring = KeyRing()
+    ring.add_key("K3", key, is_group=True)
+    for mode, items in messages:
+        stream = parse_xml("<catalog>" + "".join(
+            f'<item id="{i}" kind="{k}" tag="{n}"><name>{n}</name></item>'
+            for i, k, n in items) + "</catalog>")
+        plain = session.encrypt(stream, mode=mode)
+        assert tuple(compose_encrypt(stream, CompositionPolicy({}), ring, mode)) \
+            == plain.words
+        assert ring["K3"].tat.items() == session.tat.items()
+
+
+@pytest.mark.parametrize("encrypt", [compose_encrypt, compose_reencrypt])
+def test_compose_rejects_an_unknown_mode(stream, ring, policy, encrypt):
+    with pytest.raises(ValueError, match="unknown mode 'ts'"):
+        encrypt(list(stream), policy, ring, "ts")
+
+
 def test_compose_missing_key(stream, k1, k3, policy):
     ring = make_ring(k1, None, k3, "K1", "K3")
     with pytest.raises(MissingKey):
@@ -200,6 +234,70 @@ def test_reencrypt_preserves_opaque_runs(stream, ring, policy, k1, k3):
     sp1_again = make_ring(k1, None, k3, "K1", "K3")
     compose_decrypt(message, sp1_again)  # prime tables
     assert compose_reencrypt(other, view, sp1_again, "st") == body
+
+
+# a failed composition message leaves every key's table as it was
+
+BAD_CHAR_XML = '<r><p q="v">ok</p><s>bad.char</s></r>'   # no paper key has "."
+
+
+def _ring_state(ring, key_ids=("K1", "K2", "K3")):
+    return [(ring[k].tat.items(), replace(ring[k].ctx)) for k in key_ids]
+
+
+@pytest.mark.parametrize("mode", ["st", "tat"])
+def test_failed_compose_encrypt_commits_nothing(k1, k2, k3, mode):
+    policy = CompositionPolicy({2: "K1", 3: "K2"})
+    sender = make_ring(k1, k2, k3, "K1", "K2", "K3")
+    receiver = make_ring(k1, k2, k3, "K1", "K2", "K3")
+
+    def send(document):
+        stream = parse_xml(document)
+        body = compose_encrypt(stream, policy, sender, mode)
+        assert compose_decrypt(EncryptedMessage((), tuple(body)), receiver, policy) \
+            == list(stream)
+
+    send(XML2)
+    before = _ring_state(sender)
+    # r, p, q, v and s are new to the tables of K3, K1 and K2 before "." fails
+    with pytest.raises(UnsupportedCharacter):
+        compose_encrypt(parse_xml(BAD_CHAR_XML), policy, sender, mode)
+    assert _ring_state(sender) == before
+    send(BAD_CHAR_XML.replace("bad.char", "good"))
+    assert _ring_state(receiver) == _ring_state(sender)
+
+
+def _edited(items, text):
+    """SP1's edit: a new root attribute value, a new attribute on <name> and
+    ``text`` as its content."""
+    out = []
+    for item in items:
+        if item == AttrValue("value1"):
+            item = AttrValue("changed")
+        elif item == Variable("iiti"):
+            out += [AttrName("lang"), AttrValue("fresh")]
+            item = Variable(text)
+        out.append(item)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["st", "tat"])
+def test_failed_compose_reencrypt_commits_nothing(stream, ring, policy, k1, k3, mode):
+    message = EncryptedMessage((2,), tuple(compose_encrypt(stream, policy, ring, mode)))
+    sp1 = make_ring(k1, None, k3, "K1", "K3")
+    items = compose_decrypt(message, sp1)
+    view = CompositionPolicy({2: "K1"})
+    before = _ring_state(sp1, ("K1", "K3"))
+    with pytest.raises(UnsupportedCharacter):
+        compose_reencrypt(_edited(items, "bad.char"), view, sp1, mode)
+    assert _ring_state(sp1, ("K1", "K3")) == before
+
+    words = compose_reencrypt(_edited(items, "good"), view, sp1, mode)
+    expected = parse_xml('<root attr1="changed" attr2="value2"><name lang="fresh">good'
+                         '</name><value>2</value><nv>a1</nv></root>')
+    assert compose_decrypt(EncryptedMessage((2,), tuple(words)), ring, policy) \
+        == list(expected)
+    assert _ring_state(sp1, ("K1", "K3")) == _ring_state(ring, ("K1", "K3"))
 
 
 # digests
