@@ -35,7 +35,7 @@ from .codec import (
     _short_codes,
 )
 from .docmodel import CLOSE, Close, Open
-from .errors import MalformedMessage, MissingKey, RestCipherError
+from .errors import MalformedMessage, MissingKey, RestCipherError, UnbalancedClosers
 from .keycore import TenElementKey, serialize_key
 from .tables import TagTable, TatContext, build_st
 # unused here, but kept bound: perfbench's tests check that its tracer
@@ -106,11 +106,12 @@ def _owned(items, policy: CompositionPolicy, ring: KeyRing):
     """(item, owning Session) pairs of a stream or partial stream.
 
     A closer belongs to the tag it closes; an OpaqueRun has no owner and
-    stands for its own tag plus every tag inside it.
+    stands for its own tag plus every tag inside it.  A closer with no open
+    tag, or a word outside every tag, has no owner either: UnbalancedClosers.
     """
     stack = []
     ordinal = 0
-    for item in items:
+    for i, item in enumerate(items):
         cls = type(item)
         if cls is OpaqueRun:
             ordinal += 1 + item.opens_inside
@@ -119,6 +120,9 @@ def _owned(items, policy: CompositionPolicy, ring: KeyRing):
             ordinal += 1
             stack.append(ring[policy.key_for(ordinal, ring)])
             yield item, stack[-1]
+        elif not stack:
+            what = "closer" if cls is Close else cls.__name__
+            raise UnbalancedClosers(f"{what} at item {i} outside every tag")
         elif cls is Close:
             yield item, stack.pop()
         else:

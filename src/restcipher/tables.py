@@ -99,19 +99,32 @@ class _CharMap(dict):
         raise UnknownCode(f"no symbol table entry for code {code}")
 
 
+class _ValueMap(dict):
+    """char -> code as an int; any other key, a string of another length
+    included, raises UnsupportedCharacter."""
+
+    __slots__ = ()
+
+    def __missing__(self, char):
+        raise UnsupportedCharacter(f"character {char!r} not in symbol table")
+
+
 class SymbolTable:
     """Bijection between characters and fixed-width decimal codes.
 
-    Held as two compiled maps, built once per key: ``codes`` maps
+    Held as three compiled maps, built once per key: ``codes`` maps
     ``ord(char)`` to its code string, so spelling a word is one
     ``str.translate``; ``chars`` maps a code string back to its character,
-    so reading a word is one lookup per ``width``-digit chunk.
+    so reading a word is one lookup per ``width``-digit chunk; ``values``
+    maps a character to its code as an int, so a word's code sum is one
+    lookup per character.
     """
 
     def __init__(self, width: int, entries):
         self.width = width
         self.codes = _CodeMap()
         self.chars = _CharMap()
+        self.values = _ValueMap()
         for char, code in entries:
             code = str(code)
             if ord(char) in self.codes or code in self.chars:
@@ -120,24 +133,23 @@ class SymbolTable:
                 raise ValueError(f"code {code} is not a {width}-digit code")
             self.codes[ord(char)] = code
             self.chars[code] = char
+            self.values[char] = int(code)
 
     def __len__(self):
         return len(self.codes)
 
     def __contains__(self, char):
-        return len(char) == 1 and ord(char) in self.codes
+        return char in self.values
 
     def code_for(self, char: str) -> int:
-        if len(char) != 1:
-            raise UnsupportedCharacter(f"character {char!r} not in symbol table")
-        return int(self.codes[ord(char)])
+        return self.values[char]
 
     def char_for(self, code: int) -> str:
         return self.chars[str(code)]
 
     def items(self):
         """(char, code) pairs in construction order."""
-        return [(chr(o), int(code)) for o, code in self.codes.items()]
+        return list(self.values.items())
 
 
 def _adjust_width(value: int, width: int) -> int:
@@ -174,11 +186,21 @@ def build_st(key: TenElementKey) -> SymbolTable:
 
 
 class TagTable:
-    """Map from non-variable words to agreed integers, stable once assigned."""
+    """Map from non-variable words to agreed integers, stable once assigned.
+
+    Next to the two maps the table keeps an index of its free codes: for
+    each code it holds, ``_skip`` points to a higher code, and every code in
+    between is held too.  ``first_free`` follows these pointers and points
+    each code it passed straight at the answer, so a later search skips the
+    whole run at once.  Codes are never removed, so a pointer, once true,
+    stays true; ``insert`` points each new code at its successor, which keeps
+    rows loaded from a state file as visible to the index as assigned ones.
+    """
 
     def __init__(self):
         self._by_word = {}      # word -> (code, kind)
         self._by_code = {}
+        self._skip = {}         # held code -> higher code; all codes between held
         self.widest = 0         # digit count of the widest code held
 
     def __len__(self):
@@ -199,6 +221,17 @@ class TagTable:
     def word_for(self, code: int) -> str:
         return self._by_code[code]
 
+    def first_free(self, code: int) -> int:
+        """The smallest code not held that is at least ``code``."""
+        skip = self._skip
+        passed = []
+        while code in skip:
+            passed.append(code)
+            code = skip[code]
+        for held in passed:
+            skip[held] = code
+        return code
+
     def insert(self, word: str, code: int, kind: str) -> None:
         if word in self._by_word or code in self._by_code:
             raise ValueError("tag table entries must be bijective")
@@ -206,6 +239,7 @@ class TagTable:
             raise ValueError("tag codes are positive")
         self._by_word[word] = (code, kind)
         self._by_code[code] = word
+        self._skip[code] = code + 1
         self.widest = max(self.widest, len(str(code)))
 
     def items(self):
@@ -236,16 +270,22 @@ def tat_upsert(tat: TagTable, ctx: TatContext, word: str, kind: str,
     """Return the word's agreed code, inserting it on first sight.
 
     ctx must already account for every new word of the current message; both
-    peers replay the same insertion order and land on identical codes.
+    peers replay the same insertion order and land on identical codes.  A new
+    word starts from its code sum cut to ``ctx.code_digits`` digits and takes
+    the first free code counting up from there, wrapping from the largest
+    such code to 1.  That is the first free code in ``[start, 10**digits)``,
+    else the first in ``[1, start)``: two ``first_free`` searches give the
+    code a one-by-one probe would reach.
     """
     if word in tat:
         return tat.code_for(word)
-    total = sum(st.code_for(char) for char in word)
-    code = _adjust_width(total, ctx.code_digits) if ctx.code_digits else 0
-    modulus = 10 ** ctx.code_digits
-    for _ in range(modulus + 1):
-        if code != 0 and not tat.has_code(code):
-            tat.insert(word, code, kind)
-            return code
-        code = (code + 1) % modulus
-    raise CodeSpaceExhausted(f"no free {ctx.code_digits}-digit tag code")
+    digits = ctx.code_digits
+    total = sum(map(st.values.__getitem__, word))
+    start = _adjust_width(total, digits) if digits else 0
+    code = tat.first_free(max(start, 1))
+    if code >= 10 ** digits:
+        code = tat.first_free(1)
+    if code >= 10 ** digits:
+        raise CodeSpaceExhausted(f"no free {digits}-digit tag code")
+    tat.insert(word, code, kind)
+    return code

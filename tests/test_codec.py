@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -454,3 +455,40 @@ def test_long_spelled_out_words_round_trip(pair, mode):
             msg = EncryptedMessage.parse(sender.encrypt(stream, mode=mode).serialize())
             assert receiver.decrypt(msg, mode=mode) == stream
     assert receiver.tat.items() == sender.tat.items()
+
+
+# a pinned session past the 100- and 1000-entry code-width steps
+
+#: sha256 of the session's wire text (one message per line) and of the
+#: sender's final tag table (one ``kind<TAB>word<TAB>code`` row per entry)
+PINNED_WIRE_SHA256 = "2ad59bbcdc0e82f7b93960909d678beab1cad1e1d23df66a0dc9172e013f4cc6"
+PINNED_TAT_SHA256 = "de20db3426ca445ef783989abc23724c3c3b6d065ff2a291f145c50778c580a7"
+
+
+def _pinned_session_messages(rng, messages=20, items=60) -> list:
+    """Catalogs whose every message carries ``items`` fresh id values."""
+    ids = [str(n) for n in rng.sample(range(10 ** 5, 10 ** 6), messages * items)]
+    docs = []
+    for m in range(messages):
+        body = "".join(
+            f'<item id="{i}" kind="k{rng.randrange(3)}"><name>n{rng.randrange(99)}</name>'
+            f"<qty>{rng.randrange(9)}</qty></item>"
+            for i in ids[m * items:(m + 1) * items]
+        )
+        docs.append(f"<catalog>{body}</catalog>")
+    return docs
+
+
+def test_a_session_past_a_thousand_entries_is_pinned(k1):
+    sender, receiver = Session.for_key(k1), Session.for_key(k1)
+    wire = []
+    for n, doc in enumerate(_pinned_session_messages(random.Random(2026))):
+        mode = "tat" if n else "st"
+        stream = parse_xml(doc)
+        wire.append(sender.encrypt(stream, mode=mode).serialize())
+        assert receiver.decrypt(EncryptedMessage.parse(wire[-1]), mode=mode) == stream
+        assert tat_rows(receiver) == tat_rows(sender)
+    assert len(sender.tat) > 1000 and sender.ctx.code_digits == 4
+    rows = "\n".join(f"{kind}\t{word}\t{code}" for word, code, kind in tat_rows(sender))
+    assert hashlib.sha256("\n".join(wire).encode("ascii")).hexdigest() == PINNED_WIRE_SHA256
+    assert hashlib.sha256(rows.encode("ascii")).hexdigest() == PINNED_TAT_SHA256

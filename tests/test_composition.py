@@ -35,6 +35,7 @@ from restcipher.errors import (
     MalformedMessage,
     MalformedWord,
     MissingKey,
+    UnbalancedClosers,
     UnknownCode,
     UnknownTatCode,
     UnsupportedCharacter,
@@ -298,6 +299,19 @@ def test_failed_compose_reencrypt_commits_nothing(stream, ring, policy, k1, k3, 
     assert compose_decrypt(EncryptedMessage((2,), tuple(words)), ring, policy) \
         == list(expected)
     assert _ring_state(sp1, ("K1", "K3")) == _ring_state(ring, ("K1", "K3"))
+
+
+@pytest.mark.parametrize("encode", [compose_encrypt, compose_reencrypt])
+@pytest.mark.parametrize("mode", ["st", "tat"])
+@pytest.mark.parametrize("items", [
+    [Variable("ab")],                   # a word outside every tag
+    [Open("a"), Close(), Close()],      # a closer with no open tag
+])
+def test_an_unbalanced_stream_is_a_named_error(ring, encode, mode, items):
+    before = _ring_state(ring)
+    with pytest.raises(UnbalancedClosers):
+        encode(items, CompositionPolicy({}), ring, mode)
+    assert _ring_state(ring) == before
 
 
 # digests

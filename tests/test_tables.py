@@ -1,6 +1,9 @@
 import random
+from itertools import chain, cycle, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from restcipher import (
     SymbolTable,
@@ -19,7 +22,7 @@ from restcipher.charsets import ARRANGEMENTS, CLASS_CHARS
 from restcipher.errors import CodeSpaceExhausted, UnknownCode, UnsupportedCharacter
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT
-from oracle import oracle_symbol_table, oracle_tat_replay
+from oracle import oracle_symbol_table, oracle_tat_code, oracle_tat_replay
 
 from restcipher import parse_key
 
@@ -256,3 +259,49 @@ def test_codes_are_never_renumbered(k1):
     # the table crosses into two-digit codes; old entries keep their digits
     tat_upsert(tat, _ctx(7, 3), "t1", "tag", st)
     assert [row for row in tat.items() if row[0] != "t1"] == before
+
+
+# code assignment against the oracle's linear probe
+
+#: the anagrams of a word share its code sum, so their codes pile up in long
+#: collision runs, which wrap past the top of the code range; two bases give
+#: two runs that run into each other
+_ANAGRAMS = ["".join(p) for base in ("abcdef", "abcdeg") for p in permutations(base)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    hs.sets(hs.one_of(hs.integers(1, 999), hs.integers(1, 20_000)), max_size=5),
+    hs.integers(1, 4),
+    hs.lists(hs.integers(1, 90), min_size=1, max_size=30),
+    hs.randoms(use_true_random=False),
+)
+def test_codes_equal_the_oracle_past_every_width_step(loaded, first, sizes, rng):
+    # loaded rows and a short first message keep the table below ten entries
+    # at first; no later message adds more than 90, so every width is used
+    st = build_st(parse_key(K1_TEXT))
+    st_codes = dict(st.items())
+    tat = TagTable()
+    for n, code in enumerate(loaded):
+        tat.insert(f"L{n}", code, "tag")       # rows as a state file holds them
+    held = set(loaded)
+    words = rng.sample(_ANAGRAMS, 1100)
+    widths = []
+    for size in chain([first], cycle(sizes)):
+        message, words = words[:size], words[size:]
+        if not message:
+            break
+        ctx = _ctx(len(tat), len(message))
+        widths.append(ctx.code_digits)
+        for word in message:
+            code = tat_upsert(tat, ctx, word, "tag", st)
+            assert code == oracle_tat_code(st_codes, held, word, ctx.code_digits)
+            held.add(code)
+    assert set(widths) == {1, 2, 3, 4}
+    # a full code range still raises, and changes nothing
+    for code in set(range(1, 10)) - held:
+        tat.insert(f"F{code}", code, "tag")
+    before = tat.items()
+    with pytest.raises(CodeSpaceExhausted):
+        tat_upsert(tat, TatContext(code_digits=1), "abcdefg", "tag", st)
+    assert tat.items() == before
