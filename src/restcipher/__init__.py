@@ -11,6 +11,7 @@ subtree with a keyed digest.
 from .charsets import arrangement_for, charset_for
 from .codec import (
     EncryptedMessage,
+    OpaqueRun,
     Session,
     WordKind,
     classify_word,
@@ -24,7 +25,6 @@ from .composition import (
     CompositionPolicy,
     KeyEntry,
     KeyRing,
-    OpaqueRun,
     Status,
     Verdict,
     access_header,

@@ -14,19 +14,19 @@ and inserted once the whole message has been encoded, or decoded with every
 tag closed.  A message that raises leaves the tag table and its TatContext
 as they were.
 
-One encode walker, ``_encode``, serves single- and multi-key messages: it
-takes ``(token, owner)`` pairs, where the owner is the Session whose tables
-encode the token.  ``stbe``/``tatbe`` give every token the same owner;
-composition gives each token the key that owns its subtree.  One word
-decoder, ``_decode_word``, likewise serves ``stbd``/``tatbd`` and
-composition's decoder.
+One encode walker, ``_encode``, and one decode walker, ``_decode``, serve
+every message: ``owner_for(ordinal)`` is the Session whose tables encode or
+decode the tag with that ordinal and the words it holds directly, one for
+every tag in ``stbe``/``tatbe``/``stbd``/``tatbd``, one per subtree in
+composition.  Both accept exactly one tag tree and raise UnbalancedClosers
+for anything else before they commit, so no message moves one end alone.
 """
 
 import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain
 
 from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from .errors import (
@@ -161,57 +161,85 @@ def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
         tat_upsert(tat, ctx, text, kind, st)
 
 
-def _encode(pairs, short_codes: bool) -> list:
-    """The encode walker: body words of ``(token, owner)`` pairs.
+@dataclass(frozen=True)
+class OpaqueRun:
+    """A contiguous subtree under a key not held, preserved byte for byte."""
 
-    The owner is the Session whose tables encode the token; a pair with no
-    owner holds an opaque run, whose words are copied verbatim.  Words absent
-    from their owner's tag table at the start of the message are spelled out
-    at every occurrence; with ``short_codes`` a word already in the table is
-    sent as its code.  Each owner's new words enter its tag table only once
-    the whole message has been encoded.
+    words: tuple
+    ordinal: int
+    opens_inside: int
+
+
+def _encode(items, owner_for, short_codes: bool) -> list:
+    """The encode walker: body words of a stream or a partial stream.
+
+    An OpaqueRun stands for its own tag plus every tag inside it and is
+    copied verbatim.  Words absent from their owner's tag table at the start
+    of the message are spelled out at every occurrence; with ``short_codes``
+    a word already in the table is sent as its code.
     """
     words = []
     pending = {}        # owner -> {new text: kind}
-    owner = None
-    for token, who in pairs:
-        if who is None:
-            words.extend(token.words)
-            continue
-        cls = type(token)
+    stack = []          # per open tag, the owner of the tag around it
+    ordinal = 0
+    owner = None        # the innermost open tag's; None outside every tag
+    for item in items:
+        cls = type(item)
         if cls is Close:
+            if not stack:
+                raise UnbalancedClosers(f"closer at word {len(words)} with no open tag")
             words.append("0")
+            outer = stack.pop()
+            if outer is not owner:
+                owner = outer
+                if outer is not None:
+                    codes, tat, new = outer.st.codes, outer.tat, pending[outer]
             continue
-        if who is not owner:
-            owner, codes, tat = who, who.st.codes, who.tat
-            new = pending.setdefault(who, {})
+        if owner is None and (ordinal or cls is not Open and cls is not OpaqueRun):
+            raise UnbalancedClosers(f"{cls.__name__} at word {len(words)} outside the root")
         if cls is Variable:
-            words.append(token.text.translate(codes))
+            words.append(item.text.translate(codes))
             continue
+        if cls is OpaqueRun:
+            ordinal += 1 + item.opens_inside
+            words.extend(item.words)
+            continue
+        if cls is Open:
+            ordinal += 1
+            who = owner_for(ordinal)
+            stack.append(owner)
+            if who is not owner:
+                owner = who
+                codes, tat = who.st.codes, who.tat
+                new = pending.setdefault(who, {})
         kind = _TOKEN_KIND[cls]
-        text = token.text if cls is AttrValue else token.name
+        text = item.text if cls is AttrValue else item.name
         if text not in tat:
             new.setdefault(text, kind.value)
         elif short_codes:
             words.append(_MARKER[kind] + str(tat.code_for(text)))
             continue
         words.append(_MARKER[kind] + text.translate(codes))
+    if stack:
+        raise UnbalancedClosers(f"{len(stack)} tags left open at end of message")
+    if not ordinal:
+        raise UnbalancedClosers("message holds no tag")
     for who, new in pending.items():
         _commit(new, who.st, who.tat, who.ctx)
     return words
 
 
-def _encrypt(stream, st, tat, ctx, access, short_codes: bool) -> EncryptedMessage:
-    """A single-key message: every token owned by one Session."""
+def _one_owner(st, tat, ctx):
+    """``owner_for`` of a single-key message: one Session owns every tag."""
     owner = Session(None, st, tat, ctx)
-    words = _encode(zip(stream, repeat(owner)), short_codes)
-    return EncryptedMessage(tuple(access), tuple(words))
+    return lambda ordinal: owner
 
 
 def stbe(stream, st: SymbolTable, tat: TagTable, ctx: TatContext,
          access=()) -> EncryptedMessage:
     """Symbol-table-based encryption; grows the tag table as a side effect."""
-    return _encrypt(stream, st, tat, ctx, access, short_codes=False)
+    words = _encode(stream, _one_owner(st, tat, ctx), short_codes=False)
+    return EncryptedMessage(tuple(access), tuple(words))
 
 
 def tatbe(stream, st: SymbolTable, tat: TagTable, ctx: TatContext,
@@ -222,7 +250,8 @@ def tatbe(stream, st: SymbolTable, tat: TagTable, ctx: TatContext,
     fall back to the symbol-table form for every occurrence (the peer may not
     hold the entry yet) and enter the table for the next message.
     """
-    return _encrypt(stream, st, tat, ctx, access, short_codes=True)
+    words = _encode(stream, _one_owner(st, tat, ctx), short_codes=True)
+    return EncryptedMessage(tuple(access), tuple(words))
 
 
 #: marker length -> (token class, tag-table kind) of a non-variable word
@@ -232,10 +261,9 @@ _MARKED_TOKEN = {1: (Open, WordKind.TAG.value),
 
 
 def _decode_word(word, st, tat, new: dict, short_codes: bool):
-    """Token of one marked or variable word, for ``_decrypt`` and
-    composition's decoder alike.  With ``short_codes`` a non-variable word is
-    looked up in the tag table first; a spelled-out one absent from the table
-    is added to ``new``."""
+    """Token of one marked or variable word.  With ``short_codes`` a
+    non-variable word is looked up in the tag table first; a spelled-out one
+    absent from the table is added to ``new``."""
     split = _split_marker(word)
     if split is None:
         classify_word(word)     # raises Unclassifiable unless a digest
@@ -258,43 +286,92 @@ def _decode_word(word, st, tat, new: dict, short_codes: bool):
     return cls(text)
 
 
-def _decrypt(msg, st, tat, ctx, short_codes: bool) -> tuple:
-    """One pass over the words; the tag table changes only once every word
-    is decoded and every tag closed."""
-    tokens = []
-    new = {}
-    seen = {}       # word -> token: each distinct word is decoded once
-    depth = 0
-    for i, word in enumerate(msg.words):
+def _decode(words, owner_for, short_codes: bool) -> list:
+    """The decode walker: items of a body's words.
+
+    A tag whose ``owner_for`` is None becomes, with its whole subtree, one
+    OpaqueRun.  Each distinct word is decoded once per owner, against the
+    tag tables as they stood before the message.
+    """
+    items = []
+    frames = {}         # owner -> ({word: token}, {new text: kind})
+    stack = []          # per open tag, the owner of the tag around it
+    ordinal = 0
+    owner = None        # the innermost open tag's; None outside every tag
+    seen = {}           # the owner's decoded words; empty outside every tag
+    rest = enumerate(words)
+    for i, word in rest:
         if word == "0":
-            if not depth:
+            if not stack:
                 raise UnbalancedClosers(f"closer at word {i} with no open tag")
-            depth -= 1
-            tokens.append(CLOSE)
+            items.append(CLOSE)
+            outer = stack.pop()
+            if outer is not owner:
+                owner = outer
+                if outer is None:
+                    seen = {}
+                else:
+                    seen, new = frames[outer]
+                    st, tat = outer.st, outer.tat
             continue
         token = seen.get(word)
+        if token is not None and type(token) is not Open:
+            items.append(token)
+            continue
+        # a tag word: one zero, then a nonzero digit
+        tag = token is not None or word[:1] == "0" and "1" <= word[1:2] <= "9"
+        if owner is None and (ordinal or not tag):
+            raise UnbalancedClosers(f"word {i} outside the root")
+        if tag:
+            ordinal += 1
+            who = owner_for(ordinal)
+            if who is None:     # copy the subtree, still classifying each word
+                start, depth, inside = i, 0, -1
+                for i, word in chain(((i, word),), rest):
+                    kind = classify_word(word)
+                    if kind is WordKind.TAG:
+                        depth += 1
+                        inside += 1
+                    elif kind is WordKind.DIGEST:
+                        raise MalformedWord(f"digest word at {i} outside a signed message")
+                    elif kind is WordKind.CLOSER:
+                        depth -= 1
+                        if not depth:
+                            break
+                else:
+                    raise UnbalancedClosers(f"tag {ordinal} left open at end of message")
+                items.append(OpaqueRun(tuple(words[start:i + 1]), ordinal, inside))
+                ordinal += inside
+                continue
+            stack.append(owner)
+            if who is not owner:
+                owner = who
+                seen, new = frames.setdefault(who, ({}, {}))
+                st, tat = who.st, who.tat
+                token = seen.get(word)
         if token is None:
             token = seen[word] = _decode_word(word, st, tat, new, short_codes)
-        if type(token) is Open:
-            depth += 1
-        tokens.append(token)
-    if depth:
-        raise UnbalancedClosers(f"{depth} tags left open at end of message")
-    _commit(new, st, tat, ctx)
-    return tuple(tokens)
+        items.append(token)
+    if stack:
+        raise UnbalancedClosers(f"{len(stack)} tags left open at end of message")
+    if not ordinal:
+        raise UnbalancedClosers("message holds no tag")
+    for who, (_, added) in frames.items():
+        _commit(added, who.st, who.tat, who.ctx)
+    return items
 
 
 def stbd(msg: EncryptedMessage, st: SymbolTable, tat: TagTable,
          ctx: TatContext) -> tuple:
     """Inverse of stbe; rebuilds the tag table exactly as the encoder did."""
-    return _decrypt(msg, st, tat, ctx, short_codes=False)
+    return tuple(_decode(msg.words, _one_owner(st, tat, ctx), short_codes=False))
 
 
 def tatbd(msg: EncryptedMessage, st: SymbolTable, tat: TagTable,
           ctx: TatContext) -> tuple:
     """Inverse of tatbe: tag-table lookup first, character decoding as the
     fallback for words introduced in this message."""
-    return _decrypt(msg, st, tat, ctx, short_codes=True)
+    return tuple(_decode(msg.words, _one_owner(st, tat, ctx), short_codes=True))
 
 
 @dataclass(eq=False)

@@ -8,13 +8,11 @@ pairwise key covers.  A digest word (keyed hash of the serialized key plus a
 subtree's words) may follow any subtree's closer; the whole-document digest
 under the group key comes last and covers the body words, digests excluded.
 
-Composition only decides which key owns each word.  The words themselves go
-through the single-key codec's machinery: ``compose_encrypt`` and
-``compose_reencrypt`` hand ``(token, owning Session)`` pairs to the one
-encode walker, ``codec._encode``, and ``compose_decrypt`` decodes each held
-word with ``codec._decode_word``.  Its message loop stays its own, because a
-composition body is checked by ``_scan`` (MalformedMessage) and may hold
-foreign subtrees, which it keeps as OpaqueRuns.
+Composition only decides which key owns each tag; the codec's two walkers,
+``codec._encode`` and ``codec._decode``, do the rest, and the decoder keeps
+a subtree under a key not held as an OpaqueRun.  ``subtree_spans`` is the
+digest functions' structural scan: they place and check digests by subtree
+before any word is decoded.
 """
 
 import enum
@@ -25,17 +23,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .codec import (
+    _DIGEST_RE,
     EncryptedMessage,
     Session,
     WordKind,
     classify_word,
-    _commit,
-    _decode_word,
+    _decode,
     _encode,
     _short_codes,
 )
-from .docmodel import CLOSE, Close, Open
-from .errors import MalformedMessage, MissingKey, RestCipherError, UnbalancedClosers
+from .errors import MalformedMessage, MissingKey, RestCipherError
 from .keycore import TenElementKey, serialize_key
 from .tables import TagTable, TatContext, build_st
 # unused here, but kept bound: perfbench's tests check that its tracer
@@ -102,37 +99,10 @@ class CompositionPolicy:
         return key_id
 
 
-def _owned(items, policy: CompositionPolicy, ring: KeyRing):
-    """(item, owning Session) pairs of a stream or partial stream.
-
-    A closer belongs to the tag it closes; an OpaqueRun has no owner and
-    stands for its own tag plus every tag inside it.  A closer with no open
-    tag, or a word outside every tag, has no owner either: UnbalancedClosers.
-    """
-    stack = []
-    ordinal = 0
-    for i, item in enumerate(items):
-        cls = type(item)
-        if cls is OpaqueRun:
-            ordinal += 1 + item.opens_inside
-            yield item, None
-        elif cls is Open:
-            ordinal += 1
-            stack.append(ring[policy.key_for(ordinal, ring)])
-            yield item, stack[-1]
-        elif not stack:
-            what = "closer" if cls is Close else cls.__name__
-            raise UnbalancedClosers(f"{what} at item {i} outside every tag")
-        elif cls is Close:
-            yield item, stack.pop()
-        else:
-            yield item, stack[-1]
-
-
 def compose_encrypt(stream, policy: CompositionPolicy, ring: KeyRing,
                     mode: str = "st") -> list:
     """Encrypt each word with its owning key's tables; returns body words."""
-    return _encode(_owned(stream, policy, ring), _short_codes(mode))
+    return _encode(stream, lambda o: ring[policy.key_for(o, ring)], _short_codes(mode))
 
 
 def access_header(policy: CompositionPolicy, ring: KeyRing, held_ids,
@@ -165,18 +135,13 @@ def subtree_spans(words, allow_digests: bool = False):
 
     Returns (spans by ordinal, digests as {ordinal: word index}).  Digest
     words are legal only directly after a closer; they attach to the subtree
-    that closer ended and are excluded from all spans' coverage.
+    that closer ended and are excluded from all spans' coverage.  Only a tag
+    may follow a closer, so there a word of a digest's length and alphabet
+    is a digest even when all-decimal, unless the root is still open and the
+    word is tag-shaped too (about 3e-8 of md5 digests).
     """
-    spans, digests, _ = _scan(words, allow_digests)
-    return spans, digests
-
-
-def _scan(words, allow_digests: bool = False):
-    """subtree_spans plus the kind of every word; each distinct word is
-    classified once."""
     spans = {}
     digests = {}
-    kinds = []
     kind_of = {}
     stack = []
     ordinal = 0
@@ -186,7 +151,9 @@ def _scan(words, allow_digests: bool = False):
         kind = kind_of.get(word)
         if kind is None:
             kind = kind_of[word] = classify_word(word)
-        kinds.append(kind)
+        if (allow_digests and last_closed is not None and kind is not closer
+                and (kind is not tag or not stack) and _DIGEST_RE.fullmatch(word)):
+            kind = WordKind.DIGEST
         if kind is tag:
             if not stack and spans:
                 raise MalformedMessage("multiple roots in one message")
@@ -216,19 +183,10 @@ def _scan(words, allow_digests: bool = False):
         raise MalformedMessage(f"{len(stack)} tags left open")
     if not spans:
         raise MalformedMessage("message contains no tags")
-    return spans, digests, kinds
+    return spans, digests
 
 
 # decryption to a partial stream
-
-
-@dataclass(frozen=True)
-class OpaqueRun:
-    """A contiguous foreign subtree, preserved byte for byte."""
-
-    words: tuple
-    ordinal: int
-    opens_inside: int
 
 
 def recipient_resolver(access, ring: KeyRing):
@@ -265,63 +223,23 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
 
     Digest words must be stripped first (see strip_digests).  Without a
     policy the recipient rule applies: access-listed tags via the pairwise
-    key, the outermost tag via the group key.  Each distinct word is decoded
-    once per key, against the tag tables as they stood before the message;
-    the words new to each key's table enter it, in order of first
-    appearance as the encoder inserted them, once the whole message is
-    decoded.
+    key, the outermost tag via the group key.  Each key's new words enter
+    its tag table only once the whole message has decoded.
     """
-    words = msg.words
-    spans, _, kinds = _scan(words)
     resolve = policy_resolver(policy, ring) if policy else \
         recipient_resolver(msg.access, ring)
 
-    held_of = {o: kid for o, kid in
-               ((s.ordinal, resolve(s.ordinal)) for s in spans.values())
-               if kid is not None and kid in ring}
+    def owner_for(ordinal):
+        key_id = resolve(ordinal)
+        return None if key_id is None else ring[key_id]
 
-    frames = {}         # key id -> (entry, {word: token}, {new text: kind})
-    items = []
-    stack = []
-    ordinal = 0
-    i = 0
-    while i < len(words):
-        word = words[i]
-        kind = kinds[i]
-        if kind is WordKind.CLOSER:
-            stack.pop()
-            items.append(CLOSE)
-            i += 1
-            continue
-        if kind is WordKind.TAG:
-            ordinal += 1
-            if ordinal not in held_of:
-                span = spans[ordinal]
-                items.append(OpaqueRun(tuple(words[i:span.end + 1]),
-                                       ordinal, span.opens_inside))
-                ordinal += span.opens_inside
-                i = span.end + 1
-                continue
-            key_id = held_of[ordinal]
-            if key_id not in frames:
-                frames[key_id] = (ring[key_id], {}, {})
-            stack.append(frames[key_id])
-        entry, decoded, new = stack[-1]
-        token = decoded.get(word)
-        if token is None:
-            token = decoded[word] = _decode_word(word, entry.st, entry.tat, new,
-                                                 short_codes=True)
-        items.append(token)
-        i += 1
-    for entry, _, new in frames.values():
-        _commit(new, entry.st, entry.tat, entry.ctx)
-    return items
+    return _decode(msg.words, owner_for, short_codes=True)
 
 
 def compose_reencrypt(items, policy: CompositionPolicy, ring: KeyRing,
                       mode: str = "st") -> list:
     """Re-encode a partial stream; opaque runs are spliced back verbatim."""
-    return _encode(_owned(items, policy, ring), _short_codes(mode))
+    return _encode(items, lambda o: ring[policy.key_for(o, ring)], _short_codes(mode))
 
 
 # keyed digests

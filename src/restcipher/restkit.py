@@ -17,11 +17,10 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .codec import EncryptedMessage, Session
+from .codec import EncryptedMessage, OpaqueRun, Session
 from .composition import (
     CompositionPolicy,
     KeyRing,
-    OpaqueRun,
     Status,
     access_header,
     attach_digests,

@@ -1,13 +1,26 @@
-"""Independent brute-force re-derivation of the table construction.
+"""Reference implementations the tests compare the library against.
 
-Everything here is recomputed from first principles (header numbering, fill
-order, group reversal, cell values, collision chains) with deliberately
-different data layouts than the library, so tests can compare the two
-implementations entry by entry.  Keep this module free of imports from the
-package under test.
+The table oracles recompute the table construction from first principles
+(header numbering, fill order, group reversal, cell values, collision
+chains) with deliberately different data layouts than the library, so tests
+can compare the two implementations entry by entry; they use nothing from
+the package under test.
+
+The message-loop oracles at the end keep the two encode walks and the two
+decode loops the library had before they became one walker each: the
+single-key decoder, composition's decoder behind its structural pre-pass, the
+ownership generator and the pair-fed encoder.  They reuse the package's
+word-level pieces (one word's decoding, the commit of new words), so a
+differential test of them checks the message loops alone.  The single-key
+loop accepts bodies the walkers refuse by design: several roots, or none.
 """
 
 from itertools import combinations, permutations
+
+from restcipher import codec
+from restcipher.composition import policy_resolver, recipient_resolver
+from restcipher.docmodel import CLOSE, AttrValue, Close, Open, Variable
+from restcipher.errors import MalformedMessage, UnbalancedClosers
 
 SMALL = "abcdefghijklmnopqrstuvwxyz"
 CAPITAL = SMALL.upper()
@@ -136,3 +149,164 @@ def oracle_max_cell_value(key):
     """Largest rh^power + ch^power over every header pair."""
     row_nums, col_nums = oracle_headers(key)
     return max(r ** key[9] + c ** key[9] for r in row_nums for c in col_nums)
+
+
+# message-loop oracles
+
+
+def oracle_encode(pairs, short_codes: bool) -> list:
+    """Body words of ``(item, owner)`` pairs; an owner of None marks an
+    OpaqueRun, copied verbatim.  Commits each owner's new words at the end."""
+    words = []
+    pending = {}
+    owner = None
+    for token, who in pairs:
+        if who is None:
+            words.extend(token.words)
+            continue
+        cls = type(token)
+        if cls is Close:
+            words.append("0")
+            continue
+        if who is not owner:
+            owner, codes, tat = who, who.st.codes, who.tat
+            new = pending.setdefault(who, {})
+        if cls is Variable:
+            words.append(token.text.translate(codes))
+            continue
+        kind = codec._TOKEN_KIND[cls]
+        text = token.text if cls is AttrValue else token.name
+        if text not in tat:
+            new.setdefault(text, kind.value)
+        elif short_codes:
+            words.append(codec._MARKER[kind] + str(tat.code_for(text)))
+            continue
+        words.append(codec._MARKER[kind] + text.translate(codes))
+    for who, new in pending.items():
+        codec._commit(new, who.st, who.tat, who.ctx)
+    return words
+
+
+def oracle_owned(items, policy, ring):
+    """(item, owning Session) pairs under a composition policy."""
+    stack = []
+    ordinal = 0
+    for i, item in enumerate(items):
+        cls = type(item)
+        if cls is codec.OpaqueRun:
+            ordinal += 1 + item.opens_inside
+            yield item, None
+        elif cls is Open:
+            ordinal += 1
+            stack.append(ring[policy.key_for(ordinal, ring)])
+            yield item, stack[-1]
+        elif not stack:
+            what = "closer" if cls is Close else cls.__name__
+            raise UnbalancedClosers(f"{what} at item {i} outside every tag")
+        elif cls is Close:
+            yield item, stack.pop()
+        else:
+            yield item, stack[-1]
+
+
+def oracle_decrypt(words, session, short_codes: bool) -> tuple:
+    """The single-key decode loop: a closer-depth count and nothing more."""
+    tokens = []
+    new = {}
+    seen = {}
+    depth = 0
+    for i, word in enumerate(words):
+        if word == "0":
+            if not depth:
+                raise UnbalancedClosers(f"closer at word {i} with no open tag")
+            depth -= 1
+            tokens.append(CLOSE)
+            continue
+        token = seen.get(word)
+        if token is None:
+            token = seen[word] = codec._decode_word(word, session.st, session.tat,
+                                                    new, short_codes)
+        if type(token) is Open:
+            depth += 1
+        tokens.append(token)
+    if depth:
+        raise UnbalancedClosers(f"{depth} tags left open at end of message")
+    codec._commit(new, session.st, session.tat, session.ctx)
+    return tuple(tokens)
+
+
+def oracle_scan(words):
+    """Subtree spans ``{ordinal: (start, end, opens inside)}`` and the kind
+    of every word of a digest-free body; raises MalformedMessage."""
+    tag, closer = codec.WordKind.TAG, codec.WordKind.CLOSER
+    spans = {}
+    kinds = []
+    stack = []
+    ordinal = 0
+    for i, word in enumerate(words):
+        kind = codec.classify_word(word)
+        kinds.append(kind)
+        if kind is tag:
+            if not stack and spans:
+                raise MalformedMessage("multiple roots in one message")
+            ordinal += 1
+            stack.append((ordinal, i))
+        elif kind is closer:
+            if not stack:
+                raise MalformedMessage(f"closer at word {i} with no open tag")
+            opened, start = stack.pop()
+            spans[opened] = (start, i, ordinal - opened)
+        elif kind is codec.WordKind.DIGEST:
+            raise MalformedMessage(f"unexpected digest word at {i}")
+        elif not stack:
+            raise MalformedMessage(f"word {i} outside any tag")
+    if stack:
+        raise MalformedMessage(f"{len(stack)} tags left open")
+    if not spans:
+        raise MalformedMessage("message contains no tags")
+    return spans, kinds
+
+
+def oracle_compose_decrypt(msg, ring, policy=None) -> list:
+    """Composition's decode loop behind its structural pre-pass."""
+    words = msg.words
+    spans, kinds = oracle_scan(words)
+    resolve = policy_resolver(policy, ring) if policy else \
+        recipient_resolver(msg.access, ring)
+    held_of = {o: kid for o, kid in ((o, resolve(o)) for o in spans)
+               if kid is not None and kid in ring}
+    frames = {}
+    items = []
+    stack = []
+    ordinal = 0
+    i = 0
+    while i < len(words):
+        word = words[i]
+        kind = kinds[i]
+        if kind is codec.WordKind.CLOSER:
+            stack.pop()
+            items.append(CLOSE)
+            i += 1
+            continue
+        if kind is codec.WordKind.TAG:
+            ordinal += 1
+            if ordinal not in held_of:
+                _, end, inside = spans[ordinal]
+                items.append(codec.OpaqueRun(tuple(words[i:end + 1]), ordinal, inside))
+                ordinal += inside
+                i = end + 1
+                continue
+            key_id = held_of[ordinal]
+            if key_id not in frames:
+                frames[key_id] = (ring[key_id], {}, {})
+            stack.append(frames[key_id])
+        entry, decoded, new = stack[-1]
+        token = decoded.get(word)
+        if token is None:
+            token = decoded[word] = codec._decode_word(word, entry.st, entry.tat, new,
+                                                       short_codes=True)
+        items.append(token)
+        i += 1
+    for entry, _, new in frames.values():
+        codec._commit(new, entry.st, entry.tat, entry.ctx)
+    return items

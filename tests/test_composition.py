@@ -16,12 +16,15 @@ from restcipher import (
     OpaqueRun,
     Session,
     Status,
+    TatContext,
     Variable,
+    WordKind,
     access_header,
     attach_digests,
     compose_decrypt,
     compose_encrypt,
     compose_reencrypt,
+    encode_word,
     parse_key,
     parse_xml,
     refresh_digests,
@@ -30,6 +33,7 @@ from restcipher import (
     strip_digests,
     verify_digests,
 )
+from restcipher import composition
 from restcipher.composition import recipient_resolver, subtree_spans
 from restcipher.errors import (
     MalformedMessage,
@@ -201,6 +205,18 @@ def test_full_ring_with_policy_decodes_everything(stream, ring, policy, k1, k2, 
     assert tuple(items) == stream
 
 
+def test_text_after_a_closer_goes_with_the_enclosing_tag(ring, k1, k2, k3):
+    # mixed content is outside the document grammar, yet each word still
+    # travels under its own tag's key, both ways
+    stream = [Open("root"), Open("name"), Variable("iiti"), Close(), Variable("ti"),
+              Close()]
+    policy = CompositionPolicy({2: "K1"})
+    body = compose_encrypt(stream, policy, ring, "st")
+    assert body[4] == encode_word("ti", WordKind.VARIABLE, ring["K3"].st)
+    receiver = make_ring(k1, k2, k3, "K1", "K2", "K3")
+    assert compose_decrypt(EncryptedMessage((), tuple(body)), receiver, policy) == stream
+
+
 def test_wrong_key_never_reads_the_right_text(stream, ring, policy, k2, k3):
     # decoding the first pairwise segment with the other pairwise key either
     # fails outright or yields garbled text, never the real content
@@ -301,17 +317,56 @@ def test_failed_compose_reencrypt_commits_nothing(stream, ring, policy, k1, k3, 
     assert _ring_state(sp1, ("K1", "K3")) == _ring_state(ring, ("K1", "K3"))
 
 
-@pytest.mark.parametrize("encode", [compose_encrypt, compose_reencrypt])
+def _single_key_encrypt(items, policy, ring, mode):
+    return ring.group.encrypt(items, mode=mode).words
+
+
+@pytest.mark.parametrize("encode", [compose_encrypt, compose_reencrypt,
+                                    _single_key_encrypt])
 @pytest.mark.parametrize("mode", ["st", "tat"])
 @pytest.mark.parametrize("items", [
     [Variable("ab")],                   # a word outside every tag
     [Open("a"), Close(), Close()],      # a closer with no open tag
+    [Open("a"), Close(), Open("b"), Close()],       # a second root
+    [Open("a"), Close(), Variable("ab")],           # a word after the root
+    [Open("a"), AttrName("b")],                     # a tag left open
+    [],                                             # no tag at all
 ])
 def test_an_unbalanced_stream_is_a_named_error(ring, encode, mode, items):
     before = _ring_state(ring)
     with pytest.raises(UnbalancedClosers):
         encode(items, CompositionPolicy({}), ring, mode)
     assert _ring_state(ring) == before
+
+
+def _decoders(k1, k3):
+    """Every decoder of a body under the group key K3, with the state it
+    commits to: both single-key modes, a one-key ring, a provider's view."""
+    session = Session.for_key(k3)
+    one_key = make_ring(None, None, k3, "K3")
+    provider = make_ring(k1, None, k3, "K1", "K3")
+    return [
+        (lambda words: session.decrypt(EncryptedMessage((), words), "st"), session),
+        (lambda words: session.decrypt(EncryptedMessage((), words), "tat"), session),
+        (lambda words: compose_decrypt(EncryptedMessage((), words), one_key,
+                                       CompositionPolicy({})), one_key["K3"]),
+        (lambda words: compose_decrypt(EncryptedMessage((2,), words), provider),
+         provider["K3"]),
+    ]
+
+
+@pytest.mark.parametrize("shape", ["second root", "no root", "text after the root",
+                                   "closer after the root", "left open", "empty"])
+def test_every_decoder_refuses_a_body_that_is_not_one_tag_tree(k1, k3, shape):
+    sender = make_ring(None, None, k3, "K3")
+    one = tuple(compose_encrypt(parse_xml("<a>b</a>"), CompositionPolicy({}), sender))
+    body = {"second root": one + one, "no root": one[1:2],
+            "text after the root": one + one[1:2], "closer after the root": one + ("0",),
+            "left open": one[:-1], "empty": ()}[shape]
+    for decode, session in _decoders(k1, k3):
+        with pytest.raises(UnbalancedClosers):
+            decode(body)
+        assert (session.tat.items(), session.ctx) == ([], TatContext())
 
 
 # digests
@@ -402,6 +457,38 @@ def test_digest_grammar_rejects_misplaced_digests():
         subtree_spans(["04", D1, "0"], allow_digests=True)
     with pytest.raises(MalformedMessage):
         subtree_spans(["04", "0", D1, D2], allow_digests=True)
+
+
+def test_a_digest_is_recognised_by_its_position():
+    # an all-decimal md5 after a closer is a digest, not a variable word
+    assert subtree_spans(["04", "05", "0", "1" * 32, "0"], allow_digests=True)[1] \
+        == {2: 3}
+    assert subtree_spans(["04", "0", "00" + "1" * 30], allow_digests=True)[1] == {1: 2}
+    # after the root's closer no tag may follow, so even a tag-shaped one
+    assert subtree_spans(["04", "0", "01" + "2" * 30], allow_digests=True)[1] == {1: 2}
+    # inside the root a tag-shaped word opens a sibling: a 13-letter name
+    # spelled out at width 3 is 40 decimal characters, a sha1's length
+    spans, digests = subtree_spans(["04", "05", "0", "0" + "1" * 39, "0", "0"],
+                                   allow_digests=True)
+    assert sorted(spans) == [1, 2, 3] and digests == {}
+
+
+@pytest.mark.parametrize("marker", ["", "00", "000"])
+def test_all_decimal_digests_verify(monkeypatch, stream, ring, policy, marker):
+    real = composition._digest
+
+    def decimal(key_text, segment, algorithm):
+        return (marker + str(int(real(key_text, segment, algorithm), 16)))[:32]
+
+    monkeypatch.setattr(composition, "_digest", decimal)
+    body = compose_encrypt(stream, policy, ring, "st")
+    signed = attach_digests(body, policy, ring)
+    message = EncryptedMessage.parse(EncryptedMessage((2,), tuple(signed)).serialize())
+    verdicts = verify_digests(message, ring, policy)
+    assert [(v.ordinal, v.status) for v in verdicts] == [
+        (2, Status.ACCEPT), (3, Status.ACCEPT), (4, Status.ACCEPT), (1, Status.ACCEPT),
+    ]
+    assert strip_digests(message.words)[0] == body
 
 
 def test_whole_document_digest_covers_body_without_digests(stream, ring, policy):
