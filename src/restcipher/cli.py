@@ -35,10 +35,13 @@ from .restkit import (
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise Malformed(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _write(path, text: str) -> None:
@@ -108,7 +111,10 @@ def _save_state(path: str, session: Session) -> None:
 
 def _load_state(path: str) -> Session:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise Malformed(f"state file {path} is not UTF-8 text: {exc.reason}") from None
     if not lines:
         raise Malformed(f"state file {path} is empty")
     session = Session.for_key(parse_key(lines[0]))

@@ -5,18 +5,27 @@ encrypt to the identical ciphertext and either form can be emitted back.  The
 supported subset is deliberately small: elements, attributes, and text
 leaves, all within printable ASCII.  Mixed content, comments, processing
 instructions, CDATA, DOCTYPEs, and namespaces are rejected.
+
+XML is read in one pass of expat callbacks and a stream is checked in one
+flat loop, so neither has a nesting limit.  Tokens are frozen and compare by
+value, so one ``parse_xml`` call makes a single ``Open``, ``AttrName`` or
+``AttrValue`` per distinct text and checks each distinct name and attribute
+value once; ``Close`` is the shared ``CLOSE``.  JSON goes through the
+``json`` module, whose nesting limit (the interpreter's recursion limit)
+surfaces as ``MalformedJson`` or ``UnsupportedShape``.
 """
 
 import json
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from xml.parsers import expat
 
 from .charsets import is_printable
 from .errors import (
     MalformedJson,
     MalformedXml,
     MixedContentUnsupported,
+    RestCipherError,
     UnsupportedCharacter,
     UnsupportedShape,
 )
@@ -64,6 +73,13 @@ def _check_name(name: str, exc=MalformedXml) -> None:
         raise exc(f"invalid name {name!r}")
 
 
+def _attr_value(value: str, attr: str) -> AttrValue:
+    if value == "":
+        raise UnsupportedShape(f"empty value for attribute {attr!r}")
+    _check_printable(value, f"attribute {attr!r}")
+    return AttrValue(value)
+
+
 # XML side
 
 
@@ -80,49 +96,98 @@ def _reject_unsupported_markup(text: str) -> None:
         raise MalformedXml("processing instructions are not supported")
 
 
-def parse_xml(text: str) -> tuple:
-    """Tokenize an XML document into the canonical word stream."""
-    _reject_unsupported_markup(text)
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from None
-    tokens = []
-    _walk_xml(root, tokens)
-    return tuple(tokens)
+def _expat_parser():
+    # namespace processing as ElementTree configures it: a prefixed name
+    # reports as "uri}local", and any other colon is a parse error
+    return expat.ParserCreate(None, "}")
 
 
-def _walk_xml(elem, tokens: list) -> None:
-    name = elem.tag
-    if not isinstance(name, str):
-        raise MalformedXml("only plain elements are supported")
-    if "{" in name or ":" in name:
-        raise MalformedXml(f"namespaced element {name!r} is not supported")
+def _xml_open(name: str) -> Open:
+    if "}" in name:
+        raise MalformedXml(f"namespaced element {'{' + name!r} is not supported")
     _check_name(name)
-    tokens.append(Open(name))
-    for attr, value in elem.attrib.items():
-        if "{" in attr or ":" in attr or attr.startswith("xmlns"):
-            raise MalformedXml(f"namespaced attribute {attr!r} is not supported")
-        _check_name(attr)
-        if value == "":
-            raise UnsupportedShape(f"empty value for attribute {attr!r}")
-        _check_printable(value, f"attribute {attr!r}")
-        tokens.append(AttrName(attr))
-        tokens.append(AttrValue(value))
-    children = list(elem)
-    if children:
-        if elem.text and elem.text.strip():
-            raise MixedContentUnsupported(f"element {name!r} mixes text and children")
-        for child in children:
-            _walk_xml(child, tokens)
-            if child.tail and child.tail.strip():
-                raise MixedContentUnsupported(f"element {name!r} mixes text and children")
-    elif elem.text and elem.text.strip():
-        # leaf text is kept verbatim; whitespace-only text counts as
-        # inter-element whitespace and yields an empty element
-        _check_printable(elem.text, f"text of {name!r}")
-        tokens.append(Variable(elem.text))
-    tokens.append(CLOSE)
+    return Open(name)
+
+
+def _xml_attr_name(attr: str) -> AttrName:
+    if "}" in attr or attr.startswith("xmlns"):
+        raise MalformedXml(f"namespaced attribute {attr!r} is not supported")
+    _check_name(attr)
+    return AttrName(attr)
+
+
+def parse_xml(text: str) -> tuple:
+    """Tokenize an XML document into the canonical word stream.
+
+    Faults are raised in document order.  A document that is also malformed
+    anywhere raises MalformedXml, whatever fault comes first.
+    """
+    _reject_unsupported_markup(text)
+    tokens = []
+    append = tokens.append
+    opens, attr_names, attr_values = {}, {}, {}
+    data = []           # character data since the last start or end tag
+    names = []          # the open elements
+
+    def start(name, attrs):
+        if data:
+            # the text before a child, or between two, of the enclosing element
+            pending = "".join(data)
+            data.clear()
+            if pending.strip():
+                raise MixedContentUnsupported(f"element {names[-1]!r} mixes text and children")
+        token = opens.get(name)
+        if token is None:
+            token = opens[name] = _xml_open(name)
+        append(token)
+        names.append(name)
+        if attrs:
+            pairs = iter(attrs)
+            for attr, value in zip(pairs, pairs):
+                token = attr_names.get(attr)
+                if token is None:
+                    token = attr_names[attr] = _xml_attr_name(attr)
+                append(token)
+                token = attr_values.get(value)
+                if token is None:
+                    token = attr_values[value] = _attr_value(value, attr)
+                append(token)
+
+    def end(name):
+        if data:
+            pending = "".join(data)
+            data.clear()
+            # leaf text is kept verbatim; whitespace-only text counts as
+            # inter-element whitespace and yields an empty element
+            if pending.strip():
+                if tokens[-1] is CLOSE:
+                    raise MixedContentUnsupported(f"element {name!r} mixes text and children")
+                _check_printable(pending, f"text of {name!r}")
+                append(Variable(pending))
+        append(CLOSE)
+        names.pop()
+
+    parser = _expat_parser()
+    parser.buffer_text = True
+    parser.ordered_attributes = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = data.append
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise MalformedXml(str(exc)) from None
+    except UnicodeEncodeError as exc:
+        # a lone surrogate, as text decoded with surrogateescape holds
+        raise MalformedXml(f"text is not encodable as UTF-8: {exc.reason}") from None
+    except RestCipherError:
+        # a fault stops the pass; malformation past it still comes first
+        try:
+            _expat_parser().Parse(text, True)
+        except expat.ExpatError as exc:
+            raise MalformedXml(str(exc)) from None
+        raise
+    return tuple(tokens)
 
 
 # JSON side
@@ -136,7 +201,7 @@ def parse_json(text: str) -> tuple:
     """
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedJson(str(exc)) from None
     if not isinstance(data, dict):
         raise UnsupportedShape("top level must be a JSON object")
@@ -148,7 +213,10 @@ def parse_json(text: str) -> tuple:
     if isinstance(value, list):
         raise UnsupportedShape("the root cannot be an array")
     tokens = []
-    _walk_json(name, value, tokens)
+    try:
+        _walk_json(name, value, tokens)
+    except RecursionError:
+        raise UnsupportedShape("the document nests too deeply") from None
     return tuple(tokens)
 
 
@@ -205,41 +273,56 @@ def _walk_json(name: str, value, tokens: list) -> None:
 
 # stream validation and emission
 
+#: the token types that may follow each one (None: the stream's start)
+_FOLLOWERS = {
+    None: (Open,),
+    Open: (AttrName, Variable, Open, Close),
+    AttrName: (AttrValue,),
+    AttrValue: (AttrName, Variable, Open, Close),
+    Variable: (Close,),
+    Close: (Open, Close),
+}
+
 
 def validate_stream(stream) -> None:
     """Assert the word-stream invariants; raises ValueError on structural
-    violations and UnsupportedShape on unrepresentable values."""
+    violations and UnsupportedShape on unrepresentable values.
 
-    def element(i: int) -> int:
-        if i >= len(stream) or not isinstance(stream[i], Open):
-            raise ValueError(f"expected an opening tag at token {i}")
-        _check_name(stream[i].name, exc=ValueError)
-        i += 1
-        while i < len(stream) and isinstance(stream[i], AttrName):
-            _check_name(stream[i].name, exc=ValueError)
-            if i + 1 >= len(stream) or not isinstance(stream[i + 1], AttrValue):
-                raise ValueError(f"attribute name without value at token {i}")
-            if stream[i + 1].text == "":
-                raise UnsupportedShape("empty attribute value")
-            _check_printable(stream[i + 1].text, "attribute value")
-            i += 2
-        if i < len(stream) and isinstance(stream[i], Variable):
-            if not stream[i].text.strip():
+    Faults are raised in stream order; each distinct name and attribute
+    value is checked once.
+    """
+    names, values = set(), set()
+    depth = 0
+    last = len(stream) - 1
+    kind = None
+    for i, token in enumerate(stream):
+        prev, kind = kind, type(token)
+        if kind not in _FOLLOWERS[prev]:
+            raise ValueError(f"{kind.__name__} at token {i} cannot follow "
+                             f"{prev.__name__ if prev else 'the start'}")
+        if kind is Variable:
+            if not token.text.strip():
                 raise UnsupportedShape("variable text must contain a non-space character")
-            _check_printable(stream[i].text, "variable text")
-            i += 1
+            _check_printable(token.text, "variable text")
+        elif kind is Close:
+            depth -= 1
+            if not depth and i != last:
+                raise ValueError("content after the root element")
+        elif kind is AttrValue:
+            if token.text not in values:
+                if token.text == "":
+                    raise UnsupportedShape("empty attribute value")
+                _check_printable(token.text, "attribute value")
+                values.add(token.text)
         else:
-            while i < len(stream) and isinstance(stream[i], Open):
-                i = element(i)
-        if i >= len(stream) or not isinstance(stream[i], Close):
-            raise ValueError(f"unterminated or mixed element at token {i}")
-        return i + 1
-
-    if not stream:
+            depth += kind is Open
+            if token.name not in names:
+                _check_name(token.name, exc=ValueError)
+                names.add(token.name)
+    if kind is None:
         raise ValueError("empty stream")
-    end = element(0)
-    if end != len(stream):
-        raise ValueError("content after the root element")
+    if depth:
+        raise ValueError(f"unterminated element at token {last + 1}")
 
 
 def _escape_text(text: str) -> str:
@@ -254,24 +337,27 @@ def emit_xml(stream) -> str:
     """Canonical XML: double-quoted attributes, single spaces, no self-closing."""
     validate_stream(stream)
     parts = []
-    stack = []
-    i = 0
-    while i < len(stream):
-        token = stream[i]
-        if isinstance(token, Open):
-            parts.append(f"<{token.name}")
-            stack.append(token.name)
-            i += 1
-            while isinstance(stream[i], AttrName):
-                parts.append(f' {stream[i].name}="{_escape_attr(stream[i + 1].text)}"')
-                i += 2
-            parts.append(">")
-        elif isinstance(token, Variable):
-            parts.append(_escape_text(token.text))
-            i += 1
-        else:  # Close
-            parts.append(f"</{stack.pop()}>")
-            i += 1
+    append = parts.append
+    closers = []
+    head = False            # a start tag whose ">" is still to come
+    for token in stream:
+        kind = type(token)
+        if kind is AttrName:
+            append(" " + token.name + '="')
+        elif kind is AttrValue:
+            append(_escape_attr(token.text) + '"')
+        else:
+            if head:
+                append(">")
+                head = False
+            if kind is Open:
+                append("<" + token.name)
+                closers.append("</" + token.name + ">")
+                head = True
+            elif kind is Variable:
+                append(_escape_text(token.text))
+            else:
+                append(closers.pop())
     return "".join(parts)
 
 
@@ -345,7 +431,10 @@ def emit_json(stream) -> str:
     """Canonical JSON for the stream; all scalars emit as strings."""
     validate_stream(stream)
     root = _build_tree(stream)
-    return json.dumps({root.name: _node_value(root)})
+    try:
+        return json.dumps({root.name: _node_value(root)})
+    except RecursionError:
+        raise UnsupportedShape("the document nests too deeply for JSON") from None
 
 
 def tag_ordinals(stream) -> dict:

@@ -66,11 +66,16 @@ def save_store(store: KeyStore, path) -> None:
 
 def load_store(path) -> KeyStore:
     store = KeyStore()
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so the line they sit on is known
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise Corrupt(number, f"line {number}: not UTF-8 text") from None
             fields = line.split("\t")
             if len(fields) != 4:
                 raise Corrupt(number, f"line {number}: expected 4 fields, got {len(fields)}")

@@ -13,14 +13,30 @@ ownership generator and the pair-fed encoder.  They reuse the package's
 word-level pieces (one word's decoding, the commit of new words), so a
 differential test of them checks the message loops alone.  The single-key
 loop accepts bodies the walkers refuse by design: several roots, or none.
+
+The document-model oracles keep the recursive ElementTree parser, the
+recursive stream validator and the emitters built on them, as the library
+had them before it read XML in one pass of expat callbacks and checked a
+stream in one flat loop.  They reuse the package's per-word checks (name,
+printability, escaping) and its JSON tree builder, so a differential test of
+them checks the walks alone.  Being recursive, they raise RecursionError on a
+document nested about a thousand deep.
 """
 
+import json
+import xml.etree.ElementTree as ET
 from itertools import combinations, permutations
 
-from restcipher import codec
+from restcipher import codec, docmodel
 from restcipher.composition import policy_resolver, recipient_resolver
-from restcipher.docmodel import CLOSE, AttrValue, Close, Open, Variable
-from restcipher.errors import MalformedMessage, UnbalancedClosers
+from restcipher.docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
+from restcipher.errors import (
+    MalformedMessage,
+    MalformedXml,
+    MixedContentUnsupported,
+    UnbalancedClosers,
+    UnsupportedShape,
+)
 
 SMALL = "abcdefghijklmnopqrstuvwxyz"
 CAPITAL = SMALL.upper()
@@ -310,3 +326,111 @@ def oracle_compose_decrypt(msg, ring, policy=None) -> list:
     for entry, _, new in frames.values():
         codec._commit(new, entry.st, entry.tat, entry.ctx)
     return items
+
+
+# document-model oracles
+
+
+def oracle_parse_xml(text: str) -> tuple:
+    docmodel._reject_unsupported_markup(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise MalformedXml(str(exc)) from None
+    tokens = []
+    _oracle_walk_xml(root, tokens)
+    return tuple(tokens)
+
+
+def _oracle_walk_xml(elem, tokens: list) -> None:
+    name = elem.tag
+    if not isinstance(name, str):
+        raise MalformedXml("only plain elements are supported")
+    if "{" in name or ":" in name:
+        raise MalformedXml(f"namespaced element {name!r} is not supported")
+    docmodel._check_name(name)
+    tokens.append(Open(name))
+    for attr, value in elem.attrib.items():
+        if "{" in attr or ":" in attr or attr.startswith("xmlns"):
+            raise MalformedXml(f"namespaced attribute {attr!r} is not supported")
+        docmodel._check_name(attr)
+        if value == "":
+            raise UnsupportedShape(f"empty value for attribute {attr!r}")
+        docmodel._check_printable(value, f"attribute {attr!r}")
+        tokens.append(AttrName(attr))
+        tokens.append(AttrValue(value))
+    children = list(elem)
+    if children:
+        if elem.text and elem.text.strip():
+            raise MixedContentUnsupported(f"element {name!r} mixes text and children")
+        for child in children:
+            _oracle_walk_xml(child, tokens)
+            if child.tail and child.tail.strip():
+                raise MixedContentUnsupported(f"element {name!r} mixes text and children")
+    elif elem.text and elem.text.strip():
+        docmodel._check_printable(elem.text, f"text of {name!r}")
+        tokens.append(Variable(elem.text))
+    tokens.append(CLOSE)
+
+
+def oracle_validate_stream(stream) -> None:
+    def element(i: int) -> int:
+        if i >= len(stream) or not isinstance(stream[i], Open):
+            raise ValueError(f"expected an opening tag at token {i}")
+        docmodel._check_name(stream[i].name, exc=ValueError)
+        i += 1
+        while i < len(stream) and isinstance(stream[i], AttrName):
+            docmodel._check_name(stream[i].name, exc=ValueError)
+            if i + 1 >= len(stream) or not isinstance(stream[i + 1], AttrValue):
+                raise ValueError(f"attribute name without value at token {i}")
+            if stream[i + 1].text == "":
+                raise UnsupportedShape("empty attribute value")
+            docmodel._check_printable(stream[i + 1].text, "attribute value")
+            i += 2
+        if i < len(stream) and isinstance(stream[i], Variable):
+            if not stream[i].text.strip():
+                raise UnsupportedShape("variable text must contain a non-space character")
+            docmodel._check_printable(stream[i].text, "variable text")
+            i += 1
+        else:
+            while i < len(stream) and isinstance(stream[i], Open):
+                i = element(i)
+        if i >= len(stream) or not isinstance(stream[i], Close):
+            raise ValueError(f"unterminated or mixed element at token {i}")
+        return i + 1
+
+    if not stream:
+        raise ValueError("empty stream")
+    end = element(0)
+    if end != len(stream):
+        raise ValueError("content after the root element")
+
+
+def oracle_emit_xml(stream) -> str:
+    oracle_validate_stream(stream)
+    parts = []
+    stack = []
+    i = 0
+    while i < len(stream):
+        token = stream[i]
+        if isinstance(token, Open):
+            parts.append(f"<{token.name}")
+            stack.append(token.name)
+            i += 1
+            while isinstance(stream[i], AttrName):
+                parts.append(f' {stream[i].name}="{docmodel._escape_attr(stream[i + 1].text)}"')
+                i += 2
+            parts.append(">")
+        elif isinstance(token, Variable):
+            parts.append(docmodel._escape_text(token.text))
+            i += 1
+        else:
+            parts.append(f"</{stack.pop()}>")
+            i += 1
+    return "".join(parts)
+
+
+def oracle_emit_json(stream) -> str:
+    oracle_validate_stream(stream)
+    root = docmodel._build_tree(stream)
+    return json.dumps({root.name: docmodel._node_value(root)})

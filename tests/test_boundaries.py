@@ -17,6 +17,8 @@ from restcipher import (
     serve,
 )
 from restcipher.cli import main
+from restcipher.errors import Corrupt
+from restcipher.keyxchg import KeyStore, load_store, save_store
 from restcipher.restkit import _Provider
 
 from conftest import K1_TEXT, XML1
@@ -79,10 +81,11 @@ def test_non_ascii_post_to_a_scenario_provider_is_a_bad_request():
     "tag\troot\tfour",              # code is no integer
     "tag\troot\t0",                 # codes are positive
     "tag\troot\t4\ntag\tname\t4",   # code taken twice
+    "tag\tr\udce9ot\t4",              # byte 0xE9 alone is no UTF-8
 ])
 def test_malformed_state_line_is_a_named_error(tmp_path, capsys, rows):
     state = tmp_path / "session.state"
-    state.write_text(f"{K1_TEXT}\n{rows}\n", encoding="utf-8")
+    state.write_text(f"{K1_TEXT}\n{rows}\n", encoding="utf-8", errors="surrogateescape")
     assert main(["tables", "--state", str(state)]) == 1
     assert capsys.readouterr().err.startswith("error: Malformed: ")
 
@@ -118,3 +121,43 @@ def test_state_files_carry_a_session_across_cli_runs(tmp_path):
         state = (tmp_path / f"{side}.state").read_text(encoding="utf-8")
         assert state.splitlines()[1:] == rows
     assert rows[-2:] == ["attribute-value\tcab\t7", "attribute-value\tacb\t8"]
+
+
+def test_a_non_utf8_document_is_malformed(tmp_path, capsys):
+    doc = tmp_path / "doc.xml"
+    doc.write_bytes(b"<root>caf\xe9</root>")
+    assert main(["encrypt", "--key", K1_TEXT, "--mode", "st", "--in", str(doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: Malformed: ")
+
+
+def test_a_non_utf8_store_line_is_corrupt(tmp_path, capsys):
+    store = KeyStore()
+    store.put("peer", "K1", "pairwise", parse_key(K1_TEXT))
+    path = tmp_path / "ring.store"
+    save_store(store, path)
+    with open(path, "ab") as fh:
+        fh.write(b"p\xe9er\tK3\tgroup\t" + K1_TEXT.encode("ascii") + b"\n")
+    with pytest.raises(Corrupt) as info:
+        load_store(path)
+    assert info.value.line == 2
+    assert main(["verify", "--keyring", str(path), "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: Corrupt: ")
+
+
+def test_deep_documents_through_the_cli(tmp_path, capsys):
+    # XML has no nesting limit; JSON's is the json module's, a named error
+    deep = "<a>" * 5000 + "x" + "</a>" * 5000
+    plain, cipher, back, deep_json = (tmp_path / name for name in
+                                      ("plain.xml", "cipher", "back.xml", "deep.json"))
+    plain.write_text(deep, encoding="utf-8")
+    for command, src, dst in (("encrypt", plain, cipher), ("decrypt", cipher, back)):
+        assert main([command, "--key", K1_TEXT, "--mode", "tat",
+                     "--in", str(src), "--out", str(dst)]) == 0
+    assert back.read_text(encoding="utf-8") == deep
+    deep_json.write_text('{"a": ' * 5000 + '"x"' + "}" * 5000, encoding="utf-8")
+    assert main(["encrypt", "--key", K1_TEXT, "--mode", "st", "--format", "json",
+                 "--in", str(deep_json)]) == 1
+    assert capsys.readouterr().err.startswith("error: MalformedJson: ")
+    assert main(["decrypt", "--key", K1_TEXT, "--mode", "tat", "--format", "json",
+                 "--in", str(cipher)]) == 1
+    assert capsys.readouterr().err.startswith("error: UnsupportedShape: ")

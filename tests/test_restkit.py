@@ -1,14 +1,24 @@
-"""The three-party scenario end to end, its assembly step, and closing the
-loopback services."""
+"""The two-party flow and the three-party scenario end to end, the
+scenario's assembly step, and closing the loopback services."""
 
 import hashlib
 import random
 import socket
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
-from restcipher import ScenarioConfig, parse_xml, run_composition_scenario, serve
+from restcipher import (
+    ResourceClient,
+    ScenarioConfig,
+    Session,
+    emit_xml,
+    parse_xml,
+    run_composition_scenario,
+    serve,
+)
 from restcipher.docmodel import Close, Open, Variable, tag_ordinals
 from restcipher.errors import MalformedMessage
 from restcipher.restkit import _Provider, _splice_subtrees
@@ -25,6 +35,56 @@ DEFAULT_BODIES = {
     "S->SP2": "ed18f2d46c0ffd9085a261d850db904171693bd1854cc13ecf2dc5964d4a50ad",
     "SP2->S": "15d4cd8caf2d45016195e9e9da5dcb96e2c5a88b817b6ebf1925bbcf01b35e13",
 }
+
+
+# the two-party flow over loopback
+
+
+def _status(request) -> int:
+    with pytest.raises(urllib.error.HTTPError) as info:
+        urllib.request.urlopen(request, timeout=10)
+    with info.value as response:
+        return response.code
+
+
+def test_the_two_party_flow_keeps_both_tag_tables_equal():
+    # "value3" is a new word, which both ends enter when the update passes
+    update = ('<root attr1="value3" attr2="value1"><name>iitd</name>'
+              "<value>7</value></root>")
+    server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
+    try:
+        client = ResourceClient(server.url, "peer")
+        key = client.exchange_key()
+        assert server.store.get("peer", "session").key == key
+        held = server.peers["peer"].session
+        mirror = Session.for_key(key)        # what the server must send
+
+        def same_tables():
+            return list(client.session.tat.items()) == list(held.tat.items())
+
+        for mode in ("st", "tat", "tat"):
+            msg, stream = client.fetch()
+            assert msg.serialize() == mirror.encrypt(parse_xml(XML1), mode, (1,)).serialize()
+            assert stream == parse_xml(XML1)
+            assert same_tables()
+        assert len(client.session.tat) > 0
+
+        before = len(held.tat)
+        msg, stream = client.push(parse_xml(update))
+        assert emit_xml(stream) == update
+        assert server.stream == parse_xml(update)
+        mirror.encrypt(parse_xml(update), "tat", (1,))       # the update itself
+        assert msg.serialize() == mirror.encrypt(parse_xml(update), "tat", (1,)).serialize()
+        assert len(held.tat) == before + 1
+        assert same_tables()
+
+        assert _status(f"{server.url}/stranger") == 409
+        assert _status(urllib.request.Request(f"{server.url}/stranger", data=b"04 0",
+                                              method="POST")) == 409
+        assert client.fetch()[1] == parse_xml(update)
+        assert same_tables()
+    finally:
+        server.close()
 
 
 # the scenario end to end
