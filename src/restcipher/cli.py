@@ -190,7 +190,7 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     session = _session_for(args)
     message = EncryptedMessage.parse(_read(args.infile).strip("\n"))
-    stream = session.decrypt(message, mode=args.mode)
+    stream = session.decrypt(message)
     _write(args.outfile, _emit_doc(stream, args.format))
     if args.state:
         _save_state(args.state, session)
@@ -275,6 +275,8 @@ def _cmd_scenario(args) -> int:
         config.document = _read(args.document)
     if args.tamper:
         name, _, ordinal = args.tamper.partition(":")
+        if not ordinal.isdecimal():
+            raise Malformed(f"bad tamper target {args.tamper!r}")
         config.tamper = (name, int(ordinal))
     result = run_composition_scenario(config)
     print(format_transcript(result.transcript))
@@ -310,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--key", default=None)
         p.add_argument("--state", default=None,
                        help="session state file, read and updated if given")
-        p.add_argument("--mode", choices=("st", "tat"), required=True)
         p.add_argument("--format", choices=("xml", "json"), default="xml")
         p.add_argument("--in", dest="infile", default="-")
         p.add_argument("--out", dest="outfile", default=None)
         if name == "encrypt":
+            p.add_argument("--mode", choices=("st", "tat"), required=True)
             p.add_argument("--access", default="", help="tag ordinals, e.g. 1 or 2,3")
         p.set_defaults(func=func)
 

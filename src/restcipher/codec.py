@@ -6,7 +6,9 @@ marker prefix carries the word's role: ``0`` tag, ``00`` attribute name,
 innermost open tag.  Symbol-table encoding spells a word character by
 character in fixed-width codes; tag-table encoding replaces a known
 non-variable word with its short agreed integer.  Both peers grow the tag
-table from the same words in the same order, so it never travels.
+table from the same words in the same order, so it never travels.  No tag
+code spells a word, so a message describes itself: a non-variable payload
+is a held code or spelled out, never both.
 
 Each codec makes one pass over a message and commits only after success:
 the words new to the tag table are collected in order of first appearance
@@ -17,9 +19,9 @@ as they were.
 One encode walker, ``_encode``, and one decode walker, ``_decode``, serve
 every message: ``owner_for(ordinal)`` is the Session whose tables encode or
 decode the tag with that ordinal and the words it holds directly, one for
-every tag in ``stbe``/``tatbe``/``stbd``/``tatbd``, one per subtree in
-composition.  Both accept exactly one tag tree and raise UnbalancedClosers
-for anything else before they commit, so no message moves one end alone.
+every tag in ``stbe``/``tatbe``/``tatbd``, one per subtree in composition.
+Both accept exactly one tag tree and raise UnbalancedClosers for anything
+else before they commit, so no message moves one end alone.
 """
 
 import enum
@@ -156,9 +158,9 @@ def _short_codes(mode: str) -> bool:
 def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
     """Insert a finished message's new non-variable words, in order of first
     appearance, under the message's code width."""
-    ctx.begin_message(len(tat), len(new))
+    ctx.begin_message(len(tat), len(new), st)
     for text, kind in new.items():
-        tat_upsert(tat, ctx, text, kind, st)
+        tat_upsert(tat, ctx, text, kind)
 
 
 @dataclass(frozen=True)
@@ -260,10 +262,10 @@ _MARKED_TOKEN = {1: (Open, WordKind.TAG.value),
                  3: (AttrValue, WordKind.ATTR_VALUE.value)}
 
 
-def _decode_word(word, st, tat, new: dict, short_codes: bool):
-    """Token of one marked or variable word.  With ``short_codes`` a
-    non-variable word is looked up in the tag table first; a spelled-out one
-    absent from the table is added to ``new``."""
+def _decode_word(word, st, tat, new: dict):
+    """Token of one marked or variable word.  A non-variable word is a held
+    tag code or spelled out, never both; a spelled-out one absent from the
+    table is added to ``new``."""
     split = _split_marker(word)
     if split is None:
         classify_word(word)     # raises Unclassifiable unless a digest
@@ -272,11 +274,10 @@ def _decode_word(word, st, tat, new: dict, short_codes: bool):
     if not marker:
         return Variable(decode_chars(payload, st))
     cls, kind = _MARKED_TOKEN[marker]
-    # a payload wider than every code is spelled out, and may be too long
-    # for int() to read
-    if short_codes and len(payload) <= tat.widest and tat.has_code(int(payload)):
-        return cls(tat.word_for(int(payload)))
-    if short_codes and len(payload) % st.width:
+    text = tat.word_for(payload)
+    if text is not None:
+        return cls(text)
+    if len(payload) % st.width:
         raise UnknownTatCode(
             f"word {word!r}: code {payload} unknown and no character encoding"
         )
@@ -286,7 +287,7 @@ def _decode_word(word, st, tat, new: dict, short_codes: bool):
     return cls(text)
 
 
-def _decode(words, owner_for, short_codes: bool) -> list:
+def _decode(words, owner_for) -> list:
     """The decode walker: items of a body's words.
 
     A tag whose ``owner_for`` is None becomes, with its whole subtree, one
@@ -350,7 +351,7 @@ def _decode(words, owner_for, short_codes: bool) -> list:
                 st, tat = who.st, who.tat
                 token = seen.get(word)
         if token is None:
-            token = seen[word] = _decode_word(word, st, tat, new, short_codes)
+            token = seen[word] = _decode_word(word, st, tat, new)
         items.append(token)
     if stack:
         raise UnbalancedClosers(f"{len(stack)} tags left open at end of message")
@@ -361,17 +362,13 @@ def _decode(words, owner_for, short_codes: bool) -> list:
     return items
 
 
-def stbd(msg: EncryptedMessage, st: SymbolTable, tat: TagTable,
-         ctx: TatContext) -> tuple:
-    """Inverse of stbe; rebuilds the tag table exactly as the encoder did."""
-    return tuple(_decode(msg.words, _one_owner(st, tat, ctx), short_codes=False))
-
-
 def tatbd(msg: EncryptedMessage, st: SymbolTable, tat: TagTable,
           ctx: TatContext) -> tuple:
-    """Inverse of tatbe: tag-table lookup first, character decoding as the
-    fallback for words introduced in this message."""
-    return tuple(_decode(msg.words, _one_owner(st, tat, ctx), short_codes=True))
+    """Inverse of stbe and tatbe; rebuilds the tag table as the encoder did."""
+    return tuple(_decode(msg.words, _one_owner(st, tat, ctx)))
+
+
+stbd = tatbd    # one decoder reads both encodings
 
 
 @dataclass(eq=False)
@@ -390,8 +387,9 @@ class Session:
     is_group: bool = False
 
     @classmethod
-    def for_key(cls, key: TenElementKey) -> "Session":
-        return cls(key, build_st(key), TagTable(), TatContext())
+    def for_key(cls, key: TenElementKey, key_id: str = "", is_group: bool = False) -> "Session":
+        st = build_st(key)
+        return cls(key, st, TagTable(st), TatContext(), key_id, is_group)
 
     @cached_property
     def key_text(self) -> str:
@@ -402,6 +400,5 @@ class Session:
         encrypt = tatbe if _short_codes(mode) else stbe
         return encrypt(stream, self.st, self.tat, self.ctx, access)
 
-    def decrypt(self, msg: EncryptedMessage, mode: str = "tat") -> tuple:
-        decrypt = tatbd if _short_codes(mode) else stbd
-        return decrypt(msg, self.st, self.tat, self.ctx)
+    def decrypt(self, msg: EncryptedMessage) -> tuple:
+        return tatbd(msg, self.st, self.tat, self.ctx)

@@ -34,7 +34,6 @@ from .codec import (
 )
 from .errors import MalformedMessage, MissingKey, RestCipherError
 from .keycore import TenElementKey, serialize_key
-from .tables import TagTable, TatContext, build_st
 # unused here, but kept bound: perfbench's tests check that its tracer
 # wraps composition.tat_upsert
 from .tables import tat_upsert  # noqa: F401
@@ -58,7 +57,7 @@ class KeyRing:
             if self.group_id is not None:
                 raise ValueError("a ring holds exactly one group key")
             self.group_id = key_id
-        entry = Session(key, build_st(key), TagTable(), TatContext(), key_id, is_group)
+        entry = Session.for_key(key, key_id, is_group)
         self._entries[key_id] = entry
         return entry
 
@@ -233,7 +232,7 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
         key_id = resolve(ordinal)
         return None if key_id is None else ring[key_id]
 
-    return _decode(msg.words, owner_for, short_codes=True)
+    return _decode(msg.words, owner_for)
 
 
 def compose_reencrypt(items, policy: CompositionPolicy, ring: KeyRing,
@@ -273,12 +272,18 @@ def attach_digests(body_words, policy: CompositionPolicy, ring: KeyRing,
             continue
         segment = body_words[span.start:span.end + 1]
         by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
+    by_closer[len(body_words) - 1] = _digest(ring.group.key_text, body_words, algorithm)
+    return _spliced(body_words, by_closer)
+
+
+def _spliced(body_words, by_closer: dict) -> list:
+    """The body with each digest of ``by_closer`` (closer index -> digest
+    word) after its closer; the root's closer is the last word."""
     out = []
     for i, word in enumerate(body_words):
         out.append(word)
         if i in by_closer:
             out.append(by_closer[i])
-    out.append(_digest(ring.group.key_text, body_words, algorithm))
     return out
 
 
@@ -361,11 +366,6 @@ def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
             by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
         else:
             by_closer[span.end] = old
-    out = []
-    for i, word in enumerate(body_words):
-        out.append(word)
-        if i in by_closer:
-            out.append(by_closer[i])
     if 1 in preserved:
-        out.append(_digest(ring.group.key_text, body_words, algorithm))
-    return out
+        by_closer[len(body_words) - 1] = _digest(ring.group.key_text, body_words, algorithm)
+    return _spliced(body_words, by_closer)

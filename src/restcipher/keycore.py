@@ -131,6 +131,9 @@ def generate_key(bounds=None, rng=None, attempts: int = 1000) -> TenElementKey:
     """
     merged = dict(DEFAULT_BOUNDS)
     merged.update(bounds or {})
+    empty = [name for name, (lo, hi) in merged.items() if lo > hi]
+    if empty:
+        raise NoValidKeyInBounds(f"empty range for {', '.join(empty)}")
     rng = rng if rng is not None else random.Random()
     for _ in range(attempts):
         sampled = {name: rng.randint(*merged[name]) for name in ELEMENTS}

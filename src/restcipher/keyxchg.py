@@ -84,7 +84,7 @@ def load_store(path) -> KeyStore:
                 raise Corrupt(number, f"line {number}: unknown role {role!r}")
             try:
                 key = parse_key(key_text)
-            except Malformed as exc:
+            except RestCipherError as exc:
                 raise Corrupt(number, f"line {number}: {exc}") from None
             store.put(peer_id, key_id, role, key)
     return store

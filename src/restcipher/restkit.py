@@ -34,7 +34,8 @@ from .composition import (
     verify_digests,
 )
 from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml, tag_ordinals
-from .errors import BadRequest, Bind, MalformedMessage, RestCipherError, VerificationFailed
+from .errors import (BadRequest, Bind, Malformed, MalformedMessage, RestCipherError,
+                     VerificationFailed)
 from .keycore import TenElementKey, parse_key, validate_key
 from .keyxchg import GET_KEY_COMMAND, KeyStore, handle_key_request, http_get, http_post
 
@@ -182,7 +183,7 @@ class ResourceServer(_HttpService):
                 if body:
                     # non-empty POST carries an encrypted update of the resource
                     msg = EncryptedMessage.parse(body)
-                    self.stream = state.session.decrypt(msg, mode="tat")
+                    self.stream = state.session.decrypt(msg)
                 if body == "" or not state.st_sent:
                     # empty POST asks for the resource representation; the first
                     # response of a session is always symbol-table encrypted
@@ -215,27 +216,25 @@ class ResourceClient:
         self.session = Session.for_key(key)
         return key
 
-    def fetch(self):
-        """GET the resource; returns (message, decoded stream)."""
+    def _exchange(self, request):
+        """(message, decoded stream) of the reply ``request()`` returns."""
         if self.session is None:
             raise BadRequest("exchange a key first")
-        msg = EncryptedMessage.parse(http_get(self.url))
-        return msg, self.session.decrypt(msg, mode="tat")
+        msg = EncryptedMessage.parse(request())
+        return msg, self.session.decrypt(msg)
+
+    def fetch(self):
+        """GET the resource."""
+        return self._exchange(lambda: http_get(self.url))
 
     def fetch_representation(self):
-        """Empty POST; returns the ST-encrypted resource representation."""
-        if self.session is None:
-            raise BadRequest("exchange a key first")
-        msg = EncryptedMessage.parse(http_post(self.url, ""))
-        return msg, self.session.decrypt(msg, mode="tat")
+        """Empty POST: the ST-encrypted resource representation."""
+        return self._exchange(lambda: http_post(self.url, ""))
 
     def push(self, stream, mode: str = "tat"):
-        """POST an encrypted update; returns the decoded reply."""
-        if self.session is None:
-            raise BadRequest("exchange a key first")
-        body = self.session.encrypt(stream, mode=mode, access=(1,)).serialize()
-        msg = EncryptedMessage.parse(http_post(self.url, body))
-        return msg, self.session.decrypt(msg, mode="tat")
+        """POST an encrypted update; the reply is the updated resource."""
+        return self._exchange(lambda: http_post(
+            self.url, self.session.encrypt(stream, mode=mode, access=(1,)).serialize()))
 
 
 # three-party composition pipeline
@@ -348,19 +347,11 @@ def _apply_edits(items: list, edits: dict) -> list:
 
 
 def _tamper_words(words: list, spans_ordinal: int) -> list:
-    """Flip the last digit of a word inside the given subtree."""
-    spans, digests = subtree_spans(words, allow_digests=True)
-    span = spans[spans_ordinal]
-    digest_indexes = set(digests.values())
+    """Flip the last digit of the given subtree's tag word."""
+    start = subtree_spans(words, allow_digests=True)[0][spans_ordinal].start
     out = list(words)
-    for i in range(span.start, span.end + 1):
-        word = out[i]
-        if i not in digest_indexes and len(word) > 1:
-            last = word[-1]
-            flipped = str((int(last) + 1) % 10) if last.isdigit() else "0"
-            out[i] = word[:-1] + flipped
-            return out
-    raise ValueError(f"no word to tamper inside tag {spans_ordinal}")
+    out[start] = out[start][:-1] + str((int(out[start][-1]) + 1) % 10)
+    return out
 
 
 class _Provider(_HttpService):
@@ -418,6 +409,9 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     stream = _parse_document(config.document)
     policy = CompositionPolicy(dict(config.policy))
     tag_count = len(tag_ordinals(stream))
+    if config.tamper and (config.tamper[0] not in config.providers
+                          or not 1 <= config.tamper[1] <= tag_count):
+        raise Malformed(f"no provider tag {config.tamper} to tamper with")
 
     ring = KeyRing()
     for key_id, key in config.keys.items():

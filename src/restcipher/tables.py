@@ -5,6 +5,8 @@ reads the grid into a character ↔ fixed-width-code bijection, and the tag
 table maps whole non-variable words to short agreed integers, grown
 identically by encoder and decoder.  The temporary table is only an
 intermediate: callers normally go straight to ``build_st`` and drop it.
+No tag code spells a word, so a held code on the wire was sent as one, and
+a receiver reads both encodings alike.
 """
 
 from dataclasses import dataclass
@@ -30,13 +32,6 @@ class TempTable:
             for c, char in enumerate(row):
                 if char is not None:
                     yield char, self.row_headers[r], self.col_headers[c]
-
-    def locate(self, char: str) -> tuple:
-        """(rh, ch) of a character."""
-        for cell, rh, ch in self.cells():
-            if cell == char:
-                return rh, ch
-        raise ValueError(f"character {char!r} not in table")
 
 
 def _grouped_reverse(chars: list, size: int) -> list:
@@ -151,6 +146,12 @@ class SymbolTable:
         """(char, code) pairs in construction order."""
         return list(self.values.items())
 
+    def spells(self, code: int) -> bool:
+        """Whether the digits of ``code`` split into ``width``-digit codes."""
+        digits, width = str(code), self.width
+        return not len(digits) % width and all(
+            digits[i:i + width] in self.chars for i in range(0, len(digits), width))
+
 
 def _adjust_width(value: int, width: int) -> int:
     """Pad with zeros up to width, or floor-truncate down to it."""
@@ -188,20 +189,22 @@ def build_st(key: TenElementKey) -> SymbolTable:
 class TagTable:
     """Map from non-variable words to agreed integers, stable once assigned.
 
-    Next to the two maps the table keeps an index of its free codes: for
-    each code it holds, ``_skip`` points to a higher code, and every code in
-    between is held too.  ``first_free`` follows these pointers and points
-    each code it passed straight at the answer, so a later search skips the
-    whole run at once.  Codes are never removed, so a pointer, once true,
-    stays true; ``insert`` points each new code at its successor, which keeps
-    rows loaded from a state file as visible to the index as assigned ones.
+    No code it holds spells a word under its symbol table ``st``: ``insert``
+    refuses one and ``first_free`` steps past it.  An index of free codes
+    makes that search short: for each code held or found to spell a word,
+    ``_skip`` points to a higher code, and every code in between is one of
+    the two.  ``first_free`` follows these pointers and points each code it
+    passed straight at the answer, so a later search skips the whole run at
+    once.  Codes are never removed, so a pointer, once true, stays true;
+    ``insert`` points each new code at its successor, which keeps rows
+    loaded from a state file as visible to the index as assigned ones.
     """
 
-    def __init__(self):
+    def __init__(self, st: SymbolTable):
+        self.st = st
         self._by_word = {}      # word -> (code, kind)
-        self._by_code = {}
-        self._skip = {}         # held code -> higher code; all codes between held
-        self.widest = 0         # digit count of the widest code held
+        self._by_code = {}      # decimal string of a code -> word
+        self._skip = {}         # held or spelling code -> higher code
 
     def __len__(self):
         return len(self._by_word)
@@ -212,35 +215,31 @@ class TagTable:
     def code_for(self, word: str) -> int:
         return self._by_word[word][0]
 
-    def kind_for(self, word: str) -> str:
-        return self._by_word[word][1]
-
-    def has_code(self, code: int) -> bool:
-        return code in self._by_code
-
-    def word_for(self, code: int) -> str:
-        return self._by_code[code]
+    def word_for(self, payload: str):
+        """The word whose code reads ``payload`` in decimal, else None."""
+        return self._by_code.get(payload)
 
     def first_free(self, code: int) -> int:
-        """The smallest code not held that is at least ``code``."""
-        skip = self._skip
+        """The smallest code at least ``code`` neither held nor spelling."""
+        skip, spells = self._skip, self.st.spells
         passed = []
-        while code in skip:
+        while code in skip or spells(code):
             passed.append(code)
-            code = skip[code]
+            code = skip.get(code, code + 1)
         for held in passed:
             skip[held] = code
         return code
 
     def insert(self, word: str, code: int, kind: str) -> None:
-        if word in self._by_word or code in self._by_code:
+        if word in self._by_word or str(code) in self._by_code:
             raise ValueError("tag table entries must be bijective")
         if code < 1:
             raise ValueError("tag codes are positive")
+        if self.st.spells(code):
+            raise ValueError(f"tag code {code} spells a word")
         self._by_word[word] = (code, kind)
-        self._by_code[code] = word
+        self._by_code[str(code)] = word
         self._skip[code] = code + 1
-        self.widest = max(self.widest, len(str(code)))
 
     def items(self):
         """(word, code, kind) in insertion order."""
@@ -253,34 +252,39 @@ class TatContext:
 
     ``word_count`` is the number of non-variable words in play once the
     current message is fully absorbed; ``code_digits`` the width used for new
-    codes.  Both are fixed by begin_message before any insertion.
+    codes, the fewest whose codes that spell no word hold ``word_count``.
+    Both are fixed by begin_message before any insertion.
     """
 
     word_count: int = 0
     code_digits: int = 0
 
-    def begin_message(self, existing: int, new: int) -> None:
-        self.word_count = existing + new
-        # ceil(log10(n+1)) equals the decimal digit count of n for n >= 1
-        self.code_digits = len(str(self.word_count)) if self.word_count else 0
+    def begin_message(self, existing: int, new: int, st: SymbolTable) -> None:
+        self.word_count = count = existing + new
+        digits = 0
+        # k-character words spell len(st)**k codes of k*width digits
+        while count > 10 ** digits - 1 - sum(
+                len(st) ** k for k in range(1, digits // st.width + 1)):
+            digits += 1
+        self.code_digits = digits
 
 
-def tat_upsert(tat: TagTable, ctx: TatContext, word: str, kind: str,
-               st: SymbolTable) -> int:
+def tat_upsert(tat: TagTable, ctx: TatContext, word: str, kind: str) -> int:
     """Return the word's agreed code, inserting it on first sight.
 
     ctx must already account for every new word of the current message; both
     peers replay the same insertion order and land on identical codes.  A new
     word starts from its code sum cut to ``ctx.code_digits`` digits and takes
     the first free code counting up from there, wrapping from the largest
-    such code to 1.  That is the first free code in ``[start, 10**digits)``,
-    else the first in ``[1, start)``: two ``first_free`` searches give the
-    code a one-by-one probe would reach.
+    such code to 1; a code that spells a word under ``tat.st`` is never free,
+    so one decoder reads both encodings.  That is the first free code in
+    ``[start, 10**digits)``, else the first in ``[1, start)``: two
+    ``first_free`` searches give the code a one-by-one probe would reach.
     """
     if word in tat:
         return tat.code_for(word)
     digits = ctx.code_digits
-    total = sum(map(st.values.__getitem__, word))
+    total = sum(map(tat.st.values.__getitem__, word))
     start = _adjust_width(total, digits) if digits else 0
     code = tat.first_free(max(start, 1))
     if code >= 10 ** digits:

@@ -23,6 +23,7 @@ them checks the walks alone.  Being recursive, they raise RecursionError on a
 document nested about a thousand deep.
 """
 
+import functools
 import json
 import xml.etree.ElementTree as ET
 from itertools import combinations, permutations
@@ -130,8 +131,42 @@ def oracle_symbol_table(key):
     return table
 
 
+def oracle_spelling(st):
+    """Predicate: whether the digits of a code split into symbol-table codes."""
+    return _spelling(frozenset(str(c) for c in st.values()))
+
+
+@functools.lru_cache(maxsize=None)
+def _spelling(codes):
+    width = len(next(iter(codes)))
+
+    @functools.lru_cache(maxsize=None)
+    def spells(code):
+        text = str(code)
+        return len(text) % width == 0 and all(
+            text[i:i + width] in codes for i in range(0, len(text), width))
+
+    return spells
+
+
+def oracle_free_codes(st, digits):
+    """How many codes of at most ``digits`` digits, counted one by one,
+    spell no word."""
+    spells = oracle_spelling(st)
+    return sum(not spells(code) for code in range(1, 10 ** digits))
+
+
+def oracle_code_digits(st, word_count):
+    """The fewest digits whose codes that spell no word hold ``word_count``."""
+    digits = 0
+    while oracle_free_codes(st, digits) < word_count:
+        digits += 1
+    return digits
+
+
 def oracle_tat_code(st, existing_codes, word, digits_for_words):
-    """Tag-table code for one word given the codes already taken."""
+    """Tag-table code for one word given the codes already taken; a code
+    that spells a word is never taken."""
     total = sum(st[c] for c in word)
     width = len(str(total))
     if width <= digits_for_words:
@@ -139,8 +174,9 @@ def oracle_tat_code(st, existing_codes, word, digits_for_words):
     else:
         code = total // 10 ** (width - digits_for_words)
     modulus = 10 ** digits_for_words
+    spells = oracle_spelling(st)
     for _ in range(modulus + 1):
-        if code != 0 and code not in existing_codes:
+        if code != 0 and code not in existing_codes and not spells(code):
             return code
         code = (code + 1) % modulus
     raise AssertionError("tag code space exhausted")
@@ -151,8 +187,7 @@ def oracle_tat_replay(st, words_per_message):
     table = {}
     for words in words_per_message:
         new = [w for w in dict.fromkeys(words) if w not in table]
-        count = len(table) + len(new)
-        digits = len(str(count))
+        digits = oracle_code_digits(st, len(table) + len(new))
         for w in words:
             if w in table:
                 continue
@@ -225,7 +260,7 @@ def oracle_owned(items, policy, ring):
             yield item, stack[-1]
 
 
-def oracle_decrypt(words, session, short_codes: bool) -> tuple:
+def oracle_decrypt(words, session) -> tuple:
     """The single-key decode loop: a closer-depth count and nothing more."""
     tokens = []
     new = {}
@@ -240,8 +275,7 @@ def oracle_decrypt(words, session, short_codes: bool) -> tuple:
             continue
         token = seen.get(word)
         if token is None:
-            token = seen[word] = codec._decode_word(word, session.st, session.tat,
-                                                    new, short_codes)
+            token = seen[word] = codec._decode_word(word, session.st, session.tat, new)
         if type(token) is Open:
             depth += 1
         tokens.append(token)
@@ -319,8 +353,7 @@ def oracle_compose_decrypt(msg, ring, policy=None) -> list:
         entry, decoded, new = stack[-1]
         token = decoded.get(word)
         if token is None:
-            token = decoded[word] = codec._decode_word(word, entry.st, entry.tat, new,
-                                                       short_codes=True)
+            token = decoded[word] = codec._decode_word(word, entry.st, entry.tat, new)
         items.append(token)
         i += 1
     for entry, _, new in frames.values():

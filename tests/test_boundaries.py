@@ -14,14 +14,15 @@ from restcipher import (
     emit_xml,
     parse_key,
     parse_xml,
+    request_key,
     serve,
 )
 from restcipher.cli import main
-from restcipher.errors import Corrupt
+from restcipher.errors import Corrupt, Malformed
 from restcipher.keyxchg import KeyStore, load_store, save_store
-from restcipher.restkit import _Provider
+from restcipher.restkit import _HttpService, _Provider, _QuietHandler
 
-from conftest import K1_TEXT, XML1
+from conftest import K1_TEXT, K2_TEXT, K3_TEXT, XML1, XML2
 
 #: a full-printable arrangement, so every generated key encodes XML1
 SERVER_BOUNDS = {"symbol_type": (63, 63)}
@@ -82,6 +83,7 @@ def test_non_ascii_post_to_a_scenario_provider_is_a_bad_request():
     "tag\troot\t0",                 # codes are positive
     "tag\troot\t4\ntag\tname\t4",   # code taken twice
     "tag\tr\udce9ot\t4",              # byte 0xE9 alone is no UTF-8
+    "tag\troot\t117126",            # spells "ro" under K1
 ])
 def test_malformed_state_line_is_a_named_error(tmp_path, capsys, rows):
     state = tmp_path / "session.state"
@@ -111,10 +113,10 @@ def test_state_files_carry_a_session_across_cli_runs(tmp_path):
         assert main(["encrypt", *start, "--state", str(tmp_path / "sender.state"),
                      "--mode", mode, "--in", str(plain), "--out", str(cipher)]) == 0
         assert main(["decrypt", *start, "--state", str(tmp_path / "receiver.state"),
-                     "--mode", mode, "--in", str(cipher), "--out", str(back)]) == 0
+                     "--in", str(cipher), "--out", str(back)]) == 0
         message = sender.encrypt(parse_xml(doc), mode=mode)
         assert cipher.read_text(encoding="utf-8") == message.serialize()
-        assert back.read_text(encoding="utf-8") == emit_xml(receiver.decrypt(message, mode=mode))
+        assert back.read_text(encoding="utf-8") == emit_xml(receiver.decrypt(message))
         assert back.read_text(encoding="utf-8") == doc
     rows = [f"{kind}\t{word}\t{code}" for word, code, kind in sender.tat.items()]
     for side in ("sender", "receiver"):
@@ -150,14 +152,137 @@ def test_deep_documents_through_the_cli(tmp_path, capsys):
     plain, cipher, back, deep_json = (tmp_path / name for name in
                                       ("plain.xml", "cipher", "back.xml", "deep.json"))
     plain.write_text(deep, encoding="utf-8")
-    for command, src, dst in (("encrypt", plain, cipher), ("decrypt", cipher, back)):
-        assert main([command, "--key", K1_TEXT, "--mode", "tat",
-                     "--in", str(src), "--out", str(dst)]) == 0
+    assert main(["encrypt", "--key", K1_TEXT, "--mode", "tat",
+                 "--in", str(plain), "--out", str(cipher)]) == 0
+    assert main(["decrypt", "--key", K1_TEXT, "--in", str(cipher), "--out", str(back)]) == 0
     assert back.read_text(encoding="utf-8") == deep
     deep_json.write_text('{"a": ' * 5000 + '"x"' + "}" * 5000, encoding="utf-8")
     assert main(["encrypt", "--key", K1_TEXT, "--mode", "st", "--format", "json",
                  "--in", str(deep_json)]) == 1
     assert capsys.readouterr().err.startswith("error: MalformedJson: ")
-    assert main(["decrypt", "--key", K1_TEXT, "--mode", "tat", "--format", "json",
+    assert main(["decrypt", "--key", K1_TEXT, "--format", "json",
                  "--in", str(cipher)]) == 1
     assert capsys.readouterr().err.startswith("error: UnsupportedShape: ")
+
+
+# the other subcommands through main, each with its round trip and its
+# named error
+
+
+def test_keygen_prints_a_key_within_the_bounds(capsys):
+    assert main(["keygen", "--seed", "3", "--bounds", "rows=9..9,power=1..2"]) == 0
+    key = parse_key(capsys.readouterr().out.strip())
+    assert key.rows == 9 and key.power in (1, 2)
+    assert main(["keygen", "--seed", "3", "--bounds", "rows=9..9,power=1..2"]) == 0
+    assert parse_key(capsys.readouterr().out.strip()) == key
+
+
+@pytest.mark.parametrize("bounds,error", [
+    ("rows=9..4", "NoValidKeyInBounds"),    # an empty range
+    ("rows=x", "Malformed"),
+    ("size=4", "Malformed"),                # no such element
+])
+def test_keygen_bad_bounds_are_named_errors(capsys, bounds, error):
+    assert main(["keygen", "--bounds", bounds]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+
+def _keyring(tmp_path):
+    store = KeyStore()
+    for key_id, text, role in (("K1", K1_TEXT, "pairwise"), ("K2", K2_TEXT, "pairwise"),
+                               ("K3", K3_TEXT, "group")):
+        store.put("S", key_id, role, parse_key(text))
+    path = tmp_path / "ring.store"
+    save_store(store, path)
+    return path
+
+
+def test_sign_then_verify_accepts_and_a_flipped_digit_rejects(tmp_path, capsys):
+    ring, plain, signed = _keyring(tmp_path), tmp_path / "plain.xml", tmp_path / "signed"
+    plain.write_text(XML2, encoding="utf-8")
+    assert main(["sign", "--keyring", str(ring), "--policy", "2=K1,3=K2,4=K2",
+                 "--in", str(plain), "--out", str(signed)]) == 0
+    assert main(["verify", "--keyring", str(ring), "--policy", "2=K1,3=K2,4=K2",
+                 "--in", str(signed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith(": accept") for line in lines)
+    assert "tag 1: accept" in lines and "tag 2: accept" in lines
+    access, root, *rest = signed.read_text(encoding="utf-8").split(" ")
+    flipped = root[:-1] + str((int(root[-1]) + 1) % 10)
+    signed.write_text(" ".join([access, flipped, *rest]), encoding="utf-8")
+    assert main(["verify", "--keyring", str(ring), "--policy", "2=K1,3=K2,4=K2",
+                 "--in", str(signed)]) == 1
+    assert "tag 1: reject (digest mismatch)" in capsys.readouterr().out.splitlines()
+
+
+def test_bench_prints_one_row_per_document(tmp_path, capsys):
+    plain = tmp_path / "plain.xml"
+    plain.write_text(XML1, encoding="utf-8")
+    assert main(["bench", "--key", K1_TEXT, "--in", str(plain)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["document", "nonvar", "var", "original", "stbe", "tatbe",
+                              "tatbe/orig"]
+    assert row.split()[0] == str(plain) and row.split()[3] == str(len(XML1))
+    assert main(["bench", "--key", K1_TEXT, "--in", str(tmp_path / "missing.xml")]) == 1
+    assert capsys.readouterr().err.startswith("error: Io: ")
+
+
+def test_scenario_runs_and_a_tampering_provider_halts_it(capsys):
+    assert main(["scenario"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("final: <root") and "iitd" in out[-1]
+    assert main(["scenario", "--tamper", "SP1:3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "halted: reject on tags 3,1"
+
+
+@pytest.mark.parametrize("tamper", ["SP1:x", "SP1:", "SP1:999", "SP1:0", "SP9:2"])
+def test_scenario_bad_tamper_target_is_malformed(capsys, tamper):
+    assert main(["scenario", "--tamper", tamper]) == 1
+    assert capsys.readouterr().err.startswith("error: Malformed: ")
+
+
+# the key exchange and the keystore file
+
+
+def test_request_key_stores_the_key_the_server_issued():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        store = KeyStore()
+        key = request_key(f"{server.url}/peer", store=store)
+        assert store.get("server", "session").key == key
+        assert server.store.get("peer", "session").key == key
+    finally:
+        server.close()
+
+
+class _NotAKeyHandler(_QuietHandler):
+    def do_POST(self):
+        self._read_body()
+        self._reply(200, "[1,2,3]")
+
+
+def test_request_key_refuses_a_reply_that_is_no_key():
+    service = _HttpService(_NotAKeyHandler, "127.0.0.1", 0).start()
+    try:
+        store = KeyStore()
+        with pytest.raises(Malformed, match="not a valid key"):
+            request_key(f"{service.url}/peer", store=store)
+        assert len(store) == 0
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("line,detail", [
+    ("peer\tK2\tpairwise", "expected 4 fields, got 3"),
+    ("peer\tK2\tpairwise\t" + K1_TEXT + "\tmore", "expected 4 fields, got 5"),
+    ("peer\tK2\towner\t" + K1_TEXT, "unknown role 'owner'"),
+    ("peer\tK2\tpairwise\t[1,2]", "not a serialized key"),
+    ("peer\tK2\tpairwise\t[0,6,1,1,1,14,4,1,3,2]", "rows must be positive"),
+])
+def test_a_bad_store_line_is_corrupt_with_its_number(tmp_path, line, detail):
+    path = tmp_path / "ring.store"
+    path.write_text(f"peer\tK1\tpairwise\t{K1_TEXT}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(Corrupt, match=detail) as info:
+        load_store(path)
+    assert info.value.line == 3
+    assert str(info.value).startswith("line 3: ")

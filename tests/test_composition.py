@@ -341,13 +341,12 @@ def test_an_unbalanced_stream_is_a_named_error(ring, encode, mode, items):
 
 def _decoders(k1, k3):
     """Every decoder of a body under the group key K3, with the state it
-    commits to: both single-key modes, a one-key ring, a provider's view."""
+    commits to: a single-key session, a one-key ring, a provider's view."""
     session = Session.for_key(k3)
     one_key = make_ring(None, None, k3, "K3")
     provider = make_ring(k1, None, k3, "K1", "K3")
     return [
-        (lambda words: session.decrypt(EncryptedMessage((), words), "st"), session),
-        (lambda words: session.decrypt(EncryptedMessage((), words), "tat"), session),
+        (lambda words: session.decrypt(EncryptedMessage((), words)), session),
         (lambda words: compose_decrypt(EncryptedMessage((), words), one_key,
                                        CompositionPolicy({})), one_key["K3"]),
         (lambda words: compose_decrypt(EncryptedMessage((2,), words), provider),

@@ -83,6 +83,11 @@ def test_the_two_party_flow_keeps_both_tag_tables_equal():
                                               method="POST")) == 409
         assert client.fetch()[1] == parse_xml(update)
         assert same_tables()
+        # an empty POST asks for the representation, always spelled out
+        msg, stream = client.fetch_representation()
+        assert msg.serialize() == mirror.encrypt(parse_xml(update), "st", (1,)).serialize()
+        assert stream == parse_xml(update)
+        assert same_tables()
     finally:
         server.close()
 

@@ -22,7 +22,8 @@ from restcipher.charsets import ARRANGEMENTS, CLASS_CHARS
 from restcipher.errors import CodeSpaceExhausted, UnknownCode, UnsupportedCharacter
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT
-from oracle import oracle_symbol_table, oracle_tat_code, oracle_tat_replay
+from oracle import (oracle_free_codes, oracle_spelling, oracle_symbol_table, oracle_tat_code,
+                    oracle_tat_replay)
 
 from restcipher import parse_key
 
@@ -63,10 +64,10 @@ def test_charset_sizes():
 
 
 def test_placements_match_published_positions(k1):
-    tt = build_tt(k1)
-    assert tt.locate("j") == (11, 2)
-    assert tt.locate("G") == (15, 5)
-    assert tt.locate("9") == (17, 2)
+    headers = {char: (rh, ch) for char, rh, ch in build_tt(k1).cells()}
+    assert headers["j"] == (11, 2)
+    assert headers["G"] == (15, 5)
+    assert headers["9"] == (17, 2)
 
 
 def test_cell_values(k1):
@@ -169,44 +170,49 @@ def test_symbol_table_rejects_duplicates():
 # tag table
 
 
+#: the symbol table of every tag-table test
+K1_ST = build_st(parse_key(K1_TEXT))
+_K1_SPELLS = oracle_spelling(dict(K1_ST.items()))
+
+
 def _ctx(existing, new):
     ctx = TatContext()
-    ctx.begin_message(existing, new)
+    ctx.begin_message(existing, new, K1_ST)
     return ctx
 
 
 def test_root_vector(k1):
     st = build_st(k1)
-    tat = TagTable()
-    assert tat_upsert(tat, _ctx(0, 7), "root", "tag", st) == 4
+    tat = TagTable(st)
+    assert tat_upsert(tat, _ctx(0, 7), "root", "tag") == 4
 
 
 def test_t1_vector(k1):
     st = build_st(k1)
-    tat = TagTable()
+    tat = TagTable(st)
     ctx = _ctx(0, 7)
     for word in ("root", "attr1", "value1", "attr2", "value2", "name", "value"):
-        tat_upsert(tat, ctx, word, "tag", st)
-    assert tat_upsert(tat, _ctx(7, 3), "t1", "tag", st) == 44
+        tat_upsert(tat, ctx, word, "tag")
+    assert tat_upsert(tat, _ctx(7, 3), "t1", "tag") == 44
 
 
 def test_value_collision_chain(k1):
     # raw sum 2106 truncates to 2, then walks 2,3,4,5 -> 6
     st = build_st(k1)
-    tat = TagTable()
+    tat = TagTable(st)
     ctx = _ctx(0, 7)
     for word in ("root", "attr1", "value1", "attr2", "value2", "name"):
-        tat_upsert(tat, ctx, word, "tag", st)
-    assert tat_upsert(tat, ctx, "value", "tag", st) == 6
+        tat_upsert(tat, ctx, word, "tag")
+    assert tat_upsert(tat, ctx, "value", "tag") == 6
 
 
 def test_xml1_insertion_table(k1):
     st = build_st(k1)
-    tat = TagTable()
+    tat = TagTable(st)
     ctx = _ctx(0, 7)
     words = ("root", "attr1", "value1", "attr2", "value2", "name", "value")
     for word in words:
-        tat_upsert(tat, ctx, word, "tag", st)
+        tat_upsert(tat, ctx, word, "tag")
     assert {w: c for w, c, _ in tat.items()} == {
         "root": 4, "attr1": 8, "value1": 2, "attr2": 9, "value2": 3,
         "name": 5, "value": 6,
@@ -218,10 +224,10 @@ def test_xml1_insertion_table(k1):
 
 def test_upsert_is_idempotent(k1):
     st = build_st(k1)
-    tat = TagTable()
+    tat = TagTable(st)
     ctx = _ctx(0, 1)
-    first = tat_upsert(tat, ctx, "root", "tag", st)
-    assert tat_upsert(tat, ctx, "root", "tag", st) == first
+    first = tat_upsert(tat, ctx, "root", "tag")
+    assert tat_upsert(tat, ctx, "root", "tag") == first
     assert len(tat) == 1
 
 
@@ -230,35 +236,44 @@ def test_replay_gives_identical_tables(k1):
     words = ["root", "attr1", "value1", "attr2", "value2", "name", "value"]
     tables = []
     for _ in range(2):
-        tat = TagTable()
+        tat = TagTable(st)
         ctx = _ctx(0, 7)
         for word in words:
-            tat_upsert(tat, ctx, word, "tag", st)
+            tat_upsert(tat, ctx, word, "tag")
         tables.append(tat.items())
     assert tables[0] == tables[1]
 
 
 def test_code_space_exhaustion(k1):
     st = build_st(k1)
-    tat = TagTable()
+    tat = TagTable(st)
     ctx = _ctx(0, 9)
     words = ["root", "attr1", "value1", "attr2", "value2", "name", "value", "nv", "t1"]
     for word in words:
-        tat_upsert(tat, ctx, word, "tag", st)
+        tat_upsert(tat, ctx, word, "tag")
     assert len(tat) == 9  # all nine one-digit codes taken
     with pytest.raises(CodeSpaceExhausted):
-        tat_upsert(tat, ctx, "t2", "tag", st)
+        tat_upsert(tat, ctx, "t2", "tag")
 
 
 def test_codes_are_never_renumbered(k1):
     st = build_st(k1)
-    tat = TagTable()
+    tat = TagTable(st)
     for word in ("root", "attr1", "value1", "attr2", "value2", "name", "value"):
-        tat_upsert(tat, _ctx(0, 7), word, "tag", st)
+        tat_upsert(tat, _ctx(0, 7), word, "tag")
     before = tat.items()
     # the table crosses into two-digit codes; old entries keep their digits
-    tat_upsert(tat, _ctx(7, 3), "t1", "tag", st)
+    tat_upsert(tat, _ctx(7, 3), "t1", "tag")
     assert [row for row in tat.items() if row[0] != "t1"] == before
+
+
+def test_insert_refuses_a_code_that_spells_a_word():
+    tat = TagTable(K1_ST)
+    spelled = K1_ST.code_for("r") * 1000 + K1_ST.code_for("o")
+    assert _K1_SPELLS(spelled)
+    with pytest.raises(ValueError, match="spells"):
+        tat.insert("root", spelled, "tag")
+    assert tat.items() == [] and tat.first_free(spelled) == spelled + 1
 
 
 # code assignment against the oracle's linear probe
@@ -271,7 +286,8 @@ _ANAGRAMS = ["".join(p) for base in ("abcdef", "abcdeg") for p in permutations(b
 
 @settings(max_examples=15, deadline=None)
 @given(
-    hs.sets(hs.one_of(hs.integers(1, 999), hs.integers(1, 20_000)), max_size=5),
+    hs.sets(hs.one_of(hs.integers(1, 999), hs.integers(1, 20_000))
+            .filter(lambda code: not _K1_SPELLS(code)), max_size=5),   # as insert takes
     hs.integers(1, 4),
     hs.lists(hs.integers(1, 90), min_size=1, max_size=30),
     hs.randoms(use_true_random=False),
@@ -281,10 +297,11 @@ def test_codes_equal_the_oracle_past_every_width_step(loaded, first, sizes, rng)
     # at first; no later message adds more than 90, so every width is used
     st = build_st(parse_key(K1_TEXT))
     st_codes = dict(st.items())
-    tat = TagTable()
+    tat = TagTable(st)
     for n, code in enumerate(loaded):
         tat.insert(f"L{n}", code, "tag")       # rows as a state file holds them
     held = set(loaded)
+    free = [oracle_free_codes(st_codes, digits) for digits in range(5)]
     words = rng.sample(_ANAGRAMS, 1100)
     widths = []
     for size in chain([first], cycle(sizes)):
@@ -292,9 +309,10 @@ def test_codes_equal_the_oracle_past_every_width_step(loaded, first, sizes, rng)
         if not message:
             break
         ctx = _ctx(len(tat), len(message))
+        assert ctx.code_digits == min(d for d in range(5) if free[d] >= ctx.word_count)
         widths.append(ctx.code_digits)
         for word in message:
-            code = tat_upsert(tat, ctx, word, "tag", st)
+            code = tat_upsert(tat, ctx, word, "tag")
             assert code == oracle_tat_code(st_codes, held, word, ctx.code_digits)
             held.add(code)
     assert set(widths) == {1, 2, 3, 4}
@@ -303,5 +321,5 @@ def test_codes_equal_the_oracle_past_every_width_step(loaded, first, sizes, rng)
         tat.insert(f"F{code}", code, "tag")
     before = tat.items()
     with pytest.raises(CodeSpaceExhausted):
-        tat_upsert(tat, TatContext(code_digits=1), "abcdefg", "tag", st)
+        tat_upsert(tat, TatContext(code_digits=1), "abcdefg", "tag")
     assert tat.items() == before

@@ -127,7 +127,7 @@ def _encrypt(new, old, stream, policy, mode):
 def _decrypt(new, old, single, body, policy, access, mode, damage=None):
     """The three views' outcomes, of the bodies damaged if ``damage``."""
     def views(single, body):
-        return (lambda: new.receiver.decrypt(EncryptedMessage((), single), mode),
+        return (lambda: new.receiver.decrypt(EncryptedMessage((), single)),
                 lambda: compose_decrypt(EncryptedMessage((), body), new.full, policy),
                 lambda: compose_decrypt(EncryptedMessage(access, body), new.provider))
 
@@ -136,7 +136,7 @@ def _decrypt(new, old, single, body, policy, access, mode, damage=None):
         single, body = damage(single), damage(body)
     one, full, view = views(single, body)
     return (
-        _same(new, old, one, lambda: oracle_decrypt(single, old.receiver, mode == "tat"),
+        _same(new, old, one, lambda: oracle_decrypt(single, old.receiver),
               clean_call=cleans[0]),
         _same(new, old, full, lambda: oracle_compose_decrypt(
             EncryptedMessage((), body), old.full, policy), True, cleans[1]),
