@@ -81,9 +81,12 @@ def _parse_access(spec: str) -> tuple:
     if not spec:
         return ()
     try:
-        return tuple(int(part) for part in spec.split(","))
+        access = tuple(int(part) for part in spec.split(","))
     except ValueError:
         raise Malformed(f"bad access list {spec!r}") from None
+    if min(access) < 1:
+        raise Malformed(f"bad access list {spec!r}: tag ordinals start at 1")
+    return access
 
 
 def _parse_policy(spec: str) -> dict:

@@ -22,6 +22,11 @@ decode the tag with that ordinal and the words it holds directly, one for
 every tag in ``stbe``/``tatbe``/``tatbd``, one per subtree in composition.
 Both accept exactly one tag tree and raise UnbalancedClosers for anything
 else before they commit, so no message moves one end alone.
+
+A signed message also carries digest words (see ``composition``), each
+right after the closer of the subtree it covers.  ``subtree_spans`` scans a
+body into its ``Layout``, which ``EncryptedMessage.layout`` keeps, so a
+received message is scanned once however often it is verified or stripped.
 """
 
 import enum
@@ -29,6 +34,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from .errors import (
@@ -105,6 +111,82 @@ def decode_chars(digits: str, st: SymbolTable) -> str:
     return "".join([chars[digits[i:i + width]] for i in range(0, len(digits), width)])
 
 
+class Span(NamedTuple):
+    """One tag subtree of a body: body[start..end], its closer included."""
+
+    ordinal: int
+    start: int
+    end: int
+    opens_inside: int
+
+
+class Layout(NamedTuple):
+    """A body's words less its digest words, each tag ordinal's Span in
+    them, and each ordinal's digest word, in word order."""
+
+    body: tuple
+    spans: dict
+    digests: dict
+
+
+def subtree_spans(words) -> Layout:
+    """The Layout of a body's words; raises MalformedMessage, or
+    Unclassifiable for a word of no class.
+
+    Digest words are legal only directly after a closer; they attach to the
+    subtree that closer ended and are left out of ``body``.  Only a tag may
+    follow a closer, so there a word of a digest's length and alphabet is a
+    digest even when all-decimal, unless the root is still open and the word
+    is tag-shaped too (about 3e-8 of md5 digests).
+    """
+    body = []
+    spans = {}
+    digests = {}
+    kind_of = {}
+    stack = []
+    ordinal = 0
+    last_closed = None
+    tag, closer, digest = WordKind.TAG, WordKind.CLOSER, WordKind.DIGEST
+    for j, word in enumerate(words):
+        kind = kind_of.get(word)
+        if kind is None:
+            kind = kind_of[word] = classify_word(word)
+        if (last_closed is not None and kind is not closer
+                and (kind is not tag or not stack) and _DIGEST_RE.fullmatch(word)):
+            kind = digest
+        if kind is digest:
+            if last_closed is None:
+                raise MalformedMessage(f"digest at word {j} does not follow a closer")
+            if last_closed in digests:
+                raise MalformedMessage(f"second digest for tag {last_closed}")
+            digests[last_closed] = word
+            continue
+        i = j - len(digests)        # the word's index in the body
+        body.append(word)
+        if kind is tag:
+            if not stack and spans:
+                raise MalformedMessage("multiple roots in one message")
+            ordinal += 1
+            stack.append((ordinal, i))
+            last_closed = None
+        elif kind is closer:
+            if not stack:
+                raise MalformedMessage(f"closer at word {j} with no open tag")
+            opened, start = stack.pop()
+            # every tag opened since this one lies inside it
+            spans[opened] = Span(opened, start, i, ordinal - opened)
+            last_closed = opened
+        else:
+            if not stack:
+                raise MalformedMessage(f"word {j} outside any tag")
+            last_closed = None
+    if stack:
+        raise MalformedMessage(f"{len(stack)} tags left open")
+    if not spans:
+        raise MalformedMessage("message contains no tags")
+    return Layout(tuple(body), spans, digests)
+
+
 _ACCESS_RE = re.compile(r"(?:[1-9][0-9]*,)+")
 
 
@@ -142,6 +224,11 @@ class EncryptedMessage:
             except Unclassifiable as exc:
                 raise MalformedMessage(str(exc)) from None
         return cls(access, tuple(tokens))
+
+    @cached_property
+    def layout(self) -> Layout:
+        """The body's Layout, scanned on first use; raises as subtree_spans."""
+        return subtree_spans(self.words)
 
 
 _TOKEN_KIND = {Open: WordKind.TAG, AttrName: WordKind.ATTR_NAME,

@@ -10,28 +10,19 @@ under the group key comes last and covers the body words, digests excluded.
 
 Composition only decides which key owns each tag; the codec's two walkers,
 ``codec._encode`` and ``codec._decode``, do the rest, and the decoder keeps
-a subtree under a key not held as an OpaqueRun.  ``subtree_spans`` is the
-digest functions' structural scan: they place and check digests by subtree
-before any word is decoded.
+a subtree under a key not held as an OpaqueRun.  The wire grammar, digest
+words included, lives in ``codec``: the digest functions place and check
+digests by the spans of a body's ``Layout`` before any word is decoded, and
+a received message is scanned once, by ``EncryptedMessage.layout``, whose
+digest-free body is what ``compose_decrypt`` then reads.
 """
 
 import enum
 import hashlib
 import hmac
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .codec import (
-    _DIGEST_RE,
-    EncryptedMessage,
-    Session,
-    WordKind,
-    classify_word,
-    _decode,
-    _encode,
-    _short_codes,
-)
+from .codec import EncryptedMessage, Session, _decode, _encode, _short_codes, subtree_spans
 from .errors import MalformedMessage, MissingKey, RestCipherError
 from .keycore import TenElementKey, serialize_key
 # unused here, but kept bound: perfbench's tests check that its tracer
@@ -117,74 +108,6 @@ def access_header(policy: CompositionPolicy, ring: KeyRing, held_ids,
     return tuple(ordinals)
 
 
-# structural scanning of ciphertext bodies
-
-
-class Span(NamedTuple):
-    """One tag subtree in a word list: words[start..end] inclusive of closer."""
-
-    ordinal: int
-    start: int
-    end: int
-    opens_inside: int
-
-
-def subtree_spans(words, allow_digests: bool = False):
-    """Structural parse of a body.
-
-    Returns (spans by ordinal, digests as {ordinal: word index}).  Digest
-    words are legal only directly after a closer; they attach to the subtree
-    that closer ended and are excluded from all spans' coverage.  Only a tag
-    may follow a closer, so there a word of a digest's length and alphabet
-    is a digest even when all-decimal, unless the root is still open and the
-    word is tag-shaped too (about 3e-8 of md5 digests).
-    """
-    spans = {}
-    digests = {}
-    kind_of = {}
-    stack = []
-    ordinal = 0
-    last_closed = None
-    tag, closer = WordKind.TAG, WordKind.CLOSER
-    for i, word in enumerate(words):
-        kind = kind_of.get(word)
-        if kind is None:
-            kind = kind_of[word] = classify_word(word)
-        if (allow_digests and last_closed is not None and kind is not closer
-                and (kind is not tag or not stack) and _DIGEST_RE.fullmatch(word)):
-            kind = WordKind.DIGEST
-        if kind is tag:
-            if not stack and spans:
-                raise MalformedMessage("multiple roots in one message")
-            ordinal += 1
-            stack.append((ordinal, i))
-            last_closed = None
-        elif kind is closer:
-            if not stack:
-                raise MalformedMessage(f"closer at word {i} with no open tag")
-            opened, start = stack.pop()
-            # every tag opened since this one lies inside it
-            spans[opened] = Span(opened, start, i, ordinal - opened)
-            last_closed = opened
-        elif kind is WordKind.DIGEST:
-            if not allow_digests:
-                raise MalformedMessage(f"unexpected digest word at {i}")
-            if last_closed is None:
-                raise MalformedMessage(f"digest at word {i} does not follow a closer")
-            if last_closed in digests:
-                raise MalformedMessage(f"second digest for tag {last_closed}")
-            digests[last_closed] = i
-        else:
-            if not stack:
-                raise MalformedMessage(f"word {i} outside any tag")
-            last_closed = None
-    if stack:
-        raise MalformedMessage(f"{len(stack)} tags left open")
-    if not spans:
-        raise MalformedMessage("message contains no tags")
-    return spans, digests
-
-
 # decryption to a partial stream
 
 
@@ -220,9 +143,10 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
                     policy: CompositionPolicy = None) -> list:
     """Decode held segments to tokens; foreign subtrees become OpaqueRuns.
 
-    Digest words must be stripped first (see strip_digests).  Without a
-    policy the recipient rule applies: access-listed tags via the pairwise
-    key, the outermost tag via the group key.  Each key's new words enter
+    Digest words must be stripped first: pass a signed message's
+    ``layout.body``.  Without a policy the recipient rule applies:
+    access-listed tags via the pairwise key, the outermost tag via the group
+    key.  Each key's new words enter
     its tag table only once the whole message has decoded.
     """
     resolve = policy_resolver(policy, ring) if policy else \
@@ -255,24 +179,38 @@ def _digest(key_text: str, segment_words, algorithm: str) -> str:
     return hashlib.new(algorithm, payload.encode("ascii")).hexdigest()
 
 
+def _signing_key(ordinal: int, policy: CompositionPolicy, ring: KeyRing):
+    """Id of the key whose digest attach_digests puts after subtree
+    ``ordinal``, or None: the group key's after the root, the policy's key
+    after a subtree it gives a key other than the group's."""
+    if ordinal == 1:
+        return ring.group_id
+    key_id = policy.assignments.get(ordinal, ring.group_id)
+    return None if key_id == ring.group_id else key_id
+
+
+def _body_spans(body_words) -> dict:
+    """Spans of a body to sign, which must hold no digest word yet: the
+    splice would put a second digest next to it."""
+    _, spans, digests = subtree_spans(body_words)
+    if digests:
+        raise MalformedMessage(f"body already holds a digest for tag {min(digests)}")
+    return spans
+
+
 def attach_digests(body_words, policy: CompositionPolicy, ring: KeyRing,
                    algorithm: str = DEFAULT_DIGEST) -> list:
-    """Sign every ring-held, explicitly-policied subtree plus the whole body.
+    """Sign every explicitly-policied pairwise subtree plus the whole body.
 
     Each digest lands directly after its subtree's closer; the whole-document
     digest (group key) closes the message.  Input must be digest-free.
     """
-    spans, _ = subtree_spans(body_words)
     by_closer = {}
-    for span in spans.values():
-        if span.ordinal == 1:
-            continue
-        key_id = policy.key_for(span.ordinal, ring)
-        if key_id == ring.group_id or key_id not in ring:
-            continue
-        segment = body_words[span.start:span.end + 1]
-        by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
-    by_closer[len(body_words) - 1] = _digest(ring.group.key_text, body_words, algorithm)
+    for ordinal, span in _body_spans(body_words).items():
+        key_id = _signing_key(ordinal, policy, ring)
+        if key_id is not None:
+            segment = body_words[span.start:span.end + 1]
+            by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
     return _spliced(body_words, by_closer)
 
 
@@ -289,10 +227,8 @@ def _spliced(body_words, by_closer: dict) -> list:
 
 def strip_digests(words):
     """(digest-free words, {ordinal: digest word}) of a signed message."""
-    spans, digests = subtree_spans(words, allow_digests=True)
-    digest_indexes = set(digests.values())
-    body = [w for i, w in enumerate(words) if i not in digest_indexes]
-    return body, {o: words[i] for o, i in digests.items()}
+    body, _, digests = subtree_spans(words)
+    return list(body), digests
 
 
 class Status(enum.Enum):
@@ -311,10 +247,12 @@ class Verdict:
 def verify_digests(msg: EncryptedMessage, ring: KeyRing,
                    policy: CompositionPolicy = None,
                    algorithm: str = DEFAULT_DIGEST) -> list:
-    """One verdict per digest word; a structurally broken message is a
-    single whole-message Reject rather than an exception."""
+    """One verdict per digest word, in word order, and a Reject for each
+    missing digest: the root's always, with a policy also each one
+    attach_digests makes.  A structurally broken message is a single
+    whole-message Reject rather than an exception."""
     try:
-        spans, digests = subtree_spans(msg.words, allow_digests=True)
+        body, spans, digests = msg.layout
     except RestCipherError as exc:
         return [Verdict(0, Status.REJECT, f"malformed message: {exc}")]
     if policy is not None:
@@ -324,24 +262,20 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing,
             resolve = recipient_resolver(msg.access, ring)
         except ValueError as exc:
             return [Verdict(0, Status.REJECT, str(exc))]
-    words = msg.words
-    # a subtree's segment is its words minus the digests inside it: a slice
-    # of the digest-free body, whose index is the word's less the digests
-    # before it
-    cuts = sorted(digests.values())
-    cut_set = set(cuts)
-    body = [w for i, w in enumerate(words) if i not in cut_set]
     verdicts = []
-    for ordinal, index in sorted(digests.items(), key=lambda kv: kv[1]):
+    # spans come in closer order, the order of the digests after them
+    for ordinal, span in spans.items():
+        word = digests.get(ordinal)
+        if word is None:
+            if ordinal == 1 or policy is not None and _signing_key(ordinal, policy, ring):
+                verdicts.append(Verdict(ordinal, Status.REJECT, "missing digest"))
+            continue
         key_id = ring.group_id if ordinal == 1 else resolve(ordinal)
         if key_id is None or key_id not in ring:
             verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
             continue
-        span = spans[ordinal]
-        segment = body[span.start - bisect_left(cuts, span.start):
-                       span.end + 1 - bisect_left(cuts, span.end)]
-        expected = _digest(ring[key_id].key_text, segment, algorithm)
-        if hmac.compare_digest(expected, words[index]):
+        expected = _digest(ring[key_id].key_text, body[span.start:span.end + 1], algorithm)
+        if hmac.compare_digest(expected, word):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
@@ -354,7 +288,7 @@ def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
 
     ``preserved`` maps subtree ordinals to the digest words of the incoming
     message; the set of signed subtrees is kept shape-identical."""
-    spans, _ = subtree_spans(body_words)
+    spans = _body_spans(body_words)
     by_closer = {}
     for ordinal, old in preserved.items():
         if ordinal == 1:

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .codec import EncryptedMessage, OpaqueRun, Session
+from .codec import EncryptedMessage, OpaqueRun, Session, subtree_spans
 from .composition import (
     CompositionPolicy,
     KeyRing,
@@ -29,8 +29,6 @@ from .composition import (
     compose_reencrypt,
     recipient_resolver,
     refresh_digests,
-    strip_digests,
-    subtree_spans,
     verify_digests,
 )
 from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml, tag_ordinals
@@ -70,9 +68,12 @@ class _QuietHandler(BaseHTTPRequestHandler):
         pass
 
     def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self.headers.get("Content-Length") or "0"
+        if not (length.isdecimal() and length.isascii()):
+            self.close_connection = True    # the body's end is unknown
+            raise BadRequest(f"bad Content-Length {length!r}")
         try:
-            return self.rfile.read(length).decode("ascii")
+            return self.rfile.read(int(length)).decode("ascii")
         except UnicodeDecodeError:
             raise BadRequest("request body is not ASCII text") from None
 
@@ -137,6 +138,10 @@ class ResourceServer(_HttpService):
     GET  /<peer>            -> encrypted resource (ST first, TAT after)
     POST /<peer> ""         -> ST-encrypted resource representation
     POST /<peer> <message>  -> decode update, store it, reply encrypted
+
+    Unless ``bounds`` sets a symbol type, an issued key uses a four-class
+    arrangement, which holds every printable character, so any document
+    encodes under it.
     """
 
     def __init__(self, document: str, *, host: str = "127.0.0.1", port: int = 0,
@@ -145,7 +150,7 @@ class ResourceServer(_HttpService):
         self.store = KeyStore()
         self.peers = {}
         self._rng = rng
-        self._bounds = bounds
+        self._bounds = {"symbol_type": (40, 63), **(bounds or {})}
         server = self
 
         class Handler(_QuietHandler):
@@ -348,7 +353,9 @@ def _apply_edits(items: list, edits: dict) -> list:
 
 def _tamper_words(words: list, spans_ordinal: int) -> list:
     """Flip the last digit of the given subtree's tag word."""
-    start = subtree_spans(words, allow_digests=True)[0][spans_ordinal].start
+    _, spans, digests = subtree_spans(words)
+    tag = spans[spans_ordinal].start    # in the body; each digest before it shifts it
+    start = tag + sum(spans[o].end < tag for o in digests)
     out = list(words)
     out[start] = out[start][:-1] + str((int(out[start][-1]) + 1) % 10)
     return out
@@ -387,8 +394,8 @@ class _Provider(_HttpService):
         self.verdicts = verdicts
         if any(v.status is Status.REJECT for v in verdicts):
             raise VerificationFailed(f"{self.name} rejects the incoming message")
-        stripped, preserved = strip_digests(msg.words)
-        items = compose_decrypt(EncryptedMessage(msg.access, tuple(stripped)), self.ring)
+        body, _, preserved = msg.layout
+        items = compose_decrypt(EncryptedMessage(msg.access, body), self.ring)
         items = _apply_edits(items, self.edits)
         resolve = recipient_resolver(msg.access, self.ring)
         policy_view = CompositionPolicy({o: resolve(o) for o in msg.access})
@@ -453,9 +460,8 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
         final = stream
         for name in providers:
             reply = replies[name]
-            stripped, _ = strip_digests(reply.words)
             # full ring + policy: no opaque runs remain
-            decoded = compose_decrypt(EncryptedMessage(reply.access, tuple(stripped)),
+            decoded = compose_decrypt(EncryptedMessage(reply.access, reply.layout.body),
                                       ring, policy)
             final = _splice_subtrees(final, decoded, reply.access)
         document = emit_xml(final)

@@ -99,6 +99,16 @@ def random_stream(rng, key, *, max_depth=3, json_safe=False):
     return tuple(element(1))
 
 
+def nested_catalog(rng, items: int) -> str:
+    """Items with a nested <tags> group: item > name, price, tags > tag*."""
+    parts = []
+    for j in range(items):
+        tags = "".join(f"<tag>t{j}x{k}</tag>" for k in range(rng.randrange(3)))
+        parts.append(f'<item id="i{j}"><name>n{j}</name><price>{j}5</price>'
+                     f"<tags>{tags}</tags></item>")
+    return f"<catalog>{''.join(parts)}</catalog>"
+
+
 def stream_char_counts(stream):
     """(non-variable chars, variable chars) at the word level."""
     nonvar = variable = 0

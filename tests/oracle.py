@@ -14,6 +14,12 @@ word-level pieces (one word's decoding, the commit of new words), so a
 differential test of them checks the message loops alone.  The single-key
 loop accepts bodies the walkers refuse by design: several roots, or none.
 
+The digest oracles keep the index-based structural scan and the verifier
+the library had before a message's Layout was scanned once: the scan marks
+digest words by their index in the signed words, and the verifier slices
+each subtree's segment out of a rebuilt digest-free body by bisecting the
+digest indexes.  They reuse the package's word classes and keyed digest.
+
 The document-model oracles keep the recursive ElementTree parser, the
 recursive stream validator and the emitters built on them, as the library
 had them before it read XML in one pass of expat callbacks and checked a
@@ -24,17 +30,20 @@ document nested about a thousand deep.
 """
 
 import functools
+import hmac
 import json
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from itertools import combinations, permutations
 
 from restcipher import codec, docmodel
-from restcipher.composition import policy_resolver, recipient_resolver
+from restcipher.composition import Status, Verdict, _digest, policy_resolver, recipient_resolver
 from restcipher.docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from restcipher.errors import (
     MalformedMessage,
     MalformedXml,
     MixedContentUnsupported,
+    RestCipherError,
     UnbalancedClosers,
     UnsupportedShape,
 )
@@ -359,6 +368,87 @@ def oracle_compose_decrypt(msg, ring, policy=None) -> list:
     for entry, _, new in frames.values():
         codec._commit(new, entry.st, entry.tat, entry.ctx)
     return items
+
+
+# digest oracles
+
+
+def oracle_subtree_spans(words, allow_digests: bool = False):
+    """(spans as {ordinal: (ordinal, start, end, opens inside)}, digests as
+    {ordinal: word index}), every index one into ``words``."""
+    spans = {}
+    digests = {}
+    stack = []
+    ordinal = 0
+    last_closed = None
+    tag, closer = codec.WordKind.TAG, codec.WordKind.CLOSER
+    for i, word in enumerate(words):
+        kind = codec.classify_word(word)
+        if (allow_digests and last_closed is not None and kind is not closer
+                and (kind is not tag or not stack) and codec._DIGEST_RE.fullmatch(word)):
+            kind = codec.WordKind.DIGEST
+        if kind is tag:
+            if not stack and spans:
+                raise MalformedMessage("multiple roots in one message")
+            ordinal += 1
+            stack.append((ordinal, i))
+            last_closed = None
+        elif kind is closer:
+            if not stack:
+                raise MalformedMessage(f"closer at word {i} with no open tag")
+            opened, start = stack.pop()
+            spans[opened] = (opened, start, i, ordinal - opened)
+            last_closed = opened
+        elif kind is codec.WordKind.DIGEST:
+            if not allow_digests:
+                raise MalformedMessage(f"unexpected digest word at {i}")
+            if last_closed is None:
+                raise MalformedMessage(f"digest at word {i} does not follow a closer")
+            if last_closed in digests:
+                raise MalformedMessage(f"second digest for tag {last_closed}")
+            digests[last_closed] = i
+        else:
+            if not stack:
+                raise MalformedMessage(f"word {i} outside any tag")
+            last_closed = None
+    if stack:
+        raise MalformedMessage(f"{len(stack)} tags left open")
+    if not spans:
+        raise MalformedMessage("message contains no tags")
+    return spans, digests
+
+
+def oracle_verify_digests(msg, ring, policy=None, algorithm="md5") -> list:
+    """One verdict per digest word present, in word order."""
+    try:
+        spans, digests = oracle_subtree_spans(msg.words, allow_digests=True)
+    except RestCipherError as exc:
+        return [Verdict(0, Status.REJECT, f"malformed message: {exc}")]
+    if policy is not None:
+        resolve = policy_resolver(policy, ring)
+    else:
+        try:
+            resolve = recipient_resolver(msg.access, ring)
+        except ValueError as exc:
+            return [Verdict(0, Status.REJECT, str(exc))]
+    words = msg.words
+    cuts = sorted(digests.values())
+    cut_set = set(cuts)
+    body = [w for i, w in enumerate(words) if i not in cut_set]
+    verdicts = []
+    for ordinal, index in sorted(digests.items(), key=lambda kv: kv[1]):
+        key_id = ring.group_id if ordinal == 1 else resolve(ordinal)
+        if key_id is None or key_id not in ring:
+            verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
+            continue
+        _, start, end, _ = spans[ordinal]
+        segment = body[start - bisect_left(cuts, start):end + 1 - bisect_left(cuts, end)]
+        expected = _digest(ring[key_id].key_text, segment, algorithm)
+        if hmac.compare_digest(expected, words[index]):
+            verdicts.append(Verdict(ordinal, Status.ACCEPT))
+        else:
+            verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
+    return verdicts
 
 
 # document-model oracles

@@ -1,13 +1,21 @@
 """The HTTP and CLI boundaries: bad input gives a named error, and CLI state
 files carry a session from one run to the next."""
 
+import os
 import random
+import signal
+import socket
+import subprocess
+import sys
 import urllib.error
+import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from restcipher import (
+    EncryptedMessage,
     ResourceClient,
     ScenarioConfig,
     Session,
@@ -15,12 +23,13 @@ from restcipher import (
     parse_key,
     parse_xml,
     request_key,
+    run_composition_scenario,
     serve,
 )
 from restcipher.cli import main
 from restcipher.errors import Corrupt, Malformed
 from restcipher.keyxchg import KeyStore, load_store, save_store
-from restcipher.restkit import _HttpService, _Provider, _QuietHandler
+from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider, _QuietHandler
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT, XML1, XML2
 
@@ -47,6 +56,85 @@ def test_non_ascii_post_to_the_resource_server_is_a_bad_request():
         client = ResourceClient(server.url, "peer")
         client.exchange_key()
         assert client.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+
+
+def _post_with_length(url: str, length: str) -> bytes:
+    """The whole reply to a POST whose Content-Length header is ``length``
+    and which sends no body."""
+    parts = urllib.parse.urlsplit(url)
+    request = (f"POST {parts.path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+               f"Content-Length: {length}\r\n\r\n")
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(request.encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
+BAD_LENGTHS = ["abc", "-5", "+5", "1_0"]
+
+
+def _assert_bad_length(reply: bytes, length: str) -> None:
+    head, _, body = reply.decode("ascii").partition("\r\n\r\n")
+    assert head.startswith("HTTP/1.1 400 ")
+    assert body == f"error: BadRequest: bad Content-Length {length!r}"
+
+
+@pytest.mark.parametrize("length", BAD_LENGTHS)
+def test_a_bad_content_length_to_the_resource_server_is_a_bad_request(length):
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        _assert_bad_length(_post_with_length(f"{server.url}/peer", length), length)
+        client = ResourceClient(server.url, "peer")
+        client.exchange_key()
+        assert client.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("length", BAD_LENGTHS)
+def test_a_bad_content_length_to_a_scenario_provider_is_a_bad_request(length):
+    config = ScenarioConfig()
+    provider = _Provider("SP1", ("K1", config.keys["K1"]),
+                         ("K3", config.keys["K3"]), config).start()
+    try:
+        _assert_bad_length(_post_with_length(f"{provider.url}/process", length), length)
+    finally:
+        provider.close()
+
+
+def test_a_provider_refuses_a_message_stripped_of_its_digests():
+    config = ScenarioConfig()
+    result = run_composition_scenario(config)
+    signed = next(e.body for e in result.transcript if e.direction == "S->SP1")
+    message = EncryptedMessage.parse(signed)
+    stripped = EncryptedMessage(message.access, message.layout.body).serialize()
+    provider = _Provider("SP1", ("K1", config.keys["K1"]),
+                         ("K3", config.keys["K3"]), config).start()
+    try:
+        status, body = _post_bytes(f"{provider.url}/process", stripped.encode("ascii"))
+        assert status == 400
+        assert body == "error: VerificationFailed: SP1 rejects the incoming message"
+        assert [(v.ordinal, v.detail) for v in provider.verdicts] == [(1, "missing digest")]
+        # the signed message itself passes
+        with urllib.request.urlopen(urllib.request.Request(
+                f"{provider.url}/process", data=signed.encode("ascii"),
+                method="POST"), timeout=10) as response:
+            assert response.status == 200
+    finally:
+        provider.close()
+
+
+def test_every_key_a_server_issues_by_default_encodes_its_resource():
+    server = serve(XML1, rng=random.Random(11))
+    try:
+        for n in range(20):
+            client = ResourceClient(server.url, f"peer{n}")
+            client.exchange_key()
+            assert client.fetch()[1] == parse_xml(XML1)
     finally:
         server.close()
 
@@ -213,6 +301,60 @@ def test_sign_then_verify_accepts_and_a_flipped_digit_rejects(tmp_path, capsys):
     assert main(["verify", "--keyring", str(ring), "--policy", "2=K1,3=K2,4=K2",
                  "--in", str(signed)]) == 1
     assert "tag 1: reject (digest mismatch)" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_rejects_a_message_stripped_of_its_digests(tmp_path, capsys):
+    ring, plain, signed = _keyring(tmp_path), tmp_path / "plain.xml", tmp_path / "signed"
+    plain.write_text(XML2, encoding="utf-8")
+    policy = ["--policy", "2=K1,3=K2,4=K2"]
+    assert main(["sign", "--keyring", str(ring), *policy,
+                 "--in", str(plain), "--out", str(signed)]) == 0
+    message = EncryptedMessage.parse(signed.read_text(encoding="utf-8"))
+    signed.write_text(EncryptedMessage(message.access, message.layout.body).serialize(),
+                      encoding="utf-8")
+    assert main(["verify", "--keyring", str(ring), *policy, "--in", str(signed)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"tag {o}: reject (missing digest)" for o in (2, 3, 4, 1)]
+
+
+@pytest.mark.parametrize("command", ["encrypt", "sign"])
+@pytest.mark.parametrize("access", ["--access=0", "--access=-1", "--access=2,0"])
+def test_access_ordinals_below_one_are_malformed(tmp_path, capsys, command, access):
+    plain, out = tmp_path / "plain.xml", tmp_path / "out"
+    plain.write_text(XML2, encoding="utf-8")
+    if command == "encrypt":
+        options = ["--key", K1_TEXT, "--mode", "st"]
+    else:
+        options = ["--keyring", str(_keyring(tmp_path)), "--policy", "2=K1"]
+    assert main([command, *options, access, "--in", str(plain), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: Malformed: bad access list ")
+    assert not out.exists()
+
+
+def test_serve_and_fetch_through_the_cli(tmp_path, capsys):
+    resource = tmp_path / "resource.xml"
+    resource.write_text(XML1, encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-u", "-m", "restcipher.cli", "serve",
+               "--resource", str(resource), "--port", "0"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on http://127.0.0.1:")
+            url = line.split()[-1].removesuffix("/<peer-id>")
+            assert main(["fetch", "--url", url, "--count", "2"]) == 0
+            assert capsys.readouterr().out == f"{XML1}\n{XML1}\n"
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert proc.returncode == 0
+    assert err == f"warning: {PLAIN_HTTP_WARNING}\n"
 
 
 def test_bench_prints_one_row_per_document(tmp_path, capsys):

@@ -18,6 +18,7 @@ from restcipher import (
     Status,
     TatContext,
     Variable,
+    Verdict,
     WordKind,
     access_header,
     attach_digests,
@@ -34,7 +35,8 @@ from restcipher import (
     verify_digests,
 )
 from restcipher import composition
-from restcipher.composition import recipient_resolver, subtree_spans
+from restcipher.codec import subtree_spans
+from restcipher.composition import recipient_resolver
 from restcipher.errors import (
     MalformedMessage,
     MalformedWord,
@@ -241,7 +243,7 @@ def test_reencrypt_preserves_opaque_runs(stream, ring, policy, k1, k3):
               for i in items]
     view = CompositionPolicy({2: "K1"})
     words = compose_reencrypt(edited, view, sp1, "st")
-    spans, _ = subtree_spans(words)
+    spans = subtree_spans(words).spans
     # foreign subtrees byte-identical, owned words changed
     assert words[spans[3].start:spans[3].end + 1] == body[spans[3].start:spans[3].end + 1]
     assert words[spans[4].start:spans[4].end + 1] == body[spans[4].start:spans[4].end + 1]
@@ -385,11 +387,12 @@ def test_sign_segment_algorithms(k1):
 def test_attach_places_digests_after_closers(stream, ring, policy):
     body = compose_encrypt(stream, policy, ring, "st")
     signed = attach_digests(body, policy, ring)
-    spans, digests = subtree_spans(signed, allow_digests=True)
-    assert set(digests) == {2, 3, 4, 1}
-    for ordinal, index in digests.items():
-        assert signed[index - 1] == "0"
-    assert digests[1] == len(signed) - 1
+    layout = subtree_spans(signed)
+    assert list(layout.digests) == [2, 3, 4, 1]         # in word order
+    for word in layout.digests.values():
+        assert signed[signed.index(word) - 1] == "0"
+    assert layout.digests[1] == signed[-1]
+    assert list(layout.body) == body
 
 
 def test_verify_accepts_attach_output(stream, ring, policy):
@@ -416,8 +419,7 @@ def test_verify_recipient_view_marks_foreign_tags(stream, ring, policy, k1, k3):
 def test_flipping_a_digit_rejects_the_subtree(stream, ring, policy):
     body = compose_encrypt(stream, policy, ring, "st")
     signed = attach_digests(body, policy, ring)
-    spans, _ = subtree_spans(signed, allow_digests=True)
-    target = spans[2].start
+    target = subtree_spans(signed).spans[2].start      # no digest before it
     word = signed[target]
     tampered = list(signed)
     tampered[target] = word[:-1] + ("1" if word[-1] != "1" else "2")
@@ -431,6 +433,39 @@ def test_verify_rejects_structurally_broken_messages(ring, policy):
     message = EncryptedMessage((2,), ("04", "0", "0"))
     verdicts = verify_digests(message, ring, policy)
     assert verdicts[0].ordinal == 0 and verdicts[0].status is Status.REJECT
+
+
+def test_a_message_stripped_of_its_digests_is_rejected(stream, ring, policy, k1, k3):
+    body = compose_encrypt(stream, policy, ring, "st")
+    signed = attach_digests(body, policy, ring)
+    assert verify_digests(EncryptedMessage((2,), tuple(signed)), ring, policy)
+    stripped = EncryptedMessage((2,), tuple(body))
+    # with the policy every digest attach_digests makes is due, in word order
+    assert [(v.ordinal, v.status, v.detail) for v in verify_digests(stripped, ring, policy)] \
+        == [(o, Status.REJECT, "missing digest") for o in (2, 3, 4, 1)]
+    # a recipient that knows no policy still misses the whole-document digest
+    sp1 = make_ring(k1, None, k3, "K1", "K3")
+    assert verify_digests(stripped, sp1) == [Verdict(1, Status.REJECT, "missing digest")]
+
+
+def test_each_dropped_subtree_digest_is_missing_under_the_policy(stream, ring, policy):
+    body = compose_encrypt(stream, policy, ring, "st")
+    signed = attach_digests(body, policy, ring)
+    for ordinal, word in subtree_spans(signed).digests.items():
+        dropped = EncryptedMessage((2,), tuple(w for w in signed if w != word))
+        rejects = [(v.ordinal, v.detail) for v in verify_digests(dropped, ring, policy)
+                   if v.status is Status.REJECT]
+        assert rejects == [(ordinal, "missing digest")]
+
+
+def test_a_body_that_holds_a_digest_is_not_signed_again(stream, ring, policy, k1, k3):
+    body = compose_encrypt(stream, policy, ring, "st")
+    signed = attach_digests(body, policy, ring)
+    with pytest.raises(MalformedMessage):
+        attach_digests(signed, policy, ring)
+    sp1 = make_ring(k1, None, k3, "K1", "K3")
+    with pytest.raises(MalformedMessage):
+        refresh_digests(signed, sp1, recipient_resolver((2,), sp1), {})
 
 
 def test_strip_digests_round_trip(stream, ring, policy):
@@ -453,23 +488,21 @@ def test_refresh_recomputes_held_and_preserves_foreign(stream, ring, policy, k1,
 
 def test_digest_grammar_rejects_misplaced_digests():
     with pytest.raises(MalformedMessage):
-        subtree_spans(["04", D1, "0"], allow_digests=True)
+        subtree_spans(["04", D1, "0"])
     with pytest.raises(MalformedMessage):
-        subtree_spans(["04", "0", D1, D2], allow_digests=True)
+        subtree_spans(["04", "0", D1, D2])
 
 
 def test_a_digest_is_recognised_by_its_position():
     # an all-decimal md5 after a closer is a digest, not a variable word
-    assert subtree_spans(["04", "05", "0", "1" * 32, "0"], allow_digests=True)[1] \
-        == {2: 3}
-    assert subtree_spans(["04", "0", "00" + "1" * 30], allow_digests=True)[1] == {1: 2}
+    assert subtree_spans(["04", "05", "0", "1" * 32, "0"]).digests == {2: "1" * 32}
+    assert subtree_spans(["04", "0", "00" + "1" * 30]).digests == {1: "00" + "1" * 30}
     # after the root's closer no tag may follow, so even a tag-shaped one
-    assert subtree_spans(["04", "0", "01" + "2" * 30], allow_digests=True)[1] == {1: 2}
+    assert subtree_spans(["04", "0", "01" + "2" * 30]).digests == {1: "01" + "2" * 30}
     # inside the root a tag-shaped word opens a sibling: a 13-letter name
     # spelled out at width 3 is 40 decimal characters, a sha1's length
-    spans, digests = subtree_spans(["04", "05", "0", "0" + "1" * 39, "0", "0"],
-                                   allow_digests=True)
-    assert sorted(spans) == [1, 2, 3] and digests == {}
+    layout = subtree_spans(["04", "05", "0", "0" + "1" * 39, "0", "0"])
+    assert sorted(layout.spans) == [1, 2, 3] and layout.digests == {}
 
 
 @pytest.mark.parametrize("marker", ["", "00", "000"])
@@ -500,12 +533,11 @@ def test_tamper_fuzz_over_every_position(stream, ring, policy):
     rng = random.Random(61)
     body = compose_encrypt(stream, policy, ring, "st")
     signed = attach_digests(body, policy, ring)
-    _, digest_map = subtree_spans(signed, allow_digests=True)
-    digest_indexes = set(digest_map.values())
+    digest_words = set(subtree_spans(signed).digests.values())
     rejects = 0
     trials = 0
     for index, word in enumerate(signed):
-        if index in digest_indexes:
+        if word in digest_words:
             continue
         position = rng.randrange(len(word))
         original = word[position]

@@ -1,0 +1,162 @@
+"""A signed message's Layout: the one structural scan equals the index-based
+scan it replaced, each missing digest is a Reject, and the three-party
+pipeline scans each message it receives once."""
+
+import random
+import threading
+from bisect import bisect_left
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from restcipher import (
+    CompositionPolicy,
+    EncryptedMessage,
+    ScenarioConfig,
+    Status,
+    access_header,
+    attach_digests,
+    compose_encrypt,
+    parse_key,
+    parse_xml,
+    run_composition_scenario,
+    verify_digests,
+)
+from restcipher import codec, composition, restkit
+from restcipher.docmodel import tag_ordinals
+from restcipher.errors import RestCipherError
+
+from conftest import K1_TEXT, K2_TEXT, K3_TEXT, make_ring
+from docgen import nested_catalog
+from oracle import oracle_subtree_spans, oracle_verify_digests
+
+KEYS = {"K1": parse_key(K1_TEXT), "K2": parse_key(K2_TEXT), "K3": parse_key(K3_TEXT)}
+MISSING = "missing digest"
+
+
+def _signed(rng, mode):
+    """(signed words, policy, tag count) of a random catalog and policy."""
+    stream = parse_xml(nested_catalog(rng, rng.randint(1, 6)))
+    count = len(tag_ordinals(stream))
+    policy = CompositionPolicy({o: rng.choice(["K1", "K2", "K3"])
+                                for o in range(2, count + 1) if rng.random() < 0.6})
+    ring = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], "K1", "K2", "K3")
+    body = compose_encrypt(stream, policy, ring, mode)
+    return attach_digests(body, policy, ring), policy, count
+
+
+def _mutated(rng, words, how):
+    """``words`` with one mutation: a digit flipped anywhere, a digest
+    dropped, duplicated or moved before a closer, or a hex word inserted."""
+    out = list(words)
+    digests = sorted(oracle_subtree_spans(words, allow_digests=True)[1].values())
+    if how == "flip":
+        i = rng.randrange(len(out))
+        p = rng.randrange(len(out[i]))
+        digit = rng.choice([d for d in "0123456789" if d != out[i][p]])
+        out[i] = out[i][:p] + digit + out[i][p + 1:]
+    elif how == "drop":
+        del out[rng.choice(digests)]
+    elif how == "duplicate":
+        i = rng.choice(digests)
+        out.insert(i + 1, out[i])
+    elif how == "move":
+        word = out.pop(rng.choice(digests))
+        closers = [i for i, w in enumerate(out) if w == "0"]
+        out.insert(rng.choice(closers), word)
+    elif how == "insert":
+        hexword = "".join(rng.choice("0123456789abcdef") for _ in range(32))
+        out.insert(rng.randrange(len(out) + 1), hexword)
+    return out
+
+
+def _outcome(scan, words):
+    try:
+        return scan(words)
+    except RestCipherError as exc:
+        return type(exc)
+
+
+def _oracle_layout(words):
+    """The oracle's scan with every index mapped into the digest-free body."""
+    spans, digests = oracle_subtree_spans(words, allow_digests=True)
+    cuts = sorted(digests.values())
+    body = tuple(w for i, w in enumerate(words) if i not in digests.values())
+
+    def at(i):
+        return i - bisect_left(cuts, i)
+
+    return (body,
+            {o: (o, at(start), at(end), inside) for o, (_, start, end, inside) in spans.items()},
+            {o: words[i] for o, i in sorted(digests.items(), key=lambda kv: kv[1])})
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.integers(0, 2**32), hs.sampled_from(["st", "tat"]),
+       hs.sampled_from(["none", "flip", "drop", "duplicate", "move", "insert"]))
+def test_the_layout_equals_the_index_based_scan(seed, mode, how):
+    rng = random.Random(seed)
+    signed, policy, count = _signed(rng, mode)
+    words = _mutated(rng, signed, how)
+    got = _outcome(lambda w: EncryptedMessage((), tuple(w)).layout, words)
+    want = _outcome(_oracle_layout, words)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert (got.body, got.spans, list(got.digests.items())) \
+            == (want[0], want[1], list(want[2].items()))
+    full = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], "K1", "K2", "K3")
+    sp1 = make_ring(KEYS["K1"], None, KEYS["K3"], "K1", "K3")
+    views = ((full, policy, ()),
+             (sp1, None, access_header(policy, full, ["K1"], count)))
+    for ring, view, access in views:
+        message = EncryptedMessage(access, tuple(words))
+        verdicts = verify_digests(message, ring, view)
+        assert [v for v in verdicts if v.detail != MISSING] \
+            == oracle_verify_digests(message, ring, view)
+        missing = {v.ordinal for v in verdicts if v.detail == MISSING}
+        assert all(v.status is Status.REJECT for v in verdicts if v.detail == MISSING)
+        if isinstance(got, type):
+            assert not missing
+            continue
+        # the root's digest is always due; with a policy, each pairwise one
+        group = ring.group_id
+        due = {o for o in got.spans if o == 1 or view is not None
+               and view.assignments.get(o, group) != group}
+        assert missing == due - set(got.digests)
+
+
+def _scans(monkeypatch):
+    """Record (thread name, words) of every structural scan."""
+    calls = []
+    lock = threading.Lock()
+    scan = codec.subtree_spans
+
+    def counted(words):
+        with lock:
+            calls.append((threading.current_thread().name, tuple(words)))
+        return scan(words)
+
+    for module in (codec, composition, restkit):
+        monkeypatch.setattr(module, "subtree_spans", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["st", "tat"])
+def test_each_received_message_is_scanned_once(monkeypatch, mode):
+    calls = _scans(monkeypatch)
+    result = run_composition_scenario(ScenarioConfig(mode=mode))
+    assert not result.halted
+    main = threading.main_thread().name
+    # S: the body it signs and each reply; a provider: the message it
+    # receives and the body it re-signs.  Both providers receive the same
+    # signed words, under different access lists.
+    assert len(calls) == 7
+    assert sum(name == main for name, _ in calls) == 3
+    assert len(set(calls)) == len(calls)
+    bodies = {e.direction: e.body for e in result.transcript if e.kind == "message"}
+    received = [tuple(EncryptedMessage.parse(bodies[d]).words)
+                for d in ("S->SP1", "S->SP2", "SP1->S", "SP2->S")]
+    scanned = [words for _, words in calls]
+    assert [scanned.count(words) for words in received] == [2, 2, 1, 1]

@@ -24,6 +24,7 @@ from restcipher.errors import MalformedMessage
 from restcipher.restkit import _Provider, _splice_subtrees
 
 from conftest import XML1
+from docgen import nested_catalog
 
 DEFAULT_FINAL = ('<root attr1="value1" attr2="value2">'
                  "<name>iitd</name><value>7</value><nv>b2</nv></root>")
@@ -147,16 +148,6 @@ def _replace_one_by_one(final, decoded, ordinals) -> tuple:
     return tuple(final)
 
 
-def _catalog(rng, items: int) -> str:
-    """Items with a nested <tags> group: item > name, price, tags > tag*."""
-    parts = []
-    for j in range(items):
-        tags = "".join(f"<tag>t{j}x{k}</tag>" for k in range(rng.randrange(3)))
-        parts.append(f'<item id="i{j}"><name>n{j}</name><price>{j}5</price>'
-                     f"<tags>{tags}</tags></item>")
-    return f"<catalog>{''.join(parts)}</catalog>"
-
-
 def _provider_copy(stream, owned: set, label: str) -> tuple:
     """``stream`` with every variable inside an owned subtree relabelled."""
     out, depth_in_owned, ordinal = [], [], 0
@@ -193,7 +184,7 @@ def _policies(stream, rng):
 @pytest.mark.parametrize("seed", range(12))
 def test_splice_equals_replacing_one_by_one(seed):
     rng = random.Random(seed)
-    final = parse_xml(_catalog(rng, 12))
+    final = parse_xml(nested_catalog(rng, 12))
     sp1, sp2 = _policies(final, rng)
     replies = [(sorted(sp1), _provider_copy(final, sp1, "SP1")),
                (sorted(sp2), _provider_copy(final, sp2, "SP2"))]
