@@ -56,7 +56,6 @@ from .keycore import TenElementKey, generate_key, parse_key, serialize_key, vali
 from .keyxchg import (
     GET_KEY_COMMAND,
     KeyStore,
-    handle_key_request,
     load_store,
     request_key,
     save_store,

@@ -98,6 +98,9 @@ def _parse_policy(spec: str) -> dict:
             policy[int(ordinal)] = key_id
         except ValueError:
             raise Malformed(f"bad policy entry {part!r}") from None
+    if policy and min(policy) < 2:
+        # the outermost tag always uses the group key, so it is never a policy choice
+        raise Malformed(f"bad policy {spec!r}: policy ordinals start at 2")
     return policy
 
 
@@ -156,7 +159,10 @@ def _session_for(args) -> Session:
 def _load_ring(path: str) -> KeyRing:
     ring = KeyRing()
     for record in load_store(path).records():
-        ring.add_key(record.key_id, record.key, is_group=(record.role == "group"))
+        try:
+            ring.add_key(record.key_id, record.key, is_group=(record.role == "group"))
+        except ValueError as exc:
+            raise Malformed(f"keystore {path} does not form one ring: {exc}") from None
     return ring
 
 

@@ -1,9 +1,10 @@
-"""The "Get key" exchange and the persistent keystore at both ends.
+"""The HTTP client, the client side of the "Get key" exchange and the keystore.
 
-A client POSTs the exact body ``Get key`` (text/plain); the server generates
-a fresh key, stores it against the peer, and replies with the serialized key
-as the entire response body.  The exchange should ride on TLS in real
-deployments; this package's harness speaks plain HTTP and says so.
+A client POSTs the exact body ``Get key`` (text/plain); the server
+(``restkit.ResourceServer``) generates a fresh key, stores it against the
+peer, and replies with the serialized key as the entire response body.  The
+exchange should ride on TLS in real deployments; this package's harness
+speaks plain HTTP and says so.  Every request goes through ``_request``.
 """
 
 import threading
@@ -12,7 +13,7 @@ import urllib.request
 from dataclasses import dataclass
 
 from .errors import Corrupt, Malformed, RestCipherError, StoreFailure, Transport
-from .keycore import TenElementKey, generate_key, parse_key, serialize_key
+from .keycore import TenElementKey, parse_key, serialize_key
 
 GET_KEY_COMMAND = "Get key"
 ROLES = ("pairwise", "group")
@@ -90,44 +91,27 @@ def load_store(path) -> KeyStore:
     return store
 
 
-def handle_key_request(body: str, peer_id: str, store: KeyStore, *,
-                       rng=None, bounds=None, key_id: str = "session"):
-    """Server side of the exchange.
-
-    Returns the response body for an exact "Get key" command, None for
-    anything else (the caller treats the request as ordinary traffic).  A
-    repeated request replaces the stored key: key changes are client-driven.
-    """
-    if body != GET_KEY_COMMAND:
-        return None
-    key = generate_key(bounds, rng=rng)
-    store.put(peer_id, key_id, "pairwise", key)
-    return serialize_key(key)
-
-
-def http_post(url: str, body: str, timeout: float = 10.0) -> str:
-    """POST text/plain, return the response body; transport faults wrapped."""
-    request = urllib.request.Request(
-        url, data=body.encode("ascii"),
-        headers={"Content-Type": "text/plain"}, method="POST",
-    )
+def _request(method: str, url: str, data, timeout: float) -> str:
+    """Send one request, return the response body; transport faults wrapped.
+    A GET (``data`` None) sends no Content-Type."""
+    headers = {} if data is None else {"Content-Type": "text/plain"}
+    request = urllib.request.Request(url, data=data, headers=headers, method=method)
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.read().decode("ascii")
     except urllib.error.HTTPError as exc:
-        raise Transport(f"POST {url} failed: {exc.code} {exc.reason}") from None
+        raise Transport(f"{method} {url} failed: {exc.code} {exc.reason}") from None
     except (urllib.error.URLError, OSError) as exc:
-        raise Transport(f"POST {url} failed: {exc}") from None
+        raise Transport(f"{method} {url} failed: {exc}") from None
+
+
+def http_post(url: str, body: str, timeout: float = 10.0) -> str:
+    """POST text/plain, return the response body; transport faults wrapped."""
+    return _request("POST", url, body.encode("ascii"), timeout)
 
 
 def http_get(url: str, timeout: float = 10.0) -> str:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.read().decode("ascii")
-    except urllib.error.HTTPError as exc:
-        raise Transport(f"GET {url} failed: {exc.code} {exc.reason}") from None
-    except (urllib.error.URLError, OSError) as exc:
-        raise Transport(f"GET {url} failed: {exc}") from None
+    return _request("GET", url, None, timeout)
 
 
 def request_key(endpoint: str, *, store: KeyStore = None, peer_id: str = "server",

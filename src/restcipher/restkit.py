@@ -7,9 +7,13 @@ signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
-in front.  Bodies are text/plain and no custom header is used.  Each service
-accepts on a thread of its own that blocks until a connection arrives, so
-closing one does not wait on a poll: ``close`` wakes it with a connection.
+in front.  Bodies are text/plain and no custom header is used.  Every service
+shares one request handler (``_HttpService``), which hands the path and body
+to the service's ``respond`` and writes the status and text it returns; a
+``RestCipherError`` raised while reading the request or responding becomes a
+400 ``error: <Name>: <detail>``.  Each service accepts on a thread of its own
+that blocks until a connection arrives, so closing one does not wait on a
+poll: ``close`` wakes it with a connection.
 """
 
 import socket
@@ -34,8 +38,8 @@ from .composition import (
 from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml, tag_ordinals
 from .errors import (BadRequest, Bind, Malformed, MalformedMessage, RestCipherError,
                      VerificationFailed)
-from .keycore import TenElementKey, parse_key, validate_key
-from .keyxchg import GET_KEY_COMMAND, KeyStore, handle_key_request, http_get, http_post
+from .keycore import TenElementKey, generate_key, serialize_key, validate_key
+from .keyxchg import GET_KEY_COMMAND, KeyStore, http_get, http_post, request_key
 
 PLAIN_HTTP_WARNING = (
     "serving plain HTTP on loopback; the key exchange is unprotected, "
@@ -61,40 +65,52 @@ def _parse_document(text: str):
     return parse_json(text)
 
 
-class _QuietHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def _read_body(self) -> str:
-        length = self.headers.get("Content-Length") or "0"
-        if not (length.isdecimal() and length.isascii()):
-            self.close_connection = True    # the body's end is unknown
-            raise BadRequest(f"bad Content-Length {length!r}")
-        try:
-            return self.rfile.read(int(length)).decode("ascii")
-        except UnicodeDecodeError:
-            raise BadRequest("request body is not ASCII text") from None
-
-    def _reply_error(self, exc: RestCipherError) -> None:
-        self._reply(400, f"error: {exc.name}: {exc}")
-
-    def _reply(self, status: int, body: str) -> None:
-        data = body.encode("ascii")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-
 class _HttpService:
-    """Thread-backed ThreadingHTTPServer wrapper."""
+    """A ThreadingHTTPServer on a thread of its own, with the one request handler.
 
-    def __init__(self, handler_cls, host: str, port: int):
+    The handler reads a POST body as ASCII text (a GET has body ``None``),
+    calls ``respond(path, body)`` on the handler's thread and writes the
+    ``(status, text)`` it returns as text/plain.  A ``RestCipherError``
+    raised while reading the body or responding is written as
+    ``400 error: <Name>: <detail>``.
+    """
+
+    def __init__(self, host: str, port: int):
+        service = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+                pass
+
+            def _read_body(self) -> str:
+                length = self.headers.get("Content-Length") or "0"
+                if not (length.isdecimal() and length.isascii()):
+                    self.close_connection = True    # the body's end is unknown
+                    raise BadRequest(f"bad Content-Length {length!r}")
+                try:
+                    return self.rfile.read(int(length)).decode("ascii")
+                except UnicodeDecodeError:
+                    raise BadRequest("request body is not ASCII text") from None
+
+            def _answer(self) -> None:
+                try:
+                    body = self._read_body() if self.command == "POST" else None
+                    status, text = service.respond(self.path, body)
+                except RestCipherError as exc:
+                    status, text = 400, f"error: {exc.name}: {exc}"
+                data = text.encode("ascii")
+                self.send_response(status)
+                self.send_header("Content-Type", "text/plain")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            do_GET = do_POST = _answer
+
         try:
-            self._httpd = ThreadingHTTPServer((host, port), handler_cls)
+            self._httpd = ThreadingHTTPServer((host, port), Handler)
         except OSError as exc:
             raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._closing = False
@@ -151,54 +167,34 @@ class ResourceServer(_HttpService):
         self.peers = {}
         self._rng = rng
         self._bounds = {"symbol_type": (40, 63), **(bounds or {})}
-        server = self
+        super().__init__(host, port)
 
-        class Handler(_QuietHandler):
-            def do_POST(self):
-                try:
-                    body = self._read_body()
-                except BadRequest as exc:
-                    self._reply_error(exc)
-                    return
-                server._handle(self, body)
-
-            def do_GET(self):
-                server._handle(self, None)
-
-        super().__init__(Handler, host, port)
-
-    def _handle(self, http, body) -> None:
-        peer_id = http.path.strip("/")
+    def respond(self, path: str, body) -> tuple:
+        peer_id = path.strip("/")
         if not peer_id or "/" in peer_id:
-            http._reply(404, "error: BadRequest: unknown resource")
-            return
-        try:
-            if body is not None and body == GET_KEY_COMMAND:
-                reply = handle_key_request(body, peer_id, self.store,
-                                           rng=self._rng, bounds=self._bounds)
-                key = self.store.get(peer_id, "session").key
-                self.peers[peer_id] = _PeerState(Session.for_key(key))
-                http._reply(200, reply)
-                return
-            state = self.peers.get(peer_id)
-            if state is None:
-                http._reply(409, "no session key")
-                return
-            with state.lock:
-                if body:
-                    # non-empty POST carries an encrypted update of the resource
-                    msg = EncryptedMessage.parse(body)
-                    self.stream = state.session.decrypt(msg)
-                if body == "" or not state.st_sent:
-                    # empty POST asks for the resource representation; the first
-                    # response of a session is always symbol-table encrypted
-                    reply = state.session.encrypt(self.stream, mode="st", access=(1,))
-                    state.st_sent = True
-                else:
-                    reply = state.session.encrypt(self.stream, mode="tat", access=(1,))
-            http._reply(200, reply.serialize())
-        except RestCipherError as exc:
-            http._reply_error(exc)
+            return 404, "error: BadRequest: unknown resource"
+        if body == GET_KEY_COMMAND:
+            # a repeated request replaces the peer's key: key changes are client-driven
+            key = generate_key(self._bounds, rng=self._rng)
+            self.store.put(peer_id, "session", "pairwise", key)
+            self.peers[peer_id] = _PeerState(Session.for_key(key))
+            return 200, serialize_key(key)
+        state = self.peers.get(peer_id)
+        if state is None:
+            return 409, "no session key"
+        with state.lock:
+            if body:
+                # non-empty POST carries an encrypted update of the resource
+                msg = EncryptedMessage.parse(body)
+                self.stream = state.session.decrypt(msg)
+            if body == "" or not state.st_sent:
+                # empty POST asks for the resource representation; the first
+                # response of a session is always symbol-table encrypted
+                reply = state.session.encrypt(self.stream, mode="st", access=(1,))
+                state.st_sent = True
+            else:
+                reply = state.session.encrypt(self.stream, mode="tat", access=(1,))
+        return 200, reply.serialize()
 
 
 def serve(document: str, **kwargs) -> ResourceServer:
@@ -217,7 +213,7 @@ class ResourceClient:
         self.session = None
 
     def exchange_key(self) -> TenElementKey:
-        key = parse_key(http_post(self.url, GET_KEY_COMMAND))
+        key = request_key(self.url)
         self.session = Session.for_key(key)
         return key
 
@@ -374,19 +370,13 @@ class _Provider(_HttpService):
         self.tamper = config.tamper if config.tamper and config.tamper[0] == name else None
         self.verdicts = []
         self._lock = threading.Lock()
-        provider = self
+        super().__init__(config.host, 0)
 
-        class Handler(_QuietHandler):
-            def do_POST(self):
-                try:
-                    body = self._read_body()
-                    with provider._lock:
-                        reply = provider.process(body)
-                    self._reply(200, reply)
-                except RestCipherError as exc:
-                    self._reply_error(exc)
-
-        super().__init__(Handler, config.host, 0)
+    def respond(self, path: str, body) -> tuple:
+        if body is None:
+            raise BadRequest(f"{self.name} answers POST only")
+        with self._lock:
+            return 200, self.process(body)
 
     def process(self, body: str) -> str:
         msg = EncryptedMessage.parse(body)

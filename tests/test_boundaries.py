@@ -28,8 +28,8 @@ from restcipher import (
 )
 from restcipher.cli import main
 from restcipher.errors import Corrupt, Malformed
-from restcipher.keyxchg import KeyStore, load_store, save_store
-from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider, _QuietHandler
+from restcipher.keyxchg import KeyStore, http_post, load_store, save_store
+from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT, XML1, XML2
 
@@ -124,6 +124,24 @@ def test_a_provider_refuses_a_message_stripped_of_its_digests():
                 f"{provider.url}/process", data=signed.encode("ascii"),
                 method="POST"), timeout=10) as response:
             assert response.status == 200
+    finally:
+        provider.close()
+
+
+def test_a_get_to_a_provider_is_a_bad_request():
+    config = ScenarioConfig()
+    result = run_composition_scenario(config)
+    signed, reply = (next(e.body for e in result.transcript if e.direction == direction)
+                     for direction in ("S->SP1", "SP1->S"))
+    provider = _Provider("SP1", ("K1", config.keys["K1"]),
+                         ("K3", config.keys["K3"]), config).start()
+    try:
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(f"{provider.url}/process", timeout=10)
+        with info.value as response:
+            assert response.code == 400
+            assert response.read().decode("ascii") == "error: BadRequest: SP1 answers POST only"
+        assert http_post(f"{provider.url}/process", signed) == reply
     finally:
         provider.close()
 
@@ -331,6 +349,42 @@ def test_access_ordinals_below_one_are_malformed(tmp_path, capsys, command, acce
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sign", "verify"])
+@pytest.mark.parametrize("policy", ["1=K1", "1=K3", "0=K1,-3=K2", "2=K1,-1=K2"])
+def test_policy_ordinals_below_two_are_malformed(tmp_path, capsys, command, policy):
+    ring, plain, signed = _keyring(tmp_path), tmp_path / "plain.xml", tmp_path / "signed"
+    plain.write_text(XML2, encoding="utf-8")
+    assert main(["sign", "--keyring", str(ring), "--policy", "2=K1",
+                 "--in", str(plain), "--out", str(signed)]) == 0
+    out = tmp_path / "out"
+    files = ["--in", str(plain), "--out", str(out)] if command == "sign" else ["--in", str(signed)]
+    assert main([command, "--keyring", str(ring), "--policy", policy, *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: Malformed: bad policy {policy!r}: policy ordinals start at 2\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sign", "verify"])
+@pytest.mark.parametrize("records,detail", [
+    ([("S", "K1", "pairwise"), ("T", "K1", "pairwise"), ("S", "K3", "group")],
+     "duplicate key id 'K1'"),
+    ([("S", "K1", "group"), ("S", "K3", "group")], "a ring holds exactly one group key"),
+])
+def test_a_keystore_that_forms_no_ring_is_malformed(tmp_path, capsys, command, records, detail):
+    texts = {"K1": K1_TEXT, "K3": K3_TEXT}
+    store = KeyStore()
+    for peer_id, key_id, role in records:
+        store.put(peer_id, key_id, role, parse_key(texts[key_id]))
+    ring, plain, out = tmp_path / "ring.store", tmp_path / "plain.xml", tmp_path / "out"
+    save_store(store, ring)
+    plain.write_text(XML2, encoding="utf-8")
+    files = ["--in", str(plain)] + (["--out", str(out)] if command == "sign" else [])
+    assert main([command, "--keyring", str(ring), "--policy", "2=K1", *files]) == 1
+    assert capsys.readouterr().err == (
+        f"error: Malformed: keystore {ring} does not form one ring: {detail}\n")
+    assert not out.exists()
+
+
 def test_serve_and_fetch_through_the_cli(tmp_path, capsys):
     resource = tmp_path / "resource.xml"
     resource.write_text(XML1, encoding="utf-8")
@@ -397,19 +451,29 @@ def test_request_key_stores_the_key_the_server_issued():
         server.close()
 
 
-class _NotAKeyHandler(_QuietHandler):
-    def do_POST(self):
-        self._read_body()
-        self._reply(200, "[1,2,3]")
+class _NotAKeyService(_HttpService):
+    def respond(self, path, body):
+        return 200, "[1,2,3]"
 
 
 def test_request_key_refuses_a_reply_that_is_no_key():
-    service = _HttpService(_NotAKeyHandler, "127.0.0.1", 0).start()
+    service = _NotAKeyService("127.0.0.1", 0).start()
     try:
         store = KeyStore()
         with pytest.raises(Malformed, match="not a valid key"):
             request_key(f"{service.url}/peer", store=store)
         assert len(store) == 0
+    finally:
+        service.close()
+
+
+def test_a_client_refuses_a_key_exchange_reply_that_is_no_key():
+    service = _NotAKeyService("127.0.0.1", 0).start()
+    try:
+        client = ResourceClient(service.url, "peer")
+        with pytest.raises(Malformed, match="not a valid key"):
+            client.exchange_key()
+        assert client.session is None
     finally:
         service.close()
 
