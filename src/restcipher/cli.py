@@ -270,11 +270,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    client = ResourceClient(args.url.rstrip("/"), args.peer)
-    client.exchange_key()
-    for _ in range(args.count):
-        _, stream = client.fetch()
-        _write(None, _emit_doc(stream, args.format))
+    with ResourceClient(args.url.rstrip("/"), args.peer) as client:
+        client.exchange_key()
+        for _ in range(args.count):
+            _, stream = client.fetch()
+            _write(None, _emit_doc(stream, args.format))
     return 0
 
 

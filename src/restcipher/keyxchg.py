@@ -4,12 +4,21 @@ A client POSTs the exact body ``Get key`` (text/plain); the server
 (``restkit.ResourceServer``) generates a fresh key, stores it against the
 peer, and replies with the serialized key as the entire response body.  The
 exchange should ride on TLS in real deployments; this package's harness
-speaks plain HTTP and says so.  Every request goes through ``_request``.
+speaks plain HTTP and says so.
+
+Every request goes through ``Connection.request``.  A ``Connection`` is one
+HTTP/1.1 connection, opened on first use and kept alive between requests;
+``http_get``, ``http_post`` and ``request_key`` use the one they are given,
+or open one for the single request and close it.  A request that fails is
+never resent, because a request the server received may already have changed
+its state: the connection is dropped, the caller gets ``Transport``, and the
+next request opens a new one.
 """
 
+import contextlib
+import http.client
 import threading
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 
 from .errors import Corrupt, Malformed, RestCipherError, StoreFailure, Transport
@@ -91,36 +100,77 @@ def load_store(path) -> KeyStore:
     return store
 
 
-def _request(method: str, url: str, data, timeout: float) -> str:
-    """Send one request, return the response body; transport faults wrapped.
-    A GET (``data`` None) sends no Content-Type."""
-    headers = {} if data is None else {"Content-Type": "text/plain"}
-    request = urllib.request.Request(url, data=data, headers=headers, method=method)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.read().decode("ascii")
-    except urllib.error.HTTPError as exc:
-        raise Transport(f"{method} {url} failed: {exc.code} {exc.reason}") from None
-    except (urllib.error.URLError, OSError) as exc:
-        raise Transport(f"{method} {url} failed: {exc}") from None
+class Connection:
+    """One kept-alive HTTP/1.1 connection to the host of ``url`` (TLS for an
+    ``https`` URL), for one request at a time; ``close`` it when done."""
+
+    def __init__(self, url: str):
+        parts = urllib.parse.urlsplit(url)
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise Transport(f"bad URL {url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise Transport(f"bad URL {url!r}: not http:// or https:// with a host")
+        connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
+                            else http.client.HTTPConnection)
+        self._http = connection_class(parts.hostname, port)
+
+    def request(self, method: str, url: str, data, timeout: float, *, last=False) -> str:
+        """Send one request to ``url`` on this connection and return the
+        response body; transport faults wrapped.  A GET (``data`` None) sends
+        no Content-Type; the ``last`` request on a connection asks the server
+        to close it after the reply."""
+        parts = urllib.parse.urlsplit(url)
+        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        headers = {} if data is None else {"Content-Type": "text/plain"}
+        if last:
+            headers["Connection"] = "close"
+        self._http.timeout = timeout
+        if self._http.sock is not None:
+            self._http.sock.settimeout(timeout)
+        try:
+            self._http.request(method, target, data, headers)
+            response = self._http.getresponse()
+            body = response.read()
+        except (http.client.HTTPException, OSError) as exc:
+            self.close()                # never resent: the next request reconnects
+            raise Transport(f"{method} {url} failed: {exc}") from None
+        if not 200 <= response.status < 300:
+            raise Transport(f"{method} {url} failed: {response.status} {response.reason}")
+        try:
+            return body.decode("ascii")
+        except UnicodeDecodeError:
+            raise Transport(f"{method} {url} failed: reply is not ASCII text") from None
+
+    def close(self) -> None:
+        self._http.close()
 
 
-def http_post(url: str, body: str, timeout: float = 10.0) -> str:
+def _request(method: str, url: str, data, timeout: float, connection) -> str:
+    if connection is not None:
+        return connection.request(method, url, data, timeout)
+    with contextlib.closing(Connection(url)) as once:
+        return once.request(method, url, data, timeout, last=True)
+
+
+def http_post(url: str, body: str, timeout: float = 10.0, *, connection=None) -> str:
     """POST text/plain, return the response body; transport faults wrapped."""
-    return _request("POST", url, body.encode("ascii"), timeout)
+    return _request("POST", url, body.encode("ascii"), timeout, connection)
 
 
-def http_get(url: str, timeout: float = 10.0) -> str:
-    return _request("GET", url, None, timeout)
+def http_get(url: str, timeout: float = 10.0, *, connection=None) -> str:
+    return _request("GET", url, None, timeout, connection)
 
 
 def request_key(endpoint: str, *, store: KeyStore = None, peer_id: str = "server",
-                key_id: str = "session", timeout: float = 10.0) -> TenElementKey:
+                key_id: str = "session", timeout: float = 10.0,
+                connection: Connection = None) -> TenElementKey:
     """Client side: fetch a session key from a peer endpoint.
 
     Nothing is stored unless the response parses as a key.
     """
-    body = http_post(endpoint, GET_KEY_COMMAND, timeout=timeout)
+    body = http_post(endpoint, GET_KEY_COMMAND, timeout=timeout, connection=connection)
     try:
         key = parse_key(body)
     except RestCipherError as exc:

@@ -11,15 +11,24 @@ in front.  Bodies are text/plain and no custom header is used.  Every service
 shares one request handler (``_HttpService``), which hands the path and body
 to the service's ``respond`` and writes the status and text it returns; a
 ``RestCipherError`` raised while reading the request or responding becomes a
-400 ``error: <Name>: <detail>``.  Each service accepts on a thread of its own
-that blocks until a connection arrives, so closing one does not wait on a
-poll: ``close`` wakes it with a connection.
+400 ``error: <Name>: <detail>``.
+
+Connections are HTTP/1.1 and kept alive.  A ``ResourceClient`` sends every
+request over one connection of its own and closes it in ``close``; a request
+that fails is never resent, since the server may already have committed its
+words to the tag tables.  The handler turns Nagle's algorithm off, and a
+service's ``close`` ends every idle connection.  Each service accepts on a
+thread of its own that blocks until a connection arrives, so closing one
+does not wait on a poll: ``close`` wakes it with a connection.
 """
 
+import contextlib
+import signal
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .codec import EncryptedMessage, OpaqueRun, Session, subtree_spans
 from .composition import (
@@ -39,7 +48,7 @@ from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml, ta
 from .errors import (BadRequest, Bind, Malformed, MalformedMessage, RestCipherError,
                      VerificationFailed)
 from .keycore import TenElementKey, generate_key, serialize_key, validate_key
-from .keyxchg import GET_KEY_COMMAND, KeyStore, http_get, http_post, request_key
+from .keyxchg import GET_KEY_COMMAND, Connection, KeyStore, http_get, http_post, request_key
 
 PLAIN_HTTP_WARNING = (
     "serving plain HTTP on loopback; the key exchange is unprotected, "
@@ -65,26 +74,82 @@ def _parse_document(text: str):
     return parse_json(text)
 
 
-class _HttpService:
-    """A ThreadingHTTPServer on a thread of its own, with the one request handler.
+class _Server(HTTPServer):
+    def process_request(self, request, client_address):
+        # the handler answers on threads of its own and closes the connection
+        self.RequestHandlerClass(request, client_address, self)
 
-    The handler reads a POST body as ASCII text (a GET has body ``None``),
-    calls ``respond(path, body)`` on the handler's thread and writes the
-    ``(status, text)`` it returns as text/plain.  A ``RestCipherError``
-    raised while reading the body or responding is written as
-    ``400 error: <Name>: <detail>``.
+
+class _HttpService:
+    """An HTTPServer on a thread of its own, with the one request handler.
+
+    Each request is answered on a new thread, which reads a POST body as
+    ASCII text (a GET's body is read and dropped: ``None``), calls
+    ``respond(path, body)`` and writes the ``(status, text)`` it returns as
+    text/plain.  A ``RestCipherError`` raised while reading the body or
+    responding is written as ``400 error: <Name>: <detail>``, and so is any
+    method but GET and POST (a HEAD gets the headers only).  A reply after
+    which the connection closes says ``Connection: close``.  Each request is
+    one debug line on the ``restcipher.http`` logger.
     """
 
     def __init__(self, host: str, port: int):
+        import logging                  # here, so that code with no service loads none of it
+
         service = self
+        log = logging.getLogger("restcipher.http")
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # headers and body are written apart: with Nagle on, a kept-alive
+            # client would wait out its delayed ACK for the body
+            disable_nagle_algorithm = True
+
+            def __init__(self, request, client_address, server):
+                # on the accepting thread; each request is then answered on a
+                # thread of its own (_answer_one)
+                self.request, self.client_address, self.server = (
+                    request, client_address, server)
+                self.setup()
+                service._track(self.connection)
+                self._next()
+
+            def _next(self) -> None:
+                try:
+                    threading.Thread(target=self._answer_one, daemon=True).start()
+                except RuntimeError:            # no thread to spare
+                    self._close()
+
+            def _answer_one(self) -> None:
+                try:
+                    self.handle_one_request()
+                except Exception:               # noqa: BLE001 - as socketserver does
+                    self.server.handle_error(self.request, self.client_address)
+                    self.close_connection = True
+                if self.close_connection:
+                    self._close()
+                else:
+                    # a fresh thread reads the next request: one that stayed to
+                    # wait would keep its allocator caches while the connection idles
+                    self._next()
+
+            def _close(self) -> None:
+                service._untrack(self.connection)
+                try:
+                    self.finish()
+                finally:
+                    self.server.shutdown_request(self.request)
+
+            def log_request(self, code="-", size="-"):
+                pass                        # _answer logs the requests it answers
 
             def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-                pass
+                log.debug("%s:%s " + format, *self.client_address[:2], *args)
 
             def _read_body(self) -> str:
+                if "Transfer-Encoding" in self.headers:
+                    self.close_connection = True    # the body's end is not read
+                    raise BadRequest("a request body must come with a Content-Length")
                 length = self.headers.get("Content-Length") or "0"
                 if not (length.isdecimal() and length.isascii()):
                     self.close_connection = True    # the body's end is unknown
@@ -95,32 +160,79 @@ class _HttpService:
                     raise BadRequest("request body is not ASCII text") from None
 
             def _answer(self) -> None:
+                started = time.perf_counter()
+                error = body = None
                 try:
-                    body = self._read_body() if self.command == "POST" else None
-                    status, text = service.respond(self.path, body)
+                    if self.command not in ("GET", "POST"):
+                        # refused before respond, which reads a body of None as
+                        # a GET; its body is left unread, so the connection closes
+                        self.close_connection = True
+                        raise BadRequest(f"method {self.command!r} is not supported; "
+                                         "use GET or POST")
+                    body = self._read_body()    # a GET's body is read and dropped
+                    status, text = service.respond(
+                        self.path, body if self.command == "POST" else None)
                 except RestCipherError as exc:
-                    status, text = 400, f"error: {exc.name}: {exc}"
-                data = text.encode("ascii")
+                    status, text, error = 400, f"error: {exc.name}: {exc}", exc.name
+                data = text.encode("ascii", "backslashreplace")   # it may quote the request
                 self.send_response(status)
                 self.send_header("Content-Type", "text/plain")
                 self.send_header("Content-Length", str(len(data)))
+                if self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
+                if self.command == "HEAD":
+                    data = b""
                 self.wfile.write(data)
+                log.debug("%s:%s %s %s %d %s in=%d out=%d %.3fms",
+                           *self.client_address[:2], self.command, self.path, status,
+                           error or "-", len(body or ""), len(data),
+                           (time.perf_counter() - started) * 1000)
 
             do_GET = do_POST = _answer
 
+            def __getattr__(self, name):
+                if name.startswith("do_"):
+                    return self._answer     # which refuses every other method
+                raise AttributeError(name)
+
         try:
-            self._httpd = ThreadingHTTPServer((host, port), Handler)
+            self._httpd = _Server((host, port), Handler)
         except OSError as exc:
             raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._closing = False
+        self._connections = set()       # every open connection, guarded by _lock
+        self._lock = threading.Lock()
         self._thread = threading.Thread(target=self._serve, daemon=True)
 
     def _serve(self) -> None:
+        # Python runs signal handlers on the main thread only, so this thread
+        # and every handler thread it starts leave the process's signals to it
+        if hasattr(signal, "pthread_sigmask"):
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals() - {
+                signal.SIGSEGV, signal.SIGBUS, signal.SIGFPE, signal.SIGILL})
         # handle_request blocks in select with no timeout until a connection
         # arrives; close() sends one after setting the flag
         while not self._closing:
             self._httpd.handle_request()
+
+    def _track(self, connection) -> None:
+        with self._lock:
+            self._connections.add(connection)
+            if self._closing:
+                self._stop_reading(connection)
+
+    def _untrack(self, connection) -> None:
+        # under the lock, so close() never shuts down a socket being closed
+        with self._lock:
+            self._connections.discard(connection)
+
+    @staticmethod
+    def _stop_reading(connection) -> None:
+        """Make the handler's next read of ``connection`` return end of file;
+        a reply being written still goes out."""
+        with contextlib.suppress(OSError):      # the peer may have gone already
+            connection.shutdown(socket.SHUT_RD)
 
     @property
     def url(self) -> str:
@@ -132,8 +244,13 @@ class _HttpService:
         return self
 
     def close(self) -> None:
+        """Stop accepting, and end every kept-alive connection once its
+        current request, if any, is answered."""
         if self._thread.is_alive():
-            self._closing = True
+            with self._lock:
+                self._closing = True
+                for connection in self._connections:
+                    self._stop_reading(connection)
             with socket.create_connection(self._httpd.server_address[:2]):
                 pass
             self._thread.join()
@@ -205,15 +322,30 @@ def serve(document: str, **kwargs) -> ResourceServer:
 
 
 class ResourceClient:
-    """Client side of the two-party flow against one peer id."""
+    """Client side of the two-party flow against one peer id.
+
+    Every request goes over the client's one kept-alive connection, which
+    ``close`` (or leaving a ``with`` block) closes.  A request that fails is
+    not resent: the next one opens a new connection.
+    """
 
     def __init__(self, base_url: str, peer_id: str = "client"):
         self.url = f"{base_url}/{peer_id}"
         self.peer_id = peer_id
         self.session = None
+        self._connection = Connection(self.url)
+
+    def close(self) -> None:
+        self._connection.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     def exchange_key(self) -> TenElementKey:
-        key = request_key(self.url)
+        key = request_key(self.url, connection=self._connection)
         self.session = Session.for_key(key)
         return key
 
@@ -226,16 +358,17 @@ class ResourceClient:
 
     def fetch(self):
         """GET the resource."""
-        return self._exchange(lambda: http_get(self.url))
+        return self._exchange(lambda: http_get(self.url, connection=self._connection))
 
     def fetch_representation(self):
         """Empty POST: the ST-encrypted resource representation."""
-        return self._exchange(lambda: http_post(self.url, ""))
+        return self._exchange(lambda: http_post(self.url, "", connection=self._connection))
 
     def push(self, stream, mode: str = "tat"):
         """POST an encrypted update; the reply is the updated resource."""
         return self._exchange(lambda: http_post(
-            self.url, self.session.encrypt(stream, mode=mode, access=(1,)).serialize()))
+            self.url, self.session.encrypt(stream, mode=mode, access=(1,)).serialize(),
+            connection=self._connection))
 
 
 # three-party composition pipeline

@@ -7,9 +7,11 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -27,8 +29,8 @@ from restcipher import (
     serve,
 )
 from restcipher.cli import main
-from restcipher.errors import Corrupt, Malformed
-from restcipher.keyxchg import KeyStore, http_post, load_store, save_store
+from restcipher.errors import Corrupt, Malformed, Transport
+from restcipher.keyxchg import KeyStore, http_get, http_post, load_store, save_store
 from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT, XML1, XML2
@@ -53,25 +55,33 @@ def test_non_ascii_post_to_the_resource_server_is_a_bad_request():
         status, body = _post_bytes(f"{server.url}/peer", "Get kéy".encode("utf-8"))
         assert status == 400
         assert body.startswith("error: BadRequest: ")
-        client = ResourceClient(server.url, "peer")
-        client.exchange_key()
-        assert client.fetch()[1] == parse_xml(XML1)
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            assert client.fetch()[1] == parse_xml(XML1)
     finally:
         server.close()
+
+
+def _raw_exchange(url: str, head: str, body: bytes = b"") -> bytes:
+    """Everything the server sends, up to its closing the connection, after
+    the request line ``head`` (``{path}`` filled in), a Host header, any
+    further header lines in ``head`` (sent as Latin-1), and ``body`` on one
+    connection."""
+    parts = urllib.parse.urlsplit(url)
+    request_line, _, headers = head.format(path=parts.path).partition("\r\n")
+    request = f"{request_line}\r\nHost: {parts.netloc}\r\n{headers}\r\n"
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(request.encode("latin-1") + body)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
 
 
 def _post_with_length(url: str, length: str) -> bytes:
     """The whole reply to a POST whose Content-Length header is ``length``
     and which sends no body."""
-    parts = urllib.parse.urlsplit(url)
-    request = (f"POST {parts.path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
-               f"Content-Length: {length}\r\n\r\n")
-    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
-        sock.sendall(request.encode("ascii"))
-        reply = b""
-        while chunk := sock.recv(4096):
-            reply += chunk
-    return reply
+    return _raw_exchange(url, f"POST {{path}} HTTP/1.1\r\nContent-Length: {length}\r\n")
 
 
 BAD_LENGTHS = ["abc", "-5", "+5", "1_0"]
@@ -88,9 +98,9 @@ def test_a_bad_content_length_to_the_resource_server_is_a_bad_request(length):
     server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
     try:
         _assert_bad_length(_post_with_length(f"{server.url}/peer", length), length)
-        client = ResourceClient(server.url, "peer")
-        client.exchange_key()
-        assert client.fetch()[1] == parse_xml(XML1)
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            assert client.fetch()[1] == parse_xml(XML1)
     finally:
         server.close()
 
@@ -146,13 +156,105 @@ def test_a_get_to_a_provider_is_a_bad_request():
         provider.close()
 
 
+#: a whole request hidden in a body; a server that leaves the body unread
+#: on a kept-alive connection reads it as the next request and answers it
+SMUGGLED = b"GET /peer HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _replies(raw: bytes) -> list:
+    """(status line, header lines, body) of each reply in ``raw``, using
+    each reply's Content-Length; a HEAD reply must be the last."""
+    replies = []
+    while raw:
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        status, *headers = head.decode("ascii").split("\r\n")
+        length = next(int(h.split(":")[1]) for h in headers
+                      if h.lower().startswith("content-length:"))
+        body, raw = raw[:length], raw[length:]
+        replies.append((status, headers, body.decode("ascii")))
+    return replies
+
+
+@pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS", "FOO"])
+def test_other_methods_are_a_bad_request_that_closes_the_connection(method):
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            raw = _raw_exchange(client.url, f"{method} {{path}} HTTP/1.1\r\n"
+                                f"Content-Length: {len(SMUGGLED)}\r\n", SMUGGLED)
+            # one reply: the body was not read as a second request
+            (status, headers, body), = _replies(raw)
+            assert status.startswith("HTTP/1.1 400 ")
+            assert "Content-Type: text/plain" in headers
+            assert "Connection: close" in headers
+            assert body == f"error: BadRequest: method {method!r} is not supported; use GET or POST"
+            # not answered as a GET: the first reply of the session is still to come
+            assert not server.peers["peer"].st_sent
+            assert client.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("head,detail", [
+    ("\xe9 {path} HTTP/1.1\r\n", "method '\\xe9' is not supported; use GET or POST"),
+    ("POST {path} HTTP/1.1\r\nContent-Length: \xe9\r\n", "bad Content-Length '\\xe9'"),
+])
+def test_a_refusal_that_quotes_a_non_ascii_request_is_still_ascii(head, detail):
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        (status, headers, body), = _replies(_raw_exchange(f"{server.url}/peer", head))
+        assert status.startswith("HTTP/1.1 400 ")
+        assert body == f"error: BadRequest: {detail}"
+    finally:
+        server.close()
+
+
+def test_a_head_request_gets_the_headers_of_the_refusal_only():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        raw = _raw_exchange(f"{server.url}/peer", "HEAD {path} HTTP/1.1\r\n")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert body == b""
+    finally:
+        server.close()
+
+
+def test_the_body_of_a_get_is_read_and_not_answered_as_a_request():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        raw = _raw_exchange(f"{server.url}/nobody",
+                            f"GET {{path}} HTTP/1.1\r\nContent-Length: {len(SMUGGLED)}\r\n",
+                            SMUGGLED + b"GET /nobody HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert [status for status, _, _ in _replies(raw)] == ["HTTP/1.1 409 Conflict"] * 2
+    finally:
+        server.close()
+
+
+def test_a_chunked_post_is_a_bad_request_that_closes_the_connection():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(SMUGGLED), SMUGGLED)
+        raw = _raw_exchange(f"{server.url}/peer",
+                            "POST {path} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", chunked)
+        (status, headers, body), = _replies(raw)
+        assert status.startswith("HTTP/1.1 400 ")
+        assert "Connection: close" in headers
+        assert body == "error: BadRequest: a request body must come with a Content-Length"
+        assert "peer" not in server.peers
+    finally:
+        server.close()
+
+
 def test_every_key_a_server_issues_by_default_encodes_its_resource():
     server = serve(XML1, rng=random.Random(11))
     try:
         for n in range(20):
-            client = ResourceClient(server.url, f"peer{n}")
-            client.exchange_key()
-            assert client.fetch()[1] == parse_xml(XML1)
+            with ResourceClient(server.url, f"peer{n}") as client:
+                client.exchange_key()
+                assert client.fetch()[1] == parse_xml(XML1)
     finally:
         server.close()
 
@@ -160,12 +262,12 @@ def test_every_key_a_server_issues_by_default_encodes_its_resource():
 def test_overlong_access_ordinal_is_a_malformed_message():
     server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
     try:
-        client = ResourceClient(server.url, "peer")
-        client.exchange_key()
-        status, body = _post_bytes(client.url, b"1" * 5000 + b", 04 0")
-        assert status == 400
-        assert body.startswith("error: MalformedMessage: ")
-        assert client.fetch()[1] == parse_xml(XML1)
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            status, body = _post_bytes(client.url, b"1" * 5000 + b", 04 0")
+            assert status == 400
+            assert body.startswith("error: MalformedMessage: ")
+            assert client.fetch()[1] == parse_xml(XML1)
     finally:
         server.close()
 
@@ -467,13 +569,76 @@ def test_request_key_refuses_a_reply_that_is_no_key():
         service.close()
 
 
+class _NotAsciiHandler(BaseHTTPRequestHandler):
+    """Answers every GET and POST with 200 and the body ``é`` in UTF-8."""
+
+    protocol_version = "HTTP/1.1"
+
+    def _reply(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or "0"))
+        data = "é".encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = _reply
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass
+
+
+@pytest.fixture
+def not_ascii_url():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _NotAsciiHandler)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield "http://%s:%d/peer" % httpd.server_address[:2]
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=1)
+
+
+@pytest.mark.parametrize("url", ["localhost:8080/peer", "http:///peer",
+                                 "http://127.0.0.1:port/peer", "ftp://127.0.0.1/peer"])
+def test_a_url_no_connection_can_be_opened_to_is_a_named_error(url):
+    with pytest.raises(Transport, match="bad URL"):
+        http_get(url)
+    with pytest.raises(Transport, match="bad URL"):
+        ResourceClient(url.removesuffix("/peer"), "peer")
+
+
+def test_an_https_url_is_spoken_to_over_tls():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        # a plain HTTP server does not answer a TLS handshake
+        with pytest.raises(Transport, match="SSL"):
+            http_get(server.url.replace("http://", "https://") + "/peer")
+    finally:
+        server.close()
+
+
+def test_a_get_reply_that_is_not_ascii_is_a_named_error(not_ascii_url):
+    with pytest.raises(Transport, match=f"GET {not_ascii_url} failed: reply is not ASCII"):
+        http_get(not_ascii_url)
+
+
+def test_a_key_exchange_reply_that_is_not_ascii_is_a_named_error(not_ascii_url):
+    store = KeyStore()
+    with pytest.raises(Transport, match=f"POST {not_ascii_url} failed: reply is not ASCII"):
+        request_key(not_ascii_url, store=store)
+    assert len(store) == 0
+
+
 def test_a_client_refuses_a_key_exchange_reply_that_is_no_key():
     service = _NotAKeyService("127.0.0.1", 0).start()
     try:
-        client = ResourceClient(service.url, "peer")
-        with pytest.raises(Malformed, match="not a valid key"):
-            client.exchange_key()
-        assert client.session is None
+        with ResourceClient(service.url, "peer") as client:
+            with pytest.raises(Malformed, match="not a valid key"):
+                client.exchange_key()
+            assert client.session is None
     finally:
         service.close()
 

@@ -1,9 +1,14 @@
 """The two-party flow and the three-party scenario end to end, the
-scenario's assembly step, and closing the loopback services."""
+scenario's assembly step, kept-alive connections, and closing the loopback
+services."""
 
+import contextlib
 import hashlib
+import logging
 import random
+import signal
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -11,19 +16,22 @@ import urllib.request
 import pytest
 
 from restcipher import (
+    EncryptedMessage,
     ResourceClient,
     ScenarioConfig,
     Session,
     emit_xml,
+    parse_key,
     parse_xml,
     run_composition_scenario,
     serve,
 )
 from restcipher.docmodel import Close, Open, Variable, tag_ordinals
-from restcipher.errors import MalformedMessage
-from restcipher.restkit import _Provider, _splice_subtrees
+from restcipher.errors import MalformedMessage, Transport
+from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
+from restcipher.restkit import _HttpService, _Provider, _splice_subtrees
 
-from conftest import XML1
+from conftest import XML1, XML2
 from docgen import nested_catalog
 
 DEFAULT_FINAL = ('<root attr1="value1" attr2="value2">'
@@ -54,43 +62,184 @@ def test_the_two_party_flow_keeps_both_tag_tables_equal():
               "<value>7</value></root>")
     server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
     try:
-        client = ResourceClient(server.url, "peer")
-        key = client.exchange_key()
-        assert server.store.get("peer", "session").key == key
-        held = server.peers["peer"].session
-        mirror = Session.for_key(key)        # what the server must send
+        with ResourceClient(server.url, "peer") as client:
+            key = client.exchange_key()
+            assert server.store.get("peer", "session").key == key
+            held = server.peers["peer"].session
+            mirror = Session.for_key(key)        # what the server must send
 
-        def same_tables():
-            return list(client.session.tat.items()) == list(held.tat.items())
+            def same_tables():
+                return list(client.session.tat.items()) == list(held.tat.items())
 
-        for mode in ("st", "tat", "tat"):
-            msg, stream = client.fetch()
-            assert msg.serialize() == mirror.encrypt(parse_xml(XML1), mode, (1,)).serialize()
-            assert stream == parse_xml(XML1)
+            for mode in ("st", "tat", "tat"):
+                msg, stream = client.fetch()
+                assert msg.serialize() == mirror.encrypt(parse_xml(XML1), mode, (1,)).serialize()
+                assert stream == parse_xml(XML1)
+                assert same_tables()
+            assert len(client.session.tat) > 0
+
+            before = len(held.tat)
+            msg, stream = client.push(parse_xml(update))
+            assert emit_xml(stream) == update
+            assert server.stream == parse_xml(update)
+            mirror.encrypt(parse_xml(update), "tat", (1,))       # the update itself
+            assert msg.serialize() == mirror.encrypt(parse_xml(update), "tat", (1,)).serialize()
+            assert len(held.tat) == before + 1
             assert same_tables()
-        assert len(client.session.tat) > 0
 
-        before = len(held.tat)
-        msg, stream = client.push(parse_xml(update))
-        assert emit_xml(stream) == update
-        assert server.stream == parse_xml(update)
-        mirror.encrypt(parse_xml(update), "tat", (1,))       # the update itself
-        assert msg.serialize() == mirror.encrypt(parse_xml(update), "tat", (1,)).serialize()
-        assert len(held.tat) == before + 1
-        assert same_tables()
-
-        assert _status(f"{server.url}/stranger") == 409
-        assert _status(urllib.request.Request(f"{server.url}/stranger", data=b"04 0",
-                                              method="POST")) == 409
-        assert client.fetch()[1] == parse_xml(update)
-        assert same_tables()
-        # an empty POST asks for the representation, always spelled out
-        msg, stream = client.fetch_representation()
-        assert msg.serialize() == mirror.encrypt(parse_xml(update), "st", (1,)).serialize()
-        assert stream == parse_xml(update)
-        assert same_tables()
+            assert _status(f"{server.url}/stranger") == 409
+            assert _status(urllib.request.Request(f"{server.url}/stranger", data=b"04 0",
+                                                  method="POST")) == 409
+            assert client.fetch()[1] == parse_xml(update)
+            assert same_tables()
+            # an empty POST asks for the representation, always spelled out
+            msg, stream = client.fetch_representation()
+            assert msg.serialize() == mirror.encrypt(parse_xml(update), "st", (1,)).serialize()
+            assert stream == parse_xml(update)
+            assert same_tables()
     finally:
         server.close()
+
+
+# kept-alive connections
+
+
+def test_fifty_fetches_over_one_connection_take_under_a_second():
+    # with Nagle's algorithm on in the handler, each reply body waits out the
+    # client's delayed ACK (about 44 ms), and 50 fetches take about 2.2 s
+    server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
+    try:
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            started = time.perf_counter()
+            for _ in range(50):
+                assert client.fetch()[1] == parse_xml(XML1)
+            assert time.perf_counter() - started < 1.0
+    finally:
+        server.close()
+
+
+def test_one_clients_requests_share_one_connection_and_each_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="restcipher.http")
+    server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
+    try:
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            for _ in range(19):
+                client.fetch()
+            with pytest.raises(Transport, match="400 Bad Request"):
+                http_post(client.url, "1" * 5000 + ", 04 0", connection=client._connection)
+    finally:
+        server.close()
+    lines = [r.getMessage() for r in caplog.records if r.name == "restcipher.http"]
+    assert len(lines) == 21
+    assert len({line.split()[0] for line in lines}) == 1       # one client port
+    assert lines[0].split()[1:6] == ["POST", "/peer", "200", "-", "in=7"]
+    assert all(line.split()[1:5] == ["GET", "/peer", "200", "-"] for line in lines[1:20])
+    assert lines[20].split()[1:6] == ["POST", "/peer", "400", "MalformedMessage", "in=5006"]
+    assert all(line.endswith("ms") for line in lines)
+
+
+def test_close_ends_twenty_idle_kept_alive_connections_promptly():
+    before = set(threading.enumerate())
+    server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
+    with contextlib.ExitStack() as stack:
+        clients = [stack.enter_context(ResourceClient(server.url, f"peer{n}"))
+                   for n in range(20)]
+        for client in clients:
+            client.exchange_key()
+            client.fetch()
+        started = set(threading.enumerate()) - before
+        assert len(started) >= 21               # the acceptor, a thread per connection
+        _assert_closes_promptly(server)
+        for thread in started:
+            thread.join(timeout=1)
+            assert not thread.is_alive()
+
+
+def test_a_request_on_a_closed_connection_fails_once_and_is_not_resent(caplog):
+    caplog.set_level(logging.DEBUG, logger="restcipher.http")
+    server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
+    port = server._httpd.server_address[1]
+    with ResourceClient(server.url, "peer") as client:
+        try:
+            client.exchange_key()
+            client.fetch()
+        finally:
+            server.close()                 # shuts the client's idle connection
+        fresh = serve(XML1, port=port, rng=random.Random(5),
+                      bounds={"symbol_type": (63, 63)})
+        try:
+            caplog.clear()
+            with pytest.raises(Transport, match="GET .* failed"):
+                client.fetch()
+            assert caplog.records == []     # the fresh server saw no resent GET
+            client.exchange_key()           # a new connection, to the fresh server
+            assert client.fetch()[1] == parse_xml(XML1)
+            assert len({r.getMessage().split()[0] for r in caplog.records}) == 1
+        finally:
+            fresh.close()
+
+
+def test_a_timed_out_request_drops_the_connection_and_is_not_resent():
+    seen = []
+
+    def stub(listener):
+        # the first connection reads a request and never answers it
+        with listener, listener.accept()[0] as first:
+            seen.append(first.recv(4096))
+            with listener.accept()[0] as second:
+                seen.append(second.recv(4096))
+                second.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    url = "http://127.0.0.1:%d/x" % listener.getsockname()[1]
+    thread = threading.Thread(target=stub, args=(listener,))
+    thread.start()
+    with contextlib.closing(Connection(url)) as connection:
+        with pytest.raises(Transport, match="timed out"):
+            connection.request("GET", url, None, 0.2)
+        assert connection.request("GET", url, None, 10) == "ok"   # on a new connection
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [request.split(b"\r\n")[0] for request in seen] == [b"GET /x HTTP/1.1"] * 2
+
+
+#: sha256 of the 21 reply bodies of ``_replay``, joined by newlines
+REPLAY_SHA256 = "a634baaa44826ad48a55a383b54ce253317fc5e823dbed1ebac0593096c99ddb"
+
+
+def _replay(connect) -> list:
+    """Reply bodies of three peers' key exchange, 3 GETs, a TAT push, a GET
+    and an empty POST, each peer's requests over ``connect(url)``."""
+    server = serve(XML1, rng=random.Random(23), bounds={"symbol_type": (63, 63)})
+    bodies = []
+    try:
+        for peer in ("p1", "p2", "p3"):
+            url = f"{server.url}/{peer}"
+            with connect(url) as connection:
+                bodies.append(http_post(url, GET_KEY_COMMAND, connection=connection))
+                session = Session.for_key(parse_key(bodies[-1]))
+                for _ in range(3):
+                    bodies.append(http_get(url, connection=connection))
+                update = session.encrypt(parse_xml(XML2), "tat", (1,)).serialize()
+                bodies.append(http_post(url, update, connection=connection))
+                bodies.append(http_get(url, connection=connection))
+                bodies.append(http_post(url, "", connection=connection))
+                for body in bodies[-6:]:
+                    session.decrypt(EncryptedMessage.parse(body))
+    finally:
+        server.close()
+    return bodies
+
+
+@pytest.mark.parametrize("connect", [lambda url: contextlib.closing(Connection(url)),
+                                     lambda url: contextlib.nullcontext()],
+                         ids=["kept-alive", "one-per-request"])
+def test_reply_bodies_are_pinned_over_a_fixed_replay(connect):
+    bodies = _replay(connect)
+    assert len(bodies) == 21
+    assert hashlib.sha256("\n".join(bodies).encode("ascii")).hexdigest() == REPLAY_SHA256
 
 
 # the scenario end to end
@@ -236,6 +385,30 @@ def test_a_provider_closes_promptly():
     config = ScenarioConfig()
     _assert_closes_promptly(_Provider("SP1", ("K1", config.keys["K1"]),
                                       ("K3", config.keys["K3"]), config).start())
+
+
+class _SignalMaskService(_HttpService):
+    """Replies with the signals the answering thread blocks."""
+
+    def respond(self, path, body):
+        return 200, " ".join(str(int(s)) for s in signal.pthread_sigmask(signal.SIG_BLOCK, []))
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="no POSIX signal masks")
+def test_service_threads_leave_the_process_signals_to_the_main_thread():
+    # a SIGINT the kernel hands to a service thread would not interrupt a main
+    # thread that sleeps until KeyboardInterrupt, as `restcipher serve` does
+    service = _SignalMaskService("127.0.0.1", 0).start()
+    try:
+        with contextlib.closing(Connection(service.url)) as connection:
+            for _ in range(3):             # the first request's thread and later ones
+                blocked = {int(s) for s in http_get(f"{service.url}/x",
+                                                    connection=connection).split()}
+                assert {int(signal.SIGINT), int(signal.SIGTERM)} <= blocked
+                assert int(signal.SIGSEGV) not in blocked
+    finally:
+        service.close()
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
 
 def test_a_service_that_never_started_closes():

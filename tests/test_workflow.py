@@ -1,5 +1,6 @@
 """The CI workflow file: no mapping holds a key twice, each step does one
-thing, and the benchmark's own tests still run."""
+thing, the benchmark's own tests still run, and tier-1 also runs with
+unclosed resources as errors."""
 
 from pathlib import Path
 
@@ -46,3 +47,9 @@ def test_every_step_has_exactly_one_of_run_or_uses():
 def test_the_benchmark_tests_step_runs_the_benchmark_tests():
     step, = (s for s in _steps() if s.get("name") == "Benchmark tests")
     assert step["run"].strip() == "python -m pytest -q perfbench/tests"
+
+
+def test_tier_one_also_runs_with_unclosed_resources_as_errors():
+    # a kept-alive socket that a client or a service leaks shows only here
+    runs = [s["run"].strip() for s in _steps() if "run" in s]
+    assert "PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -q" in runs
