@@ -23,7 +23,6 @@ from .codec import (
 )
 from .composition import (
     CompositionPolicy,
-    KeyEntry,
     KeyRing,
     Status,
     Verdict,

@@ -40,6 +40,7 @@ from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from .errors import (
     MalformedMessage,
     MalformedWord,
+    MissingKey,
     UnbalancedClosers,
     Unclassifiable,
     UnknownTatCode,
@@ -263,9 +264,10 @@ def _encode(items, owner_for, short_codes: bool) -> list:
     """The encode walker: body words of a stream or a partial stream.
 
     An OpaqueRun stands for its own tag plus every tag inside it and is
-    copied verbatim.  Words absent from their owner's tag table at the start
-    of the message are spelled out at every occurrence; with ``short_codes``
-    a word already in the table is sent as its code.
+    copied verbatim; a tag whose ``owner_for`` is None raises MissingKey.
+    Words absent from their owner's tag table at the start of the message
+    are spelled out at every occurrence; with ``short_codes`` a word already
+    in the table is sent as its code.
     """
     words = []
     pending = {}        # owner -> {new text: kind}
@@ -296,6 +298,8 @@ def _encode(items, owner_for, short_codes: bool) -> list:
         if cls is Open:
             ordinal += 1
             who = owner_for(ordinal)
+            if who is None:
+                raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
             stack.append(owner)
             if who is not owner:
                 owner = who

@@ -1,20 +1,20 @@
 """Multi-key encryption of one document plus per-subtree keyed digests.
 
-Each tag subtree is owned by one key: the policy maps tag ordinals to key
-ids, attributes and variable children inherit their tag's key, unmapped tags
-and the outermost tag fall to the group key.  One shared ciphertext body
-serves every recipient; the access header tells each which ordinals its
-pairwise key covers.  A digest word (keyed hash of the serialized key plus a
-subtree's words) may follow any subtree's closer; the whole-document digest
-under the group key comes last and covers the body words, digests excluded.
+One rule, ``owners``, says which key owns each tag: it maps a message's tag
+ordinals to ring Sessions, None for a tag under a key not held, and every
+step reads it, built once per message: encode and re-encode, decode, the
+access header, and placing, checking and refreshing digests.  Attributes
+and variable text go with their tag.  Under a policy the root and unmapped
+tags are the group key's; a recipient that knows no policy gives the root to
+the group key, the tags its access list names to its pairwise key, and
+treats every other tag as foreign.  One ciphertext body serves every
+recipient.  A digest word (keyed hash of the serialized key plus a subtree's
+words) follows the closer of the root and of each subtree another key owns.
 
-Composition only decides which key owns each tag; the codec's two walkers,
-``codec._encode`` and ``codec._decode``, do the rest, and the decoder keeps
-a subtree under a key not held as an OpaqueRun.  The wire grammar, digest
-words included, lives in ``codec``: the digest functions place and check
-digests by the spans of a body's ``Layout`` before any word is decoded, and
-a received message is scanned once, by ``EncryptedMessage.layout``, whose
-digest-free body is what ``compose_decrypt`` then reads.
+The codec's two walkers, ``codec._encode`` and ``codec._decode``, do the
+rest with the rule as their ``owner_for``; the decoder keeps a subtree under
+a key not held as an OpaqueRun.  Digests are placed and checked by the spans
+of a body's ``Layout``, which ``EncryptedMessage.layout`` scans once.
 """
 
 import enum
@@ -30,8 +30,6 @@ from .keycore import TenElementKey, serialize_key
 from .tables import tat_upsert  # noqa: F401
 
 DEFAULT_DIGEST = "md5"
-
-KeyEntry = Session     # a ring member is a Session with a key id
 
 
 class KeyRing:
@@ -80,89 +78,82 @@ class CompositionPolicy:
 
     assignments: dict = field(default_factory=dict)
 
-    def key_for(self, ordinal: int, ring: KeyRing) -> str:
-        key_id = self.assignments.get(ordinal, ring.group_id)
-        if ordinal == 1 and key_id != ring.group_id:
+
+class Owners(dict):
+    """One message's ownership rule: tag ordinal -> the ring Session that
+    owns it, or None for a tag under a key not held; an ordinal with no
+    entry falls to ``default``, the group key under a policy."""
+
+    default = None
+
+    def __missing__(self, ordinal: int):
+        return self.default
+
+
+def owners(ring: KeyRing, policy=None, access=()) -> Owners:
+    """The ownership rule every composition step reads.
+
+    Under a policy (the sender's, or a receiver's that holds it) the root
+    and every unmapped tag are the group key's and each mapped tag is its
+    key's, None where the ring lacks that key.  With no policy (a recipient)
+    the root is the group key's, each ordinal of ``access`` is the ring's
+    one pairwise key's and every other tag is foreign, so a recipient never
+    reads a group-owned tag below the root (ROADMAP item 1).  A rule already
+    built is returned as it is, so the steps of one message share it.
+    """
+    if isinstance(policy, Owners):
+        return policy
+    keys = ring._entries
+    if policy is not None:
+        if policy.assignments.get(1, ring.group_id) != ring.group_id:
             raise ValueError("the outermost tag always uses the group key")
-        if key_id is None or key_id not in ring:
-            raise MissingKey(f"tag {ordinal} needs key {key_id!r}")
-        return key_id
+        rule = Owners({o: keys.get(k) for o, k in policy.assignments.items()})
+        rule.default = keys.get(ring.group_id)
+    else:
+        pairwise = ring.pairwise_ids()
+        if len(pairwise) > 1:
+            raise ValueError("recipient rule needs a single pairwise key; pass a policy")
+        if 1 in access:
+            raise MalformedMessage("the access list names the outermost tag, "
+                                   "which the group key owns")
+        rule = Owners(dict.fromkeys(access, keys[pairwise[0]] if pairwise else None))
+    rule[1] = keys.get(ring.group_id)
+    return rule
 
 
-def compose_encrypt(stream, policy: CompositionPolicy, ring: KeyRing,
-                    mode: str = "st") -> list:
-    """Encrypt each word with its owning key's tables; returns body words."""
-    return _encode(stream, lambda o: ring[policy.key_for(o, ring)], _short_codes(mode))
+def compose_encrypt(items, policy, ring: KeyRing, mode: str = "st") -> list:
+    """Body words of a stream, or of a partial stream whose opaque runs are
+    spliced back verbatim; each word goes under its owner's tables.
+    ``policy`` is a CompositionPolicy or a rule ``owners`` built."""
+    return _encode(items, owners(ring, policy).__getitem__, _short_codes(mode))
 
 
-def access_header(policy: CompositionPolicy, ring: KeyRing, held_ids,
-                  tag_count: int) -> tuple:
-    """Ordinals a holder of ``held_ids`` may process; group-owned tags are
-    readable by every member and never listed."""
+compose_reencrypt = compose_encrypt
+
+
+def access_header(policy, ring: KeyRing, held_ids, tag_count: int) -> tuple:
+    """Ordinals up to ``tag_count`` that the policy gives a key of
+    ``held_ids`` other than the group key.  No group-owned tag is listed,
+    and the recipient rule makes every unlisted tag but the root foreign, so
+    a recipient reads no group-owned tag below the root (ROADMAP item 1)."""
+    rule = owners(ring, policy)
     held = set(held_ids)
-    ordinals = []
-    for ordinal in range(1, tag_count + 1):
-        key_id = policy.key_for(ordinal, ring)
-        if key_id != ring.group_id and key_id in held:
-            ordinals.append(ordinal)
-    return tuple(ordinals)
+    listed = sorted(o for o in rule if o <= tag_count)
+    for ordinal in listed:
+        if rule[ordinal] is None:
+            raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
+    return tuple(o for o in listed if rule[o] is not rule[1] and rule[o].key_id in held)
 
 
-# decryption to a partial stream
-
-
-def recipient_resolver(access, ring: KeyRing):
-    """Ownership rule for a recipient that knows no policy: access-listed
-    ordinals use its single pairwise key, the outermost tag the group key,
-    everything else is foreign."""
-    pairwise = ring.pairwise_ids()
-    if len(pairwise) > 1:
-        raise ValueError("recipient rule needs a single pairwise key; pass a policy")
-
-    def resolve(ordinal: int):
-        if ordinal in access:
-            return pairwise[0] if pairwise else None
-        if ordinal == 1:
-            return ring.group_id
-        return None
-
-    return resolve
-
-
-def policy_resolver(policy: CompositionPolicy, ring: KeyRing):
-    def resolve(ordinal: int):
-        try:
-            return policy.key_for(ordinal, ring)
-        except MissingKey:
-            return None
-
-    return resolve
-
-
-def compose_decrypt(msg: EncryptedMessage, ring: KeyRing,
-                    policy: CompositionPolicy = None) -> list:
+def compose_decrypt(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
     """Decode held segments to tokens; foreign subtrees become OpaqueRuns.
 
     Digest words must be stripped first: pass a signed message's
-    ``layout.body``.  Without a policy the recipient rule applies:
-    access-listed tags via the pairwise key, the outermost tag via the group
-    key.  Each key's new words enter
-    its tag table only once the whole message has decoded.
+    ``layout.body``.  Without a policy the recipient rule of ``owners``
+    applies to the message's access list.  Each key's new words enter its
+    tag table only once the whole message has decoded.
     """
-    resolve = policy_resolver(policy, ring) if policy else \
-        recipient_resolver(msg.access, ring)
-
-    def owner_for(ordinal):
-        key_id = resolve(ordinal)
-        return None if key_id is None else ring[key_id]
-
-    return _decode(msg.words, owner_for)
-
-
-def compose_reencrypt(items, policy: CompositionPolicy, ring: KeyRing,
-                      mode: str = "st") -> list:
-    """Re-encode a partial stream; opaque runs are spliced back verbatim."""
-    return _encode(items, lambda o: ring[policy.key_for(o, ring)], _short_codes(mode))
+    return _decode(msg.words, owners(ring, policy, msg.access).__getitem__)
 
 
 # keyed digests
@@ -179,16 +170,6 @@ def _digest(key_text: str, segment_words, algorithm: str) -> str:
     return hashlib.new(algorithm, payload.encode("ascii")).hexdigest()
 
 
-def _signing_key(ordinal: int, policy: CompositionPolicy, ring: KeyRing):
-    """Id of the key whose digest attach_digests puts after subtree
-    ``ordinal``, or None: the group key's after the root, the policy's key
-    after a subtree it gives a key other than the group's."""
-    if ordinal == 1:
-        return ring.group_id
-    key_id = policy.assignments.get(ordinal, ring.group_id)
-    return None if key_id == ring.group_id else key_id
-
-
 def _body_spans(body_words) -> dict:
     """Spans of a body to sign, which must hold no digest word yet: the
     splice would put a second digest next to it."""
@@ -198,19 +179,23 @@ def _body_spans(body_words) -> dict:
     return spans
 
 
-def attach_digests(body_words, policy: CompositionPolicy, ring: KeyRing,
+def attach_digests(body_words, policy, ring: KeyRing,
                    algorithm: str = DEFAULT_DIGEST) -> list:
-    """Sign every explicitly-policied pairwise subtree plus the whole body.
+    """Sign the whole body and every subtree the policy gives a key other
+    than the group's.
 
     Each digest lands directly after its subtree's closer; the whole-document
     digest (group key) closes the message.  Input must be digest-free.
     """
+    rule = owners(ring, policy)
     by_closer = {}
     for ordinal, span in _body_spans(body_words).items():
-        key_id = _signing_key(ordinal, policy, ring)
-        if key_id is not None:
+        who = rule[ordinal]
+        if ordinal == 1 or who is not rule[1]:
+            if who is None:
+                raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
             segment = body_words[span.start:span.end + 1]
-            by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
+            by_closer[span.end] = _digest(who.key_text, segment, algorithm)
     return _spliced(body_words, by_closer)
 
 
@@ -244,38 +229,35 @@ class Verdict:
     detail: str = ""
 
 
-def verify_digests(msg: EncryptedMessage, ring: KeyRing,
-                   policy: CompositionPolicy = None,
+def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
                    algorithm: str = DEFAULT_DIGEST) -> list:
     """One verdict per digest word, in word order, and a Reject for each
-    missing digest: the root's always, with a policy also each one
+    missing digest: the root's always, under a policy also each one
     attach_digests makes.  A structurally broken message is a single
     whole-message Reject rather than an exception."""
     try:
         body, spans, digests = msg.layout
+        rule = owners(ring, policy, msg.access)
     except RestCipherError as exc:
         return [Verdict(0, Status.REJECT, f"malformed message: {exc}")]
-    if policy is not None:
-        resolve = policy_resolver(policy, ring)
-    else:
-        try:
-            resolve = recipient_resolver(msg.access, ring)
-        except ValueError as exc:
-            return [Verdict(0, Status.REJECT, str(exc))]
+    except ValueError as exc:
+        return [Verdict(0, Status.REJECT, str(exc))]
+    # a policy's rule gives every unmapped tag to the group key, its
+    # default, so it knows each subtree attach_digests signs; a recipient's
+    # rule (default None) knows only the root's
+    group = rule.default
     verdicts = []
     # spans come in closer order, the order of the digests after them
     for ordinal, span in spans.items():
+        who = rule[ordinal]
         word = digests.get(ordinal)
         if word is None:
-            if ordinal == 1 or policy is not None and _signing_key(ordinal, policy, ring):
+            if ordinal == 1 or group is not None and who is not group:
                 verdicts.append(Verdict(ordinal, Status.REJECT, "missing digest"))
-            continue
-        key_id = ring.group_id if ordinal == 1 else resolve(ordinal)
-        if key_id is None or key_id not in ring:
+        elif who is None:
             verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
-            continue
-        expected = _digest(ring[key_id].key_text, body[span.start:span.end + 1], algorithm)
-        if hmac.compare_digest(expected, word):
+        elif hmac.compare_digest(
+                _digest(who.key_text, body[span.start:span.end + 1], algorithm), word):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
@@ -286,20 +268,18 @@ def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
                     algorithm: str = DEFAULT_DIGEST) -> list:
     """Re-sign held subtrees, splice preserved digests for foreign ones.
 
+    ``resolve`` is the rule the body was decoded under (see ``owners``);
     ``preserved`` maps subtree ordinals to the digest words of the incoming
-    message; the set of signed subtrees is kept shape-identical."""
+    message, so the set of signed subtrees is kept shape-identical."""
+    rule = owners(ring, resolve)
     spans = _body_spans(body_words)
     by_closer = {}
     for ordinal, old in preserved.items():
-        if ordinal == 1:
-            continue
         span = spans[ordinal]
-        key_id = resolve(ordinal)
-        if key_id is not None and key_id in ring:
-            segment = body_words[span.start:span.end + 1]
-            by_closer[span.end] = _digest(ring[key_id].key_text, segment, algorithm)
-        else:
+        who = rule[ordinal]
+        if who is None:
             by_closer[span.end] = old
-    if 1 in preserved:
-        by_closer[len(body_words) - 1] = _digest(ring.group.key_text, body_words, algorithm)
+        else:
+            segment = body_words[span.start:span.end + 1]
+            by_closer[span.end] = _digest(who.key_text, segment, algorithm)
     return _spliced(body_words, by_closer)

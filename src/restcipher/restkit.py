@@ -40,7 +40,7 @@ from .composition import (
     compose_decrypt,
     compose_encrypt,
     compose_reencrypt,
-    recipient_resolver,
+    owners,
     refresh_digests,
     verify_digests,
 )
@@ -88,7 +88,8 @@ class _HttpService:
     ``respond(path, body)`` and writes the ``(status, text)`` it returns as
     text/plain.  A ``RestCipherError`` raised while reading the body or
     responding is written as ``400 error: <Name>: <detail>``, and so is any
-    method but GET and POST (a HEAD gets the headers only).  A reply after
+    method but GET and POST (a HEAD gets the headers only) and any request
+    line or header block the stdlib refuses (``BadRequest``).  A reply after
     which the connection closes says ``Connection: close``.  Each request is
     one debug line on the ``restcipher.http`` logger.
     """
@@ -159,10 +160,12 @@ class _HttpService:
                 except UnicodeDecodeError:
                     raise BadRequest("request body is not ASCII text") from None
 
-            def _answer(self) -> None:
+            def _answer(self, refusal: BadRequest = None) -> None:
                 started = time.perf_counter()
                 error = body = None
                 try:
+                    if refusal is not None:
+                        raise refusal
                     if self.command not in ("GET", "POST"):
                         # refused before respond, which reads a body of None as
                         # a GET; its body is left unread, so the connection closes
@@ -184,10 +187,19 @@ class _HttpService:
                 if self.command == "HEAD":
                     data = b""
                 self.wfile.write(data)
+                # a request line refused before its method was read has no path
                 log.debug("%s:%s %s %s %d %s in=%d out=%d %.3fms",
-                           *self.client_address[:2], self.command, self.path, status,
-                           error or "-", len(body or ""), len(data),
-                           (time.perf_counter() - started) * 1000)
+                           *self.client_address[:2], self.command or "-",
+                           self.path if self.command else "-", status, error or "-",
+                           len(body or ""), len(data), (time.perf_counter() - started) * 1000)
+
+            def send_error(self, code, message=None, explain=None):
+                # the stdlib's own refusal of a request line or header block
+                # it cannot parse; having read no HTTP version it would write
+                # no status line
+                self.close_connection = True
+                self.request_version = self.protocol_version
+                self._answer(BadRequest(message or code.phrase))
 
             do_GET = do_POST = _answer
 
@@ -202,7 +214,7 @@ class _HttpService:
             raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._closing = False
         self._connections = set()       # every open connection, guarded by _lock
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()      # notified as each one is untracked
         self._thread = threading.Thread(target=self._serve, daemon=True)
 
     def _serve(self) -> None:
@@ -226,6 +238,7 @@ class _HttpService:
         # under the lock, so close() never shuts down a socket being closed
         with self._lock:
             self._connections.discard(connection)
+            self._lock.notify_all()
 
     @staticmethod
     def _stop_reading(connection) -> None:
@@ -245,7 +258,8 @@ class _HttpService:
 
     def close(self) -> None:
         """Stop accepting, and end every kept-alive connection once its
-        current request, if any, is answered."""
+        current request, if any, is answered; return once each is closed, or
+        after 10 s with a request still being answered."""
         if self._thread.is_alive():
             with self._lock:
                 self._closing = True
@@ -254,6 +268,8 @@ class _HttpService:
             with socket.create_connection(self._httpd.server_address[:2]):
                 pass
             self._thread.join()
+            with self._lock:
+                self._lock.wait_for(lambda: not self._connections, timeout=10)
         self._httpd.server_close()
 
 
@@ -502,28 +518,27 @@ class _Provider(_HttpService):
         self.mode = config.mode
         self.tamper = config.tamper if config.tamper and config.tamper[0] == name else None
         self.verdicts = []
-        self._lock = threading.Lock()
+        self._processing = threading.Lock()     # one message at a time
         super().__init__(config.host, 0)
 
     def respond(self, path: str, body) -> tuple:
         if body is None:
             raise BadRequest(f"{self.name} answers POST only")
-        with self._lock:
+        with self._processing:
             return 200, self.process(body)
 
     def process(self, body: str) -> str:
         msg = EncryptedMessage.parse(body)
-        verdicts = verify_digests(msg, self.ring)
+        rule = owners(self.ring, access=msg.access)     # for every step below
+        verdicts = verify_digests(msg, self.ring, rule)
         self.verdicts = verdicts
         if any(v.status is Status.REJECT for v in verdicts):
             raise VerificationFailed(f"{self.name} rejects the incoming message")
         body, _, preserved = msg.layout
-        items = compose_decrypt(EncryptedMessage(msg.access, body), self.ring)
+        items = compose_decrypt(EncryptedMessage(msg.access, body), self.ring, rule)
         items = _apply_edits(items, self.edits)
-        resolve = recipient_resolver(msg.access, self.ring)
-        policy_view = CompositionPolicy({o: resolve(o) for o in msg.access})
-        words = compose_reencrypt(items, policy_view, self.ring, self.mode)
-        signed = refresh_digests(words, self.ring, resolve, preserved)
+        words = compose_reencrypt(items, rule, self.ring, self.mode)
+        signed = refresh_digests(words, self.ring, rule, preserved)
         if self.tamper:
             signed = _tamper_words(signed, self.tamper[1])
         return EncryptedMessage(msg.access, tuple(signed)).serialize()
@@ -546,6 +561,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     ring = KeyRing()
     for key_id, key in config.keys.items():
         ring.add_key(key_id, key, is_group=(key_id == config.group_id))
+    rule = owners(ring, policy)         # S's, for every message it sends or reads
 
     providers = {}
     for name, pair_id in config.providers.items():
@@ -559,19 +575,19 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     transcript = []
     verdicts = {}
     try:
-        body = compose_encrypt(stream, policy, ring, config.mode)
-        signed = attach_digests(body, policy, ring)
+        body = compose_encrypt(stream, rule, ring, config.mode)
+        signed = attach_digests(body, rule, ring)
 
         replies = {}
         for name, provider in providers.items():
-            access = access_header(policy, ring, [config.providers[name]], tag_count)
+            access = access_header(rule, ring, [config.providers[name]], tag_count)
             message = EncryptedMessage(access, tuple(signed)).serialize()
             uri = f"{provider.url}/process"
             transcript.append(TranscriptEntry(f"S->{name}", uri, message))
             reply = http_post(uri, message)
             transcript.append(TranscriptEntry(f"{name}->S", uri, reply))
             reply_msg = EncryptedMessage.parse(reply)
-            stage = verify_digests(reply_msg, ring, policy)
+            stage = verify_digests(reply_msg, ring, rule)
             verdicts[f"S<-{name}"] = stage
             rejected = tuple(v.ordinal for v in stage if v.status is Status.REJECT)
             if rejected:
@@ -585,7 +601,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             reply = replies[name]
             # full ring + policy: no opaque runs remain
             decoded = compose_decrypt(EncryptedMessage(reply.access, reply.layout.body),
-                                      ring, policy)
+                                      ring, rule)
             final = _splice_subtrees(final, decoded, reply.access)
         document = emit_xml(final)
         transcript.append(TranscriptEntry("S", "final", document, kind="document"))

@@ -14,6 +14,14 @@ word-level pieces (one word's decoding, the commit of new words), so a
 differential test of them checks the message loops alone.  The single-key
 loop accepts bodies the walkers refuse by design: several roots, or none.
 
+The ownership oracles keep the two rules the library had before one rule,
+``composition.owners``, served every step: the policy rule (a key id per
+ordinal, the group key's for the root and every unmapped tag) and the
+recipient rule (the one pairwise key for access-listed ordinals, the group
+key for the root, foreign otherwise), each asked once per ordinal.  They
+differ from the one rule on one input by design: an access list naming the
+root gives it to the pairwise key here and is refused there.
+
 The digest oracles keep the index-based structural scan and the verifier
 the library had before a message's Layout was scanned once: the scan marks
 digest words by their index in the signed words, and the verifier slices
@@ -37,11 +45,12 @@ from bisect import bisect_left
 from itertools import combinations, permutations
 
 from restcipher import codec, docmodel
-from restcipher.composition import Status, Verdict, _digest, policy_resolver, recipient_resolver
+from restcipher.composition import Status, Verdict, _digest
 from restcipher.docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from restcipher.errors import (
     MalformedMessage,
     MalformedXml,
+    MissingKey,
     MixedContentUnsupported,
     RestCipherError,
     UnbalancedClosers,
@@ -211,6 +220,46 @@ def oracle_max_cell_value(key):
     return max(r ** key[9] + c ** key[9] for r in row_nums for c in col_nums)
 
 
+# ownership oracles
+
+
+def oracle_key_for(policy, ordinal: int, ring) -> str:
+    """Id of the key the policy gives tag ``ordinal``."""
+    key_id = policy.assignments.get(ordinal, ring.group_id)
+    if ordinal == 1 and key_id != ring.group_id:
+        raise ValueError("the outermost tag always uses the group key")
+    if key_id is None or key_id not in ring:
+        raise MissingKey(f"tag {ordinal} needs key {key_id!r}")
+    return key_id
+
+
+def oracle_policy_resolver(policy, ring):
+    """Key id of each ordinal under the policy, None for a key not held."""
+    def resolve(ordinal: int):
+        try:
+            return oracle_key_for(policy, ordinal, ring)
+        except MissingKey:
+            return None
+
+    return resolve
+
+
+def oracle_recipient_resolver(access, ring):
+    """Key id of each ordinal for a recipient that knows no policy."""
+    pairwise = [entry.key_id for entry in ring if not entry.is_group]
+    if len(pairwise) > 1:
+        raise ValueError("recipient rule needs a single pairwise key; pass a policy")
+
+    def resolve(ordinal: int):
+        if ordinal in access:
+            return pairwise[0] if pairwise else None
+        if ordinal == 1:
+            return ring.group_id
+        return None
+
+    return resolve
+
+
 # message-loop oracles
 
 
@@ -258,7 +307,7 @@ def oracle_owned(items, policy, ring):
             yield item, None
         elif cls is Open:
             ordinal += 1
-            stack.append(ring[policy.key_for(ordinal, ring)])
+            stack.append(ring[oracle_key_for(policy, ordinal, ring)])
             yield item, stack[-1]
         elif not stack:
             what = "closer" if cls is Close else cls.__name__
@@ -330,8 +379,8 @@ def oracle_compose_decrypt(msg, ring, policy=None) -> list:
     """Composition's decode loop behind its structural pre-pass."""
     words = msg.words
     spans, kinds = oracle_scan(words)
-    resolve = policy_resolver(policy, ring) if policy else \
-        recipient_resolver(msg.access, ring)
+    resolve = oracle_policy_resolver(policy, ring) if policy else \
+        oracle_recipient_resolver(msg.access, ring)
     held_of = {o: kid for o, kid in ((o, resolve(o)) for o in spans)
                if kid is not None and kid in ring}
     frames = {}
@@ -425,10 +474,10 @@ def oracle_verify_digests(msg, ring, policy=None, algorithm="md5") -> list:
     except RestCipherError as exc:
         return [Verdict(0, Status.REJECT, f"malformed message: {exc}")]
     if policy is not None:
-        resolve = policy_resolver(policy, ring)
+        resolve = oracle_policy_resolver(policy, ring)
     else:
         try:
-            resolve = recipient_resolver(msg.access, ring)
+            resolve = oracle_recipient_resolver(msg.access, ring)
         except ValueError as exc:
             return [Verdict(0, Status.REJECT, str(exc))]
     words = msg.words

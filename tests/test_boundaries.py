@@ -138,6 +138,27 @@ def test_a_provider_refuses_a_message_stripped_of_its_digests():
         provider.close()
 
 
+def test_an_access_list_naming_the_root_is_a_malformed_message():
+    # the root is the group key's under the one ownership rule; a provider
+    # that gave it to its pairwise key could not re-encode its own reply
+    config = ScenarioConfig()
+    result = run_composition_scenario(config)
+    signed, reply = (next(e.body for e in result.transcript if e.direction == direction)
+                     for direction in ("S->SP1", "SP1->S"))
+    words = EncryptedMessage.parse(signed).words
+    provider = _Provider("SP1", ("K1", config.keys["K1"]),
+                         ("K3", config.keys["K3"]), config).start()
+    try:
+        status, body = _post_bytes(f"{provider.url}/process",
+                                   EncryptedMessage((1, 2), words).serialize().encode("ascii"))
+        assert status == 400
+        assert body == ("error: MalformedMessage: the access list names the outermost "
+                        "tag, which the group key owns")
+        assert http_post(f"{provider.url}/process", signed) == reply
+    finally:
+        provider.close()
+
+
 def test_a_get_to_a_provider_is_a_bad_request():
     config = ScenarioConfig()
     result = run_composition_scenario(config)
@@ -191,6 +212,43 @@ def test_other_methods_are_a_bad_request_that_closes_the_connection(method):
             assert body == f"error: BadRequest: method {method!r} is not supported; use GET or POST"
             # not answered as a GET: the first reply of the session is still to come
             assert not server.peers["peer"].st_sent
+            assert client.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+
+
+def _raw_reply(url: str, request: bytes) -> bytes:
+    """Everything the server sends after ``request`` on a new connection,
+    up to its closing it (a reset after a refusal that left the rest of
+    the request unread ends the reply too)."""
+    parts = urllib.parse.urlsplit(url)
+    reply = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(4096):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    return reply
+
+
+@pytest.mark.parametrize("request_line,detail", [
+    (b"GARBAGE", "Bad request syntax ('GARBAGE')"),
+    (b"GET / HTTP/1.1 extra", "Bad request version ('extra')"),
+    (b"GET / HTTP/9.9", "Invalid HTTP version (9.9)"),
+    (b"GET /" + b"a" * 70_000 + b" HTTP/1.1", "Request-URI Too Long"),
+], ids=["one-word", "four-words", "http-9.9", "70kB"])
+def test_a_request_line_the_stdlib_refuses_is_a_plain_bad_request(request_line, detail):
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        (status, headers, body), = _replies(_raw_reply(server.url, request_line + b"\r\n\r\n"))
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Content-Type: text/plain" in headers
+        assert "Connection: close" in headers
+        assert body == f"error: BadRequest: {detail}"
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
             assert client.fetch()[1] == parse_xml(XML1)
     finally:
         server.close()

@@ -36,7 +36,7 @@ from restcipher import (
 )
 from restcipher import composition
 from restcipher.codec import subtree_spans
-from restcipher.composition import recipient_resolver
+from restcipher.composition import owners
 from restcipher.errors import (
     MalformedMessage,
     MalformedWord,
@@ -73,20 +73,22 @@ def test_ring_requires_a_single_group_key(k1, k3):
 
 
 def test_policy_defaults_to_the_group_key(ring, policy):
-    assert policy.key_for(1, ring) == "K3"
-    assert policy.key_for(2, ring) == "K1"
-    assert policy.key_for(3, ring) == "K2"
+    rule = owners(ring, policy)
+    assert [rule[o].key_id for o in (1, 2, 3, 4, 5)] == ["K3", "K1", "K2", "K2", "K3"]
+    assert owners(ring, rule) is rule
 
 
 def test_policy_cannot_move_the_root_off_the_group_key(ring):
     with pytest.raises(ValueError):
-        CompositionPolicy({1: "K1"}).key_for(1, ring)
+        owners(ring, CompositionPolicy({1: "K1"}))
 
 
 def test_policy_missing_key(k1, k3):
     partial = make_ring(k1, None, k3, "K1", "K3")
+    policy = CompositionPolicy({3: "K2"})
+    assert owners(partial, policy)[3] is None
     with pytest.raises(MissingKey):
-        CompositionPolicy({3: "K2"}).key_for(3, partial)
+        access_header(policy, partial, ["K1"], 4)
 
 
 # compose_encrypt
@@ -157,7 +159,8 @@ def test_single_key_session_equals_a_one_key_composition(messages):
         assert ring["K3"].tat.items() == session.tat.items()
 
 
-@pytest.mark.parametrize("encrypt", [compose_encrypt, compose_reencrypt])
+@pytest.mark.parametrize("encrypt", [compose_encrypt, compose_reencrypt],
+                         ids=["compose_encrypt", "compose_reencrypt"])
 def test_compose_rejects_an_unknown_mode(stream, ring, policy, encrypt):
     with pytest.raises(ValueError, match="unknown mode 'ts'"):
         encrypt(list(stream), policy, ring, "ts")
@@ -324,7 +327,9 @@ def _single_key_encrypt(items, policy, ring, mode):
 
 
 @pytest.mark.parametrize("encode", [compose_encrypt, compose_reencrypt,
-                                    _single_key_encrypt])
+                                    _single_key_encrypt],
+                         ids=["compose_encrypt", "compose_reencrypt",
+                              "_single_key_encrypt"])
 @pytest.mark.parametrize("mode", ["st", "tat"])
 @pytest.mark.parametrize("items", [
     [Variable("ab")],                   # a word outside every tag
@@ -465,7 +470,7 @@ def test_a_body_that_holds_a_digest_is_not_signed_again(stream, ring, policy, k1
         attach_digests(signed, policy, ring)
     sp1 = make_ring(k1, None, k3, "K1", "K3")
     with pytest.raises(MalformedMessage):
-        refresh_digests(signed, sp1, recipient_resolver((2,), sp1), {})
+        refresh_digests(signed, sp1, owners(sp1, access=(2,)), {})
 
 
 def test_strip_digests_round_trip(stream, ring, policy):
@@ -481,8 +486,7 @@ def test_refresh_recomputes_held_and_preserves_foreign(stream, ring, policy, k1,
     signed = attach_digests(body, policy, ring)
     stripped, preserved = strip_digests(signed)
     sp1 = make_ring(k1, None, k3, "K1", "K3")
-    resolve = recipient_resolver((2,), sp1)
-    refreshed = refresh_digests(stripped, sp1, resolve, preserved)
+    refreshed = refresh_digests(stripped, sp1, owners(sp1, access=(2,)), preserved)
     assert refreshed == signed  # nothing edited: identical bytes throughout
 
 

@@ -157,6 +157,43 @@ def test_close_ends_twenty_idle_kept_alive_connections_promptly():
             assert not thread.is_alive()
 
 
+class _SlowService(_HttpService):
+    """Answers each request after a short wait."""
+
+    def __init__(self):
+        self.responding = threading.Event()
+        super().__init__("127.0.0.1", 0)
+
+    def respond(self, path, body):
+        self.responding.set()
+        time.sleep(0.3)
+        return 200, "slow"
+
+
+def test_close_returns_once_every_connection_is_closed():
+    service = _SlowService().start()
+    server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
+    with contextlib.ExitStack() as stack:
+        clients = [stack.enter_context(ResourceClient(server.url, f"peer{n}"))
+                   for n in range(20)]
+        for client in clients:
+            client.exchange_key()
+            client.fetch()
+        sock = stack.enter_context(socket.create_connection(
+            service._httpd.server_address[:2], timeout=10))
+        sock.sendall(b"GET /x HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert service.responding.wait(10)
+        # no thread joined: each close() itself waits for its handlers, the
+        # slow one until its reply is written
+        for closing in (server, service):
+            closing.close()
+            assert not closing._connections
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(b"\r\n\r\nslow")
+
+
 def test_a_request_on_a_closed_connection_fails_once_and_is_not_resent(caplog):
     caplog.set_level(logging.DEBUG, logger="restcipher.http")
     server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})

@@ -1,7 +1,8 @@
 """The encode and decode walkers against the message loops they replaced.
 
 ``oracle`` keeps the single-key decode loop, composition's decode loop behind
-its structural pre-pass, the ownership generator and the pair-fed encoder.
+its structural pre-pass, the ownership generator and the pair-fed encoder,
+and its own copies of the policy and recipient rules that ``owners`` replaced.
 Two worlds with the same keys run the same random sessions, one through the
 library and one through the oracle, in three views: one key, the full ring
 under the policy, and a provider's view by the recipient rule.  Every step
@@ -27,6 +28,7 @@ from restcipher import (
     parse_xml,
     tag_ordinals,
 )
+from restcipher.composition import owners
 from restcipher.errors import (
     MalformedMessage,
     MalformedWord,
@@ -165,9 +167,12 @@ def test_walkers_equal_the_replaced_loops(steps):
         one, full, view = _decrypt(new, old, single, body, policy, access, mode)
         assert one == ("ok", tuple(stream)) and full == ("ok", list(stream))
         if view[0] == "ok":
-            # the provider re-encodes what it holds, opaque runs verbatim
+            # the provider re-encodes what it holds, opaque runs verbatim,
+            # under the rule it decoded with; the oracle under the view
+            # policy the provider built before one rule served both
             view_policy = CompositionPolicy({o: "K1" for o in access})
             _same(new, old,
-                  lambda: compose_reencrypt(view[1], view_policy, new.provider, mode),
+                  lambda: compose_reencrypt(view[1], owners(new.provider, access=access),
+                                            new.provider, mode),
                   lambda: oracle_encode(oracle_owned(view[1], view_policy, old.provider),
                                         mode == "tat"))
