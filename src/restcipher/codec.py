@@ -24,16 +24,20 @@ Both accept exactly one tag tree and raise UnbalancedClosers for anything
 else before they commit, so no message moves one end alone.
 
 A signed message also carries digest words (see ``composition``), each
-right after the closer of the subtree it covers.  ``subtree_spans`` scans a
-body into its ``Layout``, which ``EncryptedMessage.layout`` keeps, so a
-received message is scanned once however often it is verified or stripped.
+right after the closer of the subtree it covers.  A received message is
+classified and scanned once: ``EncryptedMessage.parse`` keeps each distinct
+word's class, ``layout`` scans the body into its ``Layout`` from those, and
+``unsigned`` hands classes and spans to ``_decode``, which copies a foreign
+subtree by its Span.  ``_encode`` records each tag's Span as it emits the
+closer, an OpaqueRun bringing the spans inside it, so a body it made is
+signed without a scan.
 """
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import islice
 from typing import NamedTuple
 
 from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
@@ -66,6 +70,9 @@ _MARKER = {
 }
 #: marker length -> kind of a marked or variable word
 _MARKED = (WordKind.VARIABLE, WordKind.TAG, WordKind.ATTR_NAME, WordKind.ATTR_VALUE)
+# hot paths test kinds by identity: an enum member's hash is a Python call
+_VARIABLE, _TAG, _ATTR_NAME, _ATTR_VALUE = _MARKED
+_CLOSER, _DIGEST = WordKind.CLOSER, WordKind.DIGEST
 # md5 by default; sha1/sha256 lengths admitted for the configurable digest
 _DIGEST_RE = re.compile(r"[0-9a-f]{32}|[0-9a-f]{40}|[0-9a-f]{64}")
 
@@ -130,9 +137,10 @@ class Layout(NamedTuple):
     digests: dict
 
 
-def subtree_spans(words) -> Layout:
+def subtree_spans(words, kinds=None) -> Layout:
     """The Layout of a body's words; raises MalformedMessage, or
-    Unclassifiable for a word of no class.
+    Unclassifiable for a word of no class.  ``kinds`` holds the class of
+    words already classified (``EncryptedMessage.kinds``).
 
     Digest words are legal only directly after a closer; they attach to the
     subtree that closer ended and are left out of ``body``.  Only a tag may
@@ -143,11 +151,11 @@ def subtree_spans(words) -> Layout:
     body = []
     spans = {}
     digests = {}
-    kind_of = {}
+    kind_of = {} if kinds is None else kinds
     stack = []
     ordinal = 0
     last_closed = None
-    tag, closer, digest = WordKind.TAG, WordKind.CLOSER, WordKind.DIGEST
+    tag, closer, digest = _TAG, _CLOSER, _DIGEST
     for j, word in enumerate(words):
         kind = kind_of.get(word)
         if kind is None:
@@ -193,10 +201,14 @@ _ACCESS_RE = re.compile(r"(?:[1-9][0-9]*,)+")
 
 @dataclass(frozen=True)
 class EncryptedMessage:
-    """Access-list header plus the ordered ciphertext words."""
+    """Access-list header plus the ordered ciphertext words, and, not
+    compared, what a parse or scan found: each distinct word's WordKind
+    (``kinds``) and, for a digest-free body, each tag's Span (``spans``)."""
 
     access: tuple = ()
     words: tuple = ()
+    kinds: dict = field(default=None, compare=False, repr=False)
+    spans: dict = field(default=None, compare=False, repr=False)
 
     def serialize(self) -> str:
         parts = []
@@ -219,21 +231,29 @@ class EncryptedMessage:
         if not tokens:
             raise MalformedMessage("message has no body words")
         # each distinct word once, in order, so the first bad word is reported
-        for word in dict.fromkeys(tokens):
-            try:
-                classify_word(word)
-            except Unclassifiable as exc:
-                raise MalformedMessage(str(exc)) from None
-        return cls(access, tuple(tokens))
+        kinds = dict.fromkeys(tokens)
+        try:
+            for word in kinds:
+                kinds[word] = classify_word(word)
+        except Unclassifiable as exc:
+            raise MalformedMessage(str(exc)) from None
+        return cls(access, tuple(tokens), kinds)
 
     @cached_property
     def layout(self) -> Layout:
         """The body's Layout, scanned on first use; raises as subtree_spans."""
-        return subtree_spans(self.words)
+        return subtree_spans(self.words, self.kinds)
+
+    def unsigned(self) -> "EncryptedMessage":
+        """This message less its digest words: the Layout's body, with this
+        message's word classes and the Layout's spans."""
+        body, spans, _ = self.layout
+        return EncryptedMessage(self.access, body, self.kinds, spans)
 
 
-_TOKEN_KIND = {Open: WordKind.TAG, AttrName: WordKind.ATTR_NAME,
-               AttrValue: WordKind.ATTR_VALUE}
+#: token class -> (marker, tag-table kind) of a non-variable word
+_TOKEN_WIRE = {cls: (_MARKER[kind], kind.value) for cls, kind in (
+    (Open, _TAG), (AttrName, _ATTR_NAME), (AttrValue, _ATTR_VALUE))}
 
 
 def _short_codes(mode: str) -> bool:
@@ -253,25 +273,30 @@ def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
 
 @dataclass(frozen=True)
 class OpaqueRun:
-    """A contiguous subtree under a key not held, preserved byte for byte."""
+    """A contiguous subtree under a key not held, preserved byte for byte;
+    ``spans``, not compared, are those of the Layout it was cut from."""
 
     words: tuple
     ordinal: int
     opens_inside: int
+    spans: dict = field(default=None, compare=False, repr=False)
 
 
-def _encode(items, owner_for, short_codes: bool) -> list:
+def _encode(items, owner_for, short_codes: bool, spans: dict = None) -> list:
     """The encode walker: body words of a stream or a partial stream.
 
     An OpaqueRun stands for its own tag plus every tag inside it and is
     copied verbatim; a tag whose ``owner_for`` is None raises MissingKey.
     Words absent from their owner's tag table at the start of the message
     are spelled out at every occurrence; with ``short_codes`` a word already
-    in the table is sent as its code.
+    in the table is sent as its code.  Given ``spans``, a dict, each tag
+    ordinal's Span in the words is put in it as the tag's closer is emitted,
+    or as an OpaqueRun is copied.
     """
     words = []
     pending = {}        # owner -> {new text: kind}
     stack = []          # per open tag, the owner of the tag around it
+    opens = []          # with spans, per open tag, (its ordinal, its word index)
     ordinal = 0
     owner = None        # the innermost open tag's; None outside every tag
     for item in items:
@@ -279,6 +304,9 @@ def _encode(items, owner_for, short_codes: bool) -> list:
         if cls is Close:
             if not stack:
                 raise UnbalancedClosers(f"closer at word {len(words)} with no open tag")
+            if spans is not None:
+                opened, start = opens.pop()
+                spans[opened] = Span(opened, start, len(words), ordinal - opened)
             words.append("0")
             outer = stack.pop()
             if outer is not owner:
@@ -292,6 +320,8 @@ def _encode(items, owner_for, short_codes: bool) -> list:
             words.append(item.text.translate(codes))
             continue
         if cls is OpaqueRun:
+            if spans is not None:
+                _copy_spans(item, ordinal + 1, len(words), spans)
             ordinal += 1 + item.opens_inside
             words.extend(item.words)
             continue
@@ -301,18 +331,20 @@ def _encode(items, owner_for, short_codes: bool) -> list:
             if who is None:
                 raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
             stack.append(owner)
+            if spans is not None:
+                opens.append((ordinal, len(words)))
             if who is not owner:
                 owner = who
                 codes, tat = who.st.codes, who.tat
                 new = pending.setdefault(who, {})
-        kind = _TOKEN_KIND[cls]
+        marker, kind = _TOKEN_WIRE[cls]
         text = item.text if cls is AttrValue else item.name
         if text not in tat:
-            new.setdefault(text, kind.value)
+            new.setdefault(text, kind)
         elif short_codes:
-            words.append(_MARKER[kind] + str(tat.code_for(text)))
+            words.append(marker + str(tat.code_for(text)))
             continue
-        words.append(_MARKER[kind] + text.translate(codes))
+        words.append(marker + text.translate(codes))
     if stack:
         raise UnbalancedClosers(f"{len(stack)} tags left open at end of message")
     if not ordinal:
@@ -320,6 +352,19 @@ def _encode(items, owner_for, short_codes: bool) -> list:
     for who, new in pending.items():
         _commit(new, who.st, who.tat, who.ctx)
     return words
+
+
+def _copy_spans(run: OpaqueRun, ordinal: int, start: int, spans: dict) -> None:
+    """Put in ``spans`` the Span of each tag of ``run``, copied with its own
+    tag at ``ordinal`` and its first word at index ``start``."""
+    source, first = run.spans, run.ordinal
+    if source is None:          # a run no Layout came with
+        source, first = subtree_spans(run.words).spans, 1
+    shift, move = ordinal - first, start - source[first].start
+    for o in range(first, first + run.opens_inside + 1):
+        span = source[o]
+        spans[o + shift] = Span(o + shift, span.start + move, span.end + move,
+                                span.opens_inside)
 
 
 def _one_owner(st, tat, ctx):
@@ -347,24 +392,20 @@ def tatbe(stream, st: SymbolTable, tat: TagTable, ctx: TatContext,
     return EncryptedMessage(tuple(access), tuple(words))
 
 
-#: marker length -> (token class, tag-table kind) of a non-variable word
-_MARKED_TOKEN = {1: (Open, WordKind.TAG.value),
-                 2: (AttrName, WordKind.ATTR_NAME.value),
-                 3: (AttrValue, WordKind.ATTR_VALUE.value)}
-
-
-def _decode_word(word, st, tat, new: dict):
-    """Token of one marked or variable word.  A non-variable word is a held
-    tag code or spelled out, never both; a spelled-out one absent from the
-    table is added to ``new``."""
-    split = _split_marker(word)
-    if split is None:
-        classify_word(word)     # raises Unclassifiable unless a digest
+def _decode_word(word, kind, st, tat, new: dict):
+    """Token of one marked or variable word of class ``kind``.  A
+    non-variable word is a held tag code or spelled out, never both; a
+    spelled-out one absent from the table is added to ``new``."""
+    if kind is _VARIABLE:
+        return Variable(decode_chars(word, st))
+    if kind is _TAG:
+        cls, payload = Open, word[1:]
+    elif kind is _ATTR_NAME:
+        cls, payload = AttrName, word[2:]
+    elif kind is _ATTR_VALUE:
+        cls, payload = AttrValue, word[3:]
+    else:
         raise MalformedWord("digest word outside a signed message")
-    marker, payload = split
-    if not marker:
-        return Variable(decode_chars(payload, st))
-    cls, kind = _MARKED_TOKEN[marker]
     text = tat.word_for(payload)
     if text is not None:
         return cls(text)
@@ -374,16 +415,19 @@ def _decode_word(word, st, tat, new: dict):
         )
     text = decode_chars(payload, st)
     if text not in tat:
-        new.setdefault(text, kind)
+        new.setdefault(text, _TOKEN_WIRE[cls][1])
     return cls(text)
 
 
-def _decode(words, owner_for) -> list:
+def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
     """The decode walker: items of a body's words.
 
     A tag whose ``owner_for`` is None becomes, with its whole subtree, one
     OpaqueRun.  Each distinct word is decoded once per owner, against the
-    tag tables as they stood before the message.
+    tag tables as they stood before the message.  ``kinds`` holds the class
+    of every word (``EncryptedMessage.kinds``), else each is classified as
+    it is decoded; ``spans``, those of a digest-free body's Layout, let a
+    foreign subtree be copied whole, else it is walked word by word.
     """
     items = []
     frames = {}         # owner -> ({word: token}, {new text: kind})
@@ -391,6 +435,7 @@ def _decode(words, owner_for) -> list:
     ordinal = 0
     owner = None        # the innermost open tag's; None outside every tag
     seen = {}           # the owner's decoded words; empty outside every tag
+    classify = classify_word if kinds is None else kinds.__getitem__
     rest = enumerate(words)
     for i, word in rest:
         if word == "0":
@@ -417,22 +462,13 @@ def _decode(words, owner_for) -> list:
         if tag:
             ordinal += 1
             who = owner_for(ordinal)
-            if who is None:     # copy the subtree, still classifying each word
-                start, depth, inside = i, 0, -1
-                for i, word in chain(((i, word),), rest):
-                    kind = classify_word(word)
-                    if kind is WordKind.TAG:
-                        depth += 1
-                        inside += 1
-                    elif kind is WordKind.DIGEST:
-                        raise MalformedWord(f"digest word at {i} outside a signed message")
-                    elif kind is WordKind.CLOSER:
-                        depth -= 1
-                        if not depth:
-                            break
+            if who is None:
+                if spans is None:
+                    end, inside = _subtree_end(words, i, ordinal, classify)
                 else:
-                    raise UnbalancedClosers(f"tag {ordinal} left open at end of message")
-                items.append(OpaqueRun(tuple(words[start:i + 1]), ordinal, inside))
+                    end, inside = spans[ordinal].end, spans[ordinal].opens_inside
+                items.append(OpaqueRun(tuple(words[i:end + 1]), ordinal, inside, spans))
+                next(islice(rest, end - i, end - i), None)      # on past its closer
                 ordinal += inside
                 continue
             stack.append(owner)
@@ -442,7 +478,7 @@ def _decode(words, owner_for) -> list:
                 st, tat = who.st, who.tat
                 token = seen.get(word)
         if token is None:
-            token = seen[word] = _decode_word(word, st, tat, new)
+            token = seen[word] = _decode_word(word, classify(word), st, tat, new)
         items.append(token)
     if stack:
         raise UnbalancedClosers(f"{len(stack)} tags left open at end of message")
@@ -453,10 +489,28 @@ def _decode(words, owner_for) -> list:
     return items
 
 
+def _subtree_end(words, start: int, ordinal: int, classify) -> tuple:
+    """(index of the closer, tags inside) of the subtree whose tag is
+    ``words[start]``, found by classifying each word of it."""
+    depth, inside = 0, -1
+    for i in range(start, len(words)):
+        kind = classify(words[i])
+        if kind is _TAG:
+            depth += 1
+            inside += 1
+        elif kind is _DIGEST:
+            raise MalformedWord(f"digest word at {i} outside a signed message")
+        elif kind is _CLOSER:
+            depth -= 1
+            if not depth:
+                return i, inside
+    raise UnbalancedClosers(f"tag {ordinal} left open at end of message")
+
+
 def tatbd(msg: EncryptedMessage, st: SymbolTable, tat: TagTable,
           ctx: TatContext) -> tuple:
     """Inverse of stbe and tatbe; rebuilds the tag table as the encoder did."""
-    return tuple(_decode(msg.words, _one_owner(st, tat, ctx)))
+    return tuple(_decode(msg.words, _one_owner(st, tat, ctx), msg.kinds))
 
 
 stbd = tatbd    # one decoder reads both encodings

@@ -13,8 +13,11 @@ words) follows the closer of the root and of each subtree another key owns.
 
 The codec's two walkers, ``codec._encode`` and ``codec._decode``, do the
 rest with the rule as their ``owner_for``; the decoder keeps a subtree under
-a key not held as an OpaqueRun.  Digests are placed and checked by the spans
-of a body's ``Layout``, which ``EncryptedMessage.layout`` scans once.
+a key not held as an OpaqueRun.  Each step takes a body's structure from the
+one before: a received message's ``layout``, scanned once from the classes
+its parse kept, serves ``verify_digests``, and its ``unsigned`` body serves
+``compose_decrypt``; ``compose_encrypt`` returns a ``Body`` holding each
+tag's Span, by which ``attach_digests`` and ``refresh_digests`` sign it.
 """
 
 import enum
@@ -121,11 +124,22 @@ def owners(ring: KeyRing, policy=None, access=()) -> Owners:
     return rule
 
 
-def compose_encrypt(items, policy, ring: KeyRing, mode: str = "st") -> list:
+class Body(list):
+    """Body words as ``compose_encrypt`` emitted them, with ``spans``: each
+    tag ordinal's Span in them."""
+
+    def __init__(self, words, spans: dict):
+        super().__init__(words)
+        self.spans = spans
+
+
+def compose_encrypt(items, policy, ring: KeyRing, mode: str = "st") -> Body:
     """Body words of a stream, or of a partial stream whose opaque runs are
     spliced back verbatim; each word goes under its owner's tables.
     ``policy`` is a CompositionPolicy or a rule ``owners`` built."""
-    return _encode(items, owners(ring, policy).__getitem__, _short_codes(mode))
+    spans = {}
+    words = _encode(items, owners(ring, policy).__getitem__, _short_codes(mode), spans)
+    return Body(words, spans)
 
 
 compose_reencrypt = compose_encrypt
@@ -149,11 +163,13 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
     """Decode held segments to tokens; foreign subtrees become OpaqueRuns.
 
     Digest words must be stripped first: pass a signed message's
-    ``layout.body``.  Without a policy the recipient rule of ``owners``
-    applies to the message's access list.  Each key's new words enter its
-    tag table only once the whole message has decoded.
+    ``unsigned()``, whose word classes and spans the decoder reads.  Without
+    a policy the recipient rule of ``owners`` applies to the message's
+    access list.  Each key's new words enter its tag table only once the
+    whole message has decoded.
     """
-    return _decode(msg.words, owners(ring, policy, msg.access).__getitem__)
+    return _decode(msg.words, owners(ring, policy, msg.access).__getitem__,
+                   msg.kinds, msg.spans)
 
 
 # keyed digests
@@ -171,8 +187,10 @@ def _digest(key_text: str, segment_words, algorithm: str) -> str:
 
 
 def _body_spans(body_words) -> dict:
-    """Spans of a body to sign, which must hold no digest word yet: the
-    splice would put a second digest next to it."""
+    """Spans of a body to sign: a Body's own, else a scan's, which must find
+    no digest word yet: the splice would put a second digest next to it."""
+    if isinstance(body_words, Body):
+        return body_words.spans
     _, spans, digests = subtree_spans(body_words)
     if digests:
         raise MalformedMessage(f"body already holds a digest for tag {min(digests)}")

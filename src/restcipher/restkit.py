@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from .codec import EncryptedMessage, OpaqueRun, Session, subtree_spans
+from .codec import EncryptedMessage, OpaqueRun, Session, Span, subtree_spans
 from .composition import (
     CompositionPolicy,
     KeyRing,
@@ -343,12 +343,18 @@ class ResourceClient:
     Every request goes over the client's one kept-alive connection, which
     ``close`` (or leaving a ``with`` block) closes.  A request that fails is
     not resent: the next one opens a new connection.
+
+    An exchange that raises (a transport fault or timeout, a reply that does
+    not parse or decode) may have moved one end's tag table alone, so the
+    next one first exchanges a new key: the server replaces the peer's
+    session, and both ends restart from empty tables.
     """
 
     def __init__(self, base_url: str, peer_id: str = "client"):
         self.url = f"{base_url}/{peer_id}"
         self.peer_id = peer_id
         self.session = None
+        self._stale = False         # the last exchange raised
         self._connection = Connection(self.url)
 
     def close(self) -> None:
@@ -363,14 +369,20 @@ class ResourceClient:
     def exchange_key(self) -> TenElementKey:
         key = request_key(self.url, connection=self._connection)
         self.session = Session.for_key(key)
+        self._stale = False
         return key
 
     def _exchange(self, request):
         """(message, decoded stream) of the reply ``request()`` returns."""
         if self.session is None:
             raise BadRequest("exchange a key first")
+        if self._stale:
+            self.exchange_key()
+        self._stale = True
         msg = EncryptedMessage.parse(request())
-        return msg, self.session.decrypt(msg)
+        stream = self.session.decrypt(msg)
+        self._stale = False
+        return msg, stream
 
     def fetch(self):
         """GET the resource."""
@@ -436,8 +448,8 @@ class ScenarioResult:
 
 
 def _token_spans(stream) -> dict:
-    """Ordinal -> (start, end, tags inside) of every tag subtree of a token
-    stream, closer inclusive, from one stack pass."""
+    """Ordinal -> Span of every tag subtree of a token stream, closer
+    inclusive, from one stack pass."""
     spans = {}
     stack = []
     ordinal = 0
@@ -447,32 +459,36 @@ def _token_spans(stream) -> dict:
             stack.append((ordinal, i))
         elif isinstance(token, Close):
             opened, start = stack.pop()
-            spans[opened] = (start, i, ordinal - opened)
+            spans[opened] = Span(opened, start, i, ordinal - opened)
     return spans
 
 
-def _splice_subtrees(final, decoded, ordinals) -> tuple:
-    """``final`` with the subtrees of ``ordinals`` copied in from ``decoded``.
+def _splice_subtrees(final, decoded, decoded_spans: dict, ordinals) -> tuple:
+    """``final`` with the subtrees of ``ordinals`` copied in from ``decoded``,
+    a reply decoded with every key, item for word, so that the spans of its
+    Layout (``decoded_spans``) index it; one that is not is refused.
 
     Only the outermost listed subtrees are copied, in stream order; a listed
     tag nested in one of them comes along with it.  This equals replacing the
     listed subtrees one by one as long as each copied subtree holds as many
     tags as the one it replaces, so a reply that changes that is refused.
     """
-    dst, src = _token_spans(final), _token_spans(decoded)
+    if len(decoded) != decoded_spans[1].end + 1:
+        raise MalformedMessage("the reply decodes to other than one item per word")
+    dst = _token_spans(final)
     out = []
     pos = 0
     for ordinal in sorted(set(ordinals)):
-        if ordinal not in dst or ordinal not in src:
+        if ordinal not in dst or ordinal not in decoded_spans:
             raise MalformedMessage(f"tag {ordinal} is missing from the document or the reply")
-        start, end, inside = dst[ordinal]
+        _, start, end, inside = dst[ordinal]
         if start < pos:
             continue            # copied with an enclosing subtree
-        src_start, src_end, src_inside = src[ordinal]
-        if src_inside != inside:
+        src = decoded_spans[ordinal]
+        if src.opens_inside != inside:
             raise MalformedMessage(f"reply changes the tags inside tag {ordinal}")
         out.extend(final[pos:start])
-        out.extend(decoded[src_start:src_end + 1])
+        out.extend(decoded[src.start:src.end + 1])
         pos = end + 1
     out.extend(final[pos:])
     return tuple(out)
@@ -534,11 +550,10 @@ class _Provider(_HttpService):
         self.verdicts = verdicts
         if any(v.status is Status.REJECT for v in verdicts):
             raise VerificationFailed(f"{self.name} rejects the incoming message")
-        body, _, preserved = msg.layout
-        items = compose_decrypt(EncryptedMessage(msg.access, body), self.ring, rule)
+        items = compose_decrypt(msg.unsigned(), self.ring, rule)
         items = _apply_edits(items, self.edits)
         words = compose_reencrypt(items, rule, self.ring, self.mode)
-        signed = refresh_digests(words, self.ring, rule, preserved)
+        signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
         if self.tamper:
             signed = _tamper_words(signed, self.tamper[1])
         return EncryptedMessage(msg.access, tuple(signed)).serialize()
@@ -600,9 +615,8 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
         for name in providers:
             reply = replies[name]
             # full ring + policy: no opaque runs remain
-            decoded = compose_decrypt(EncryptedMessage(reply.access, reply.layout.body),
-                                      ring, rule)
-            final = _splice_subtrees(final, decoded, reply.access)
+            decoded = compose_decrypt(reply.unsigned(), ring, rule)
+            final = _splice_subtrees(final, decoded, reply.layout.spans, reply.access)
         document = emit_xml(final)
         transcript.append(TranscriptEntry("S", "final", document, kind="document"))
         return ScenarioResult(transcript, verdicts, final_document=document,

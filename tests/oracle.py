@@ -263,6 +263,11 @@ def oracle_recipient_resolver(access, ring):
 # message-loop oracles
 
 
+#: token class -> kind of a non-variable word
+TOKEN_KIND = {Open: codec.WordKind.TAG, AttrName: codec.WordKind.ATTR_NAME,
+              AttrValue: codec.WordKind.ATTR_VALUE}
+
+
 def oracle_encode(pairs, short_codes: bool) -> list:
     """Body words of ``(item, owner)`` pairs; an owner of None marks an
     OpaqueRun, copied verbatim.  Commits each owner's new words at the end."""
@@ -283,7 +288,7 @@ def oracle_encode(pairs, short_codes: bool) -> list:
         if cls is Variable:
             words.append(token.text.translate(codes))
             continue
-        kind = codec._TOKEN_KIND[cls]
+        kind = TOKEN_KIND[cls]
         text = token.text if cls is AttrValue else token.name
         if text not in tat:
             new.setdefault(text, kind.value)
@@ -333,7 +338,8 @@ def oracle_decrypt(words, session) -> tuple:
             continue
         token = seen.get(word)
         if token is None:
-            token = seen[word] = codec._decode_word(word, session.st, session.tat, new)
+            token = seen[word] = codec._decode_word(
+                word, codec.classify_word(word), session.st, session.tat, new)
         if type(token) is Open:
             depth += 1
         tokens.append(token)
@@ -411,7 +417,8 @@ def oracle_compose_decrypt(msg, ring, policy=None) -> list:
         entry, decoded, new = stack[-1]
         token = decoded.get(word)
         if token is None:
-            token = decoded[word] = codec._decode_word(word, entry.st, entry.tat, new)
+            token = decoded[word] = codec._decode_word(
+                word, codec.classify_word(word), entry.st, entry.tat, new)
         items.append(token)
         i += 1
     for entry, _, new in frames.values():

@@ -42,6 +42,7 @@ from restcipher.errors import (
     MalformedWord,
     MissingKey,
     UnbalancedClosers,
+    Unclassifiable,
     UnknownCode,
     UnknownTatCode,
     UnsupportedCharacter,
@@ -373,6 +374,47 @@ def test_every_decoder_refuses_a_body_that_is_not_one_tag_tree(k1, k3, shape):
         with pytest.raises(UnbalancedClosers):
             decode(body)
         assert (session.tat.items(), session.ctx) == ([], TatContext())
+
+
+BAD_WORD = "12a"        # of no word class
+
+
+@pytest.mark.parametrize("shape, error", [
+    ("a closer with no open tag, then a bad word", UnbalancedClosers),
+    ("a bad word after the root", UnbalancedClosers),
+    ("the root closed early, then a bad word", UnbalancedClosers),
+    ("a bad word in the last subtree", Unclassifiable),
+    ("a digest in the last subtree", MalformedWord),
+    ("the last subtree left open", UnbalancedClosers),
+])
+def test_a_decoder_reports_the_first_fault_in_word_order(k3, shape, error):
+    """The fault first in word order names the error: in a body built
+    directly, which no parse classified, also when a word of no class comes
+    after it; and also where the provider copies the last subtree as
+    foreign."""
+    sender = make_ring(None, None, k3, "K3")
+    words = tuple(compose_encrypt(parse_xml("<a><b>c</b><d>e</d></a>"),
+                                  CompositionPolicy({}), sender))
+    body = {
+        "a closer with no open tag, then a bad word": words + ("0", BAD_WORD),
+        "a bad word after the root": words + (BAD_WORD,),
+        "the root closed early, then a bad word": words[:4] + ("0", BAD_WORD),
+        "a bad word in the last subtree": words[:5] + (BAD_WORD,) + words[5:],
+        "a digest in the last subtree": words[:5] + (D1,) + words[5:],
+        "the last subtree left open": words[:6],
+    }[shape]
+    session = Session.for_key(k3)
+    one_key = make_ring(None, None, k3, "K3")
+    provider = make_ring(None, None, k3, "K3")      # reads the root, no other tag
+    messages = [EncryptedMessage((), body)]
+    if BAD_WORD not in body:        # a parsed one keeps its word classes
+        messages.append(EncryptedMessage.parse(" ".join(body)))
+    for msg in messages:
+        for decode in (lambda: session.decrypt(msg),
+                       lambda: compose_decrypt(msg, one_key, CompositionPolicy({})),
+                       lambda: compose_decrypt(msg, provider)):
+            with pytest.raises(error):
+                decode()
 
 
 # digests

@@ -1,6 +1,7 @@
 """A signed message's Layout: the one structural scan equals the index-based
-scan it replaced, each missing digest is a Reject, and the three-party
-pipeline scans each message it receives once."""
+scan it replaced, each missing digest is a Reject, every step that hands a
+body's structure on hands on what a scan would find, and the three-party
+pipeline scans and classifies each message it receives once."""
 
 import random
 import threading
@@ -13,17 +14,24 @@ from hypothesis import strategies as hs
 from restcipher import (
     CompositionPolicy,
     EncryptedMessage,
+    OpaqueRun,
     ScenarioConfig,
     Status,
     access_header,
     attach_digests,
+    classify_word,
+    compose_decrypt,
     compose_encrypt,
+    compose_reencrypt,
     parse_key,
     parse_xml,
+    refresh_digests,
     run_composition_scenario,
     verify_digests,
 )
 from restcipher import codec, composition, restkit
+from restcipher.codec import subtree_spans
+from restcipher.composition import owners
 from restcipher.docmodel import tag_ordinals
 from restcipher.errors import RestCipherError
 
@@ -35,13 +43,24 @@ KEYS = {"K1": parse_key(K1_TEXT), "K2": parse_key(K2_TEXT), "K3": parse_key(K3_T
 MISSING = "missing digest"
 
 
-def _signed(rng, mode):
-    """(signed words, policy, tag count) of a random catalog and policy."""
+def _full_ring():
+    return make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], "K1", "K2", "K3")
+
+
+def _catalog(rng):
+    """(stream, policy, tag count) of a random nested catalog and a policy
+    that maps some tags, nested ones included, and leaves the rest unmapped."""
     stream = parse_xml(nested_catalog(rng, rng.randint(1, 6)))
     count = len(tag_ordinals(stream))
     policy = CompositionPolicy({o: rng.choice(["K1", "K2", "K3"])
                                 for o in range(2, count + 1) if rng.random() < 0.6})
-    ring = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], "K1", "K2", "K3")
+    return stream, policy, count
+
+
+def _signed(rng, mode):
+    """(signed words, policy, tag count) of a random catalog and policy."""
+    stream, policy, count = _catalog(rng)
+    ring = _full_ring()
     body = compose_encrypt(stream, policy, ring, mode)
     return attach_digests(body, policy, ring), policy, count
 
@@ -127,36 +146,76 @@ def test_the_layout_equals_the_index_based_scan(seed, mode, how):
         assert missing == due - set(got.digests)
 
 
-def _scans(monkeypatch):
-    """Record (thread name, words) of every structural scan."""
-    calls = []
-    lock = threading.Lock()
-    scan = codec.subtree_spans
+@settings(max_examples=100, deadline=None)
+@given(hs.integers(0, 2**32), hs.sampled_from(["st", "tat"]))
+def test_each_step_hands_on_the_structure_a_scan_finds(seed, mode):
+    rng = random.Random(seed)
+    stream, policy, count = _catalog(rng)
+    sender = _full_ring()
+    body = compose_encrypt(stream, policy, sender, mode)
+    assert body.spans == subtree_spans(body).spans
+    signed = attach_digests(body, policy, sender)
+    assert signed == attach_digests(list(body), policy, sender)     # placed by a scan
+    for held in ("K1", "K2"):
+        access = access_header(policy, sender, [held], count)
+        msg = EncryptedMessage.parse(EncryptedMessage(access, tuple(signed)).serialize())
+        assert msg.kinds == {word: classify_word(word) for word in msg.words}
+        # the laid-out body, whose runs bring their spans, and the same body
+        # built directly, whose runs the encoder scans, to twin providers
+        for unsigned in (msg.unsigned(), EncryptedMessage(access, msg.layout.body)):
+            ring = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], held, "K3")
+            rule = owners(ring, access=access)
+            items = compose_decrypt(unsigned, ring, rule)
+            runs = [item for item in items if isinstance(item, OpaqueRun)]
+            assert all(run.spans is unsigned.spans for run in runs)
+            words = compose_reencrypt(items, rule, ring, mode)
+            assert words.spans == subtree_spans(words).spans
+            preserved = msg.layout.digests
+            assert refresh_digests(words, ring, rule, preserved) \
+                == refresh_digests(list(words), ring, rule, preserved)
 
-    def counted(words):
+
+def _scans(monkeypatch):
+    """Record (thread name, words) of every structural scan, and the word of
+    every call of ``classify_word``."""
+    calls, classified = [], []
+    lock = threading.Lock()
+    scan, classify = codec.subtree_spans, codec.classify_word
+
+    def counted(words, kinds=None):
         with lock:
             calls.append((threading.current_thread().name, tuple(words)))
-        return scan(words)
+        return scan(words, kinds)
+
+    def counted_classify(word):
+        with lock:
+            classified.append(word)
+        return classify(word)
 
     for module in (codec, composition, restkit):
         monkeypatch.setattr(module, "subtree_spans", counted)
-    return calls
+    monkeypatch.setattr(codec, "classify_word", counted_classify)
+    return calls, classified
 
 
 @pytest.mark.parametrize("mode", ["st", "tat"])
 def test_each_received_message_is_scanned_once(monkeypatch, mode):
-    calls = _scans(monkeypatch)
+    calls, classified = _scans(monkeypatch)
     result = run_composition_scenario(ScenarioConfig(mode=mode))
     assert not result.halted
+    classified = len(classified)        # before this test parses the bodies again
     main = threading.main_thread().name
-    # S: the body it signs and each reply; a provider: the message it
-    # receives and the body it re-signs.  Both providers receive the same
-    # signed words, under different access lists.
-    assert len(calls) == 7
-    assert sum(name == main for name, _ in calls) == 3
+    # one scan per message received: S scans each reply, and each provider
+    # the message it receives; both receive the same signed words, under
+    # different access lists.  The bodies S signs and the providers re-sign
+    # come with the spans their encoder recorded.
+    assert len(calls) == 4
+    assert sum(name == main for name, _ in calls) == 2
     assert len(set(calls)) == len(calls)
     bodies = {e.direction: e.body for e in result.transcript if e.kind == "message"}
     received = [tuple(EncryptedMessage.parse(bodies[d]).words)
                 for d in ("S->SP1", "S->SP2", "SP1->S", "SP2->S")]
     scanned = [words for _, words in calls]
     assert [scanned.count(words) for words in received] == [2, 2, 1, 1]
+    # each distinct word of a received message is classified once, by its parse
+    assert classified <= sum(len(set(words)) for words in received)

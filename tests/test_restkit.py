@@ -1,6 +1,6 @@
-"""The two-party flow and the three-party scenario end to end, the
-scenario's assembly step, kept-alive connections, and closing the loopback
-services."""
+"""The two-party flow and the three-party scenario end to end, a new key
+after an exchange that did not complete, the scenario's assembly step,
+kept-alive connections, and closing the loopback services."""
 
 import contextlib
 import hashlib
@@ -29,7 +29,7 @@ from restcipher import (
 from restcipher.docmodel import Close, Open, Variable, tag_ordinals
 from restcipher.errors import MalformedMessage, Transport
 from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
-from restcipher.restkit import _HttpService, _Provider, _splice_subtrees
+from restcipher.restkit import _HttpService, _Provider, _splice_subtrees, _token_spans
 
 from conftest import XML1, XML2
 from docgen import nested_catalog
@@ -97,6 +97,81 @@ def test_the_two_party_flow_keeps_both_tag_tables_equal():
             assert msg.serialize() == mirror.encrypt(parse_xml(update), "st", (1,)).serialize()
             assert stream == parse_xml(update)
             assert same_tables()
+    finally:
+        server.close()
+
+
+# a new key after an exchange that did not complete
+
+#: a resource with two words XML1 lacks, "value3" and "iitd"
+NEW_WORDS = ('<root attr1="value3" attr2="value1"><name>iitd</name>'
+             "<value>7</value></root>")
+
+
+def _served(port: int = 0):
+    return serve(XML1, port=port, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
+
+
+def _tables_equal(client, server, peer_id) -> bool:
+    held = server.peers[peer_id].session
+    return client.session.tat.items() == held.tat.items()
+
+
+def test_after_a_push_to_a_closed_server_the_next_exchange_uses_a_new_key():
+    server = _served()
+    address = server._httpd.server_address[:2]
+    try:
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            session = client.session
+            client.fetch()
+            client.fetch()
+            server.close()
+            with pytest.raises(Transport):
+                # the client enters the update's new words as it encrypts it
+                client.push(parse_xml(NEW_WORDS))
+            # the server comes back at the same address with the state it had
+            restarted = _served(port=address[1])
+            restarted.peers, restarted.store = server.peers, server.store
+            server = restarted
+            msg, stream = client.fetch()
+            assert stream == parse_xml(XML1)
+            assert _tables_equal(client, server, "peer")
+            assert client.session is not session
+            assert client.push(parse_xml(NEW_WORDS))[1] == parse_xml(NEW_WORDS)
+            assert _tables_equal(client, server, "peer")
+    finally:
+        server.close()
+
+
+def test_after_a_reply_that_never_arrives_the_next_exchange_uses_a_new_key():
+    server = _served()
+    server._httpd.handle_error = lambda request, address: None     # no traceback
+    respond = server.respond
+
+    def dropped(path, body):
+        respond(path, body)         # computed, its new words committed
+        raise ConnectionAbortedError("the reply is lost")
+
+    try:
+        with ResourceClient(server.url, "p1") as p1, ResourceClient(server.url, "p2") as p2:
+            p1.exchange_key()
+            p2.exchange_key()
+            session = p2.session
+            p2.fetch()
+            p2.fetch()
+            p1.fetch()
+            p1.push(parse_xml(NEW_WORDS))
+            server.respond = dropped
+            with pytest.raises(Transport):
+                p2.fetch()
+            del server.respond
+            msg, stream = p2.fetch()
+            assert stream == parse_xml(NEW_WORDS)
+            assert p2.session is not session
+            assert _tables_equal(p2, server, "p2")
+            assert p2.fetch()[1] == parse_xml(NEW_WORDS)
+            assert _tables_equal(p2, server, "p2")
     finally:
         server.close()
 
@@ -377,7 +452,7 @@ def test_splice_equals_replacing_one_by_one(seed):
     want = got = final
     for ordinals, decoded in replies:
         want = _replace_one_by_one(want, decoded, ordinals)
-        got = _splice_subtrees(got, decoded, ordinals)
+        got = _splice_subtrees(got, decoded, _token_spans(decoded), ordinals)
     assert got == want
 
 
@@ -385,7 +460,8 @@ def test_an_sp2_tag_inside_an_sp1_item_keeps_the_sp2_edit():
     final = parse_xml("<r><item><name>a</name><price>1</price></item><x>b</x></r>")
     sp1 = _provider_copy(final, {2}, "SP1")           # the item, name included
     sp2 = _provider_copy(final, {3}, "SP2")           # the name alone
-    got = _splice_subtrees(_splice_subtrees(final, sp1, (2,)), sp2, (3,))
+    got = _splice_subtrees(_splice_subtrees(final, sp1, _token_spans(sp1), (2,)),
+                           sp2, _token_spans(sp2), (3,))
     want = _replace_one_by_one(_replace_one_by_one(final, sp1, (2,)), sp2, (3,))
     assert got == want == parse_xml(
         "<r><item><name>SP2-a</name><price>SP1-1</price></item><x>b</x></r>")
@@ -395,9 +471,11 @@ def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused():
     final = parse_xml("<r><item><name>a</name></item></r>")
     decoded = parse_xml("<r><item><name>a</name><extra>b</extra></item></r>")
     with pytest.raises(MalformedMessage):
-        _splice_subtrees(final, decoded, (2,))
+        _splice_subtrees(final, decoded, _token_spans(decoded), (2,))
     with pytest.raises(MalformedMessage):
-        _splice_subtrees(final, final, (9,))
+        _splice_subtrees(final, final, _token_spans(final), (9,))
+    with pytest.raises(MalformedMessage):       # an item that stood for several words
+        _splice_subtrees(final, decoded[:3] + decoded[4:], _token_spans(decoded), (2,))
 
 
 # closing a service returns at once
