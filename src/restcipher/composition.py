@@ -53,9 +53,6 @@ class KeyRing:
         self._entries[key_id] = entry
         return entry
 
-    def __contains__(self, key_id: str) -> bool:
-        return key_id in self._entries
-
     def __getitem__(self, key_id: str) -> Session:
         try:
             return self._entries[key_id]
@@ -64,12 +61,6 @@ class KeyRing:
 
     def __iter__(self):
         return iter(self._entries.values())
-
-    @property
-    def group(self) -> Session:
-        if self.group_id is None:
-            raise MissingKey("ring has no group key")
-        return self._entries[self.group_id]
 
     def pairwise_ids(self) -> list:
         return [e.key_id for e in self if not e.is_group]

@@ -11,24 +11,27 @@ in front.  Bodies are text/plain and no custom header is used.  Every service
 shares one request handler (``_HttpService``), which hands the path and body
 to the service's ``respond`` and writes the status and text it returns; a
 ``RestCipherError`` raised while reading the request or responding becomes a
-400 ``error: <Name>: <detail>``.
+400 ``error: <Name>: <detail>``, and any other exception a 500.
 
 Connections are HTTP/1.1 and kept alive.  A ``ResourceClient`` sends every
 request over one connection of its own and closes it in ``close``; a request
 that fails is never resent, since the server may already have committed its
-words to the tag tables.  The handler turns Nagle's algorithm off, and a
-service's ``close`` ends every idle connection.  Each service accepts on a
-thread of its own that blocks until a connection arrives, so closing one
-does not wait on a poll: ``close`` wakes it with a connection.
+words to the tag tables.  A service serves each connection on one thread for
+the connection's life (the stdlib's threading server loop) and turns Nagle's
+algorithm off; its ``close`` ends every idle connection.  Each service
+accepts on a thread of its own that blocks until a connection arrives, so
+closing one does not wait on a poll: ``close`` wakes it with a connection.
 """
 
 import contextlib
 import signal
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from socketserver import ThreadingMixIn
 
 from .codec import EncryptedMessage, OpaqueRun, Session, Span, subtree_spans
 from .composition import (
@@ -74,24 +77,54 @@ def _parse_document(text: str):
     return parse_json(text)
 
 
-class _Server(HTTPServer):
-    def process_request(self, request, client_address):
-        # the handler answers on threads of its own and closes the connection
-        self.RequestHandlerClass(request, client_address, self)
+class _Server(ThreadingMixIn, HTTPServer):
+    """The stdlib's ``ThreadingHTTPServer``: each connection is served on a
+    thread of its own for its whole life; ``close`` bounds its own wait.
+    The service tracks a connection from its accept, on the accepting
+    thread, so ``close`` waits for every connection accepted before it."""
+
+    daemon_threads = True
+    block_on_close = False
+
+    def __init__(self, address, handler, service):
+        self.service = service
+        super().__init__(address, handler)
+
+    def get_request(self):
+        request, client_address = super().get_request()
+        self.service._track(request)
+        return request, client_address
+
+    def shutdown_request(self, request):
+        self.service._untrack(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # a peer gone before its reply was written, or a connection that got
+        # no thread: one line, not socketserver's traceback
+        import logging
+
+        exc = sys.exc_info()[1]
+        logging.getLogger("restcipher.http").warning(
+            "%s:%s dropped: %s: %s", *client_address[:2], type(exc).__name__, exc)
 
 
 class _HttpService:
     """An HTTPServer on a thread of its own, with the one request handler.
 
-    Each request is answered on a new thread, which reads a POST body as
-    ASCII text (a GET's body is read and dropped: ``None``), calls
-    ``respond(path, body)`` and writes the ``(status, text)`` it returns as
-    text/plain.  A ``RestCipherError`` raised while reading the body or
-    responding is written as ``400 error: <Name>: <detail>``, and so is any
-    method but GET and POST (a HEAD gets the headers only) and any request
-    line or header block the stdlib refuses (``BadRequest``).  A reply after
-    which the connection closes says ``Connection: close``.  Each request is
-    one debug line on the ``restcipher.http`` logger.
+    Each connection is served on a thread of its own, which reads its
+    requests one after another.  For each it reads a POST body as ASCII text
+    (a GET's body is read and dropped: ``None``), calls ``respond(path,
+    body)`` and writes the ``(status, text)`` it returns as text/plain.  A
+    ``RestCipherError`` raised while reading the body or responding is
+    written as ``400 error: <Name>: <detail>``, and so is any method but GET
+    and POST (a HEAD gets the headers only) and any request line or header
+    block the stdlib refuses (``BadRequest``).  Any other exception is
+    written as ``500 error: <Name>: <detail>``, and the connection closes.
+    A reply after which the connection closes says ``Connection: close``.
+    Each request is one debug line on the ``restcipher.http`` logger; a
+    connection that ends in a fault (its peer left before the reply, or it
+    got no thread) is one warning line there.
     """
 
     def __init__(self, host: str, port: int):
@@ -105,41 +138,6 @@ class _HttpService:
             # headers and body are written apart: with Nagle on, a kept-alive
             # client would wait out its delayed ACK for the body
             disable_nagle_algorithm = True
-
-            def __init__(self, request, client_address, server):
-                # on the accepting thread; each request is then answered on a
-                # thread of its own (_answer_one)
-                self.request, self.client_address, self.server = (
-                    request, client_address, server)
-                self.setup()
-                service._track(self.connection)
-                self._next()
-
-            def _next(self) -> None:
-                try:
-                    threading.Thread(target=self._answer_one, daemon=True).start()
-                except RuntimeError:            # no thread to spare
-                    self._close()
-
-            def _answer_one(self) -> None:
-                try:
-                    self.handle_one_request()
-                except Exception:               # noqa: BLE001 - as socketserver does
-                    self.server.handle_error(self.request, self.client_address)
-                    self.close_connection = True
-                if self.close_connection:
-                    self._close()
-                else:
-                    # a fresh thread reads the next request: one that stayed to
-                    # wait would keep its allocator caches while the connection idles
-                    self._next()
-
-            def _close(self) -> None:
-                service._untrack(self.connection)
-                try:
-                    self.finish()
-                finally:
-                    self.server.shutdown_request(self.request)
 
             def log_request(self, code="-", size="-"):
                 pass                        # _answer logs the requests it answers
@@ -177,6 +175,11 @@ class _HttpService:
                         self.path, body if self.command == "POST" else None)
                 except RestCipherError as exc:
                     status, text, error = 400, f"error: {exc.name}: {exc}", exc.name
+                except Exception as exc:        # noqa: BLE001 - any fault gets a reply
+                    # a fault, not a refusal: nothing more is read on this connection
+                    self.close_connection = True
+                    error = type(exc).__name__
+                    status, text = 500, f"error: {error}: {exc}"
                 data = text.encode("ascii", "backslashreplace")   # it may quote the request
                 self.send_response(status)
                 self.send_header("Content-Type", "text/plain")
@@ -209,7 +212,7 @@ class _HttpService:
                 raise AttributeError(name)
 
         try:
-            self._httpd = _Server((host, port), Handler)
+            self._httpd = _Server((host, port), Handler, self)
         except OSError as exc:
             raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._closing = False

@@ -223,12 +223,16 @@ def oracle_max_cell_value(key):
 # ownership oracles
 
 
+def _held(ring, key_id) -> bool:
+    return any(entry.key_id == key_id for entry in ring)
+
+
 def oracle_key_for(policy, ordinal: int, ring) -> str:
     """Id of the key the policy gives tag ``ordinal``."""
     key_id = policy.assignments.get(ordinal, ring.group_id)
     if ordinal == 1 and key_id != ring.group_id:
         raise ValueError("the outermost tag always uses the group key")
-    if key_id is None or key_id not in ring:
+    if not _held(ring, key_id):
         raise MissingKey(f"tag {ordinal} needs key {key_id!r}")
     return key_id
 
@@ -388,7 +392,7 @@ def oracle_compose_decrypt(msg, ring, policy=None) -> list:
     resolve = oracle_policy_resolver(policy, ring) if policy else \
         oracle_recipient_resolver(msg.access, ring)
     held_of = {o: kid for o, kid in ((o, resolve(o)) for o in spans)
-               if kid is not None and kid in ring}
+               if _held(ring, kid)}
     frames = {}
     items = []
     stack = []
@@ -494,7 +498,7 @@ def oracle_verify_digests(msg, ring, policy=None, algorithm="md5") -> list:
     verdicts = []
     for ordinal, index in sorted(digests.items(), key=lambda kv: kv[1]):
         key_id = ring.group_id if ordinal == 1 else resolve(ordinal)
-        if key_id is None or key_id not in ring:
+        if not _held(ring, key_id):
             verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
             continue
         _, start, end, _ = spans[ordinal]

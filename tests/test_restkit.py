@@ -3,9 +3,12 @@ after an exchange that did not complete, the scenario's assembly step,
 kept-alive connections, and closing the loopback services."""
 
 import contextlib
+import functools
 import hashlib
+import http.client
 import logging
 import random
+import re
 import signal
 import socket
 import threading
@@ -29,6 +32,7 @@ from restcipher import (
 from restcipher.docmodel import Close, Open, Variable, tag_ordinals
 from restcipher.errors import MalformedMessage, Transport
 from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
+from restcipher import restkit
 from restcipher.restkit import _HttpService, _Provider, _splice_subtrees, _token_spans
 
 from conftest import XML1, XML2
@@ -144,14 +148,13 @@ def test_after_a_push_to_a_closed_server_the_next_exchange_uses_a_new_key():
         server.close()
 
 
-def test_after_a_reply_that_never_arrives_the_next_exchange_uses_a_new_key():
+def test_after_a_reply_that_never_arrives_the_next_exchange_uses_a_new_key(capfd):
     server = _served()
-    server._httpd.handle_error = lambda request, address: None     # no traceback
     respond = server.respond
 
     def dropped(path, body):
         respond(path, body)         # computed, its new words committed
-        raise ConnectionAbortedError("the reply is lost")
+        raise ConnectionAbortedError("the reply is lost")   # a 500 goes out instead
 
     try:
         with ResourceClient(server.url, "p1") as p1, ResourceClient(server.url, "p2") as p2:
@@ -174,9 +177,116 @@ def test_after_a_reply_that_never_arrives_the_next_exchange_uses_a_new_key():
             assert _tables_equal(p2, server, "p2")
     finally:
         server.close()
+    assert capfd.readouterr().err == ""
+
+
+def test_after_a_client_timeout_the_next_exchange_uses_a_new_key(monkeypatch, caplog, capfd):
+    caplog.set_level(logging.DEBUG, logger="restcipher.http")
+    server = _served()
+    respond = server.respond
+
+    def late(path, body):
+        reply = respond(path, body)     # computed, its new words committed
+        time.sleep(0.6)                 # past the client's timeout
+        return reply
+
+    try:
+        with ResourceClient(server.url, "p1") as p1, ResourceClient(server.url, "p2") as p2:
+            p1.exchange_key()
+            p2.exchange_key()
+            session = p2.session
+            p2.fetch()
+            p1.push(parse_xml(NEW_WORDS))
+            server.respond = late
+            monkeypatch.setattr(restkit, "http_get",
+                                functools.partial(restkit.http_get, timeout=0.2))
+            with pytest.raises(Transport, match="timed out"):
+                p2.fetch()
+            monkeypatch.undo()
+            del server.respond
+            msg, stream = p2.fetch()
+            assert stream == parse_xml(NEW_WORDS)
+            assert p2.session is not session
+            assert _tables_equal(p2, server, "p2")
+            assert p2.fetch()[1] == parse_xml(NEW_WORDS)
+            assert _tables_equal(p2, server, "p2")
+    finally:
+        server.close()          # returns once the late reply's thread is done
+    # its write to the departed client is one logged line
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "restcipher.http" and r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert re.fullmatch(r"127\.0\.0\.1:\d+ dropped: (BrokenPipeError|ConnectionResetError): .*",
+                        warnings[0])
+    assert capfd.readouterr().err == ""
+
+
+def test_an_unexpected_exception_is_a_500_and_the_next_request_reconnects(caplog, capfd):
+    caplog.set_level(logging.DEBUG, logger="restcipher.http")
+    server = _served()
+
+    def faulty(path, body):
+        raise KeyError("no entry")
+
+    try:
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            server.respond = faulty
+            with contextlib.closing(http.client.HTTPConnection(
+                    *server._httpd.server_address[:2], timeout=10)) as raw:
+                raw.request("GET", "/peer")
+                response = raw.getresponse()
+                assert response.status == 500
+                assert response.getheader("Content-Type") == "text/plain"
+                assert response.getheader("Connection") == "close"
+                assert response.read() == b"error: KeyError: 'no entry'"
+            with pytest.raises(Transport, match="500 Internal Server Error"):
+                client.fetch()
+            del server.respond
+            assert client.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+    requests = {}
+    for record in caplog.records:
+        assert record.name == "restcipher.http"
+        port, *line = record.getMessage().split()
+        requests.setdefault(port, []).append(tuple(line[:4]))
+    # the client's key exchange and its 500 on one connection; its new key
+    # and the fetch that decodes on another
+    assert sorted(requests.values()) == [
+        [("GET", "/peer", "500", "KeyError")],
+        [("POST", "/peer", "200", "-"), ("GET", "/peer", "200", "-")],
+        [("POST", "/peer", "200", "-"), ("GET", "/peer", "500", "KeyError")],
+    ]
+    assert capfd.readouterr().err == ""
 
 
 # kept-alive connections
+
+
+def test_each_connection_is_served_on_one_thread():
+    server = _served()
+    respond = server.respond
+    answered = []
+
+    def noted(path, body):
+        answered.append((path, threading.current_thread().name))
+        return respond(path, body)
+
+    server.respond = noted
+    try:
+        with ResourceClient(server.url, "p1") as p1, ResourceClient(server.url, "p2") as p2:
+            for client in (p1, p2):
+                client.exchange_key()
+            for _ in range(3):
+                p1.fetch()
+                p2.fetch()
+    finally:
+        server.close()
+    threads = {path: {name for p, name in answered if p == path} for path in ("/p1", "/p2")}
+    assert len(answered) == 8
+    assert len(threads["/p1"]) == len(threads["/p2"]) == 1
+    assert threads["/p1"] != threads["/p2"]
 
 
 def test_fifty_fetches_over_one_connection_take_under_a_second():
@@ -267,6 +377,31 @@ def test_close_returns_once_every_connection_is_closed():
         while chunk := sock.recv(4096):
             reply += chunk
         assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(b"\r\n\r\nslow")
+
+
+def test_close_waits_for_a_connection_accepted_before_it(monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    finish_request = restkit._Server.finish_request
+
+    def held(self, request, client_address):
+        # on the connection's thread, before its handler reads anything
+        entered.set()
+        release.wait(10)
+        finish_request(self, request, client_address)
+
+    monkeypatch.setattr(restkit._Server, "finish_request", held)
+    service = _HttpService("127.0.0.1", 0).start()
+    with socket.create_connection(service._httpd.server_address[:2], timeout=10) as sock:
+        assert entered.wait(10)
+        closing = threading.Thread(target=service.close)
+        closing.start()
+        closing.join(0.3)
+        assert closing.is_alive()
+        release.set()
+        closing.join(10)
+        assert not closing.is_alive()
+        assert not service._connections
+        assert sock.recv(4096) == b""       # ended without a reply
 
 
 def test_a_request_on_a_closed_connection_fails_once_and_is_not_resent(caplog):
@@ -516,7 +651,7 @@ def test_service_threads_leave_the_process_signals_to_the_main_thread():
     service = _SignalMaskService("127.0.0.1", 0).start()
     try:
         with contextlib.closing(Connection(service.url)) as connection:
-            for _ in range(3):             # the first request's thread and later ones
+            for _ in range(3):             # one connection's thread, request after request
                 blocked = {int(s) for s in http_get(f"{service.url}/x",
                                                     connection=connection).split()}
                 assert {int(signal.SIGINT), int(signal.SIGTERM)} <= blocked
