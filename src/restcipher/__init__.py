@@ -47,7 +47,6 @@ from .docmodel import (
     parse_json,
     parse_xml,
     tag_names,
-    tag_ordinals,
     variable_type,
 )
 from .errors import RestCipherError

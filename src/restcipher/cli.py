@@ -20,7 +20,7 @@ from .composition import (
     compose_encrypt,
     verify_digests,
 )
-from .docmodel import AttrValue, Variable, emit_json, emit_xml, parse_json, parse_xml, tag_ordinals
+from .docmodel import AttrValue, Variable, emit_json, emit_xml, parse_json, parse_xml
 from .errors import Malformed, RestCipherError
 from .keycore import DEFAULT_BOUNDS, generate_key, parse_key, serialize_key
 from .keyxchg import load_store
@@ -215,8 +215,7 @@ def _cmd_sign(args) -> int:
     if args.access:
         access = _parse_access(args.access)
     else:
-        access = access_header(policy, ring, ring.pairwise_ids(),
-                               len(tag_ordinals(stream)))
+        access = access_header(policy, ring, ring.pairwise_ids(), len(body.spans))
     _write(args.outfile, EncryptedMessage(access, tuple(signed)).serialize())
     return 0
 

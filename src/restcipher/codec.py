@@ -28,9 +28,9 @@ right after the closer of the subtree it covers.  A received message is
 classified and scanned once: ``EncryptedMessage.parse`` keeps each distinct
 word's class, ``layout`` scans the body into its ``Layout`` from those, and
 ``unsigned`` hands classes and spans to ``_decode``, which copies a foreign
-subtree by its Span.  ``_encode`` records each tag's Span as it emits the
-closer, an OpaqueRun bringing the spans inside it, so a body it made is
-signed without a scan.
+subtree by its Span.  ``item_spans`` lays out a body to be encoded from its
+tokens, an OpaqueRun bringing the spans inside it, so that body is signed
+without a scan of its words.
 """
 
 import enum
@@ -282,21 +282,19 @@ class OpaqueRun:
     spans: dict = field(default=None, compare=False, repr=False)
 
 
-def _encode(items, owner_for, short_codes: bool, spans: dict = None) -> list:
+def _encode(items, owner_for, short_codes: bool) -> list:
     """The encode walker: body words of a stream or a partial stream.
 
     An OpaqueRun stands for its own tag plus every tag inside it and is
     copied verbatim; a tag whose ``owner_for`` is None raises MissingKey.
     Words absent from their owner's tag table at the start of the message
     are spelled out at every occurrence; with ``short_codes`` a word already
-    in the table is sent as its code.  Given ``spans``, a dict, each tag
-    ordinal's Span in the words is put in it as the tag's closer is emitted,
-    or as an OpaqueRun is copied.
+    in the table is sent as its code.  The words hold one word per token and
+    an OpaqueRun's own words for it, the indexes ``item_spans`` gives.
     """
     words = []
     pending = {}        # owner -> {new text: kind}
     stack = []          # per open tag, the owner of the tag around it
-    opens = []          # with spans, per open tag, (its ordinal, its word index)
     ordinal = 0
     owner = None        # the innermost open tag's; None outside every tag
     for item in items:
@@ -304,9 +302,6 @@ def _encode(items, owner_for, short_codes: bool, spans: dict = None) -> list:
         if cls is Close:
             if not stack:
                 raise UnbalancedClosers(f"closer at word {len(words)} with no open tag")
-            if spans is not None:
-                opened, start = opens.pop()
-                spans[opened] = Span(opened, start, len(words), ordinal - opened)
             words.append("0")
             outer = stack.pop()
             if outer is not owner:
@@ -320,8 +315,6 @@ def _encode(items, owner_for, short_codes: bool, spans: dict = None) -> list:
             words.append(item.text.translate(codes))
             continue
         if cls is OpaqueRun:
-            if spans is not None:
-                _copy_spans(item, ordinal + 1, len(words), spans)
             ordinal += 1 + item.opens_inside
             words.extend(item.words)
             continue
@@ -331,8 +324,6 @@ def _encode(items, owner_for, short_codes: bool, spans: dict = None) -> list:
             if who is None:
                 raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
             stack.append(owner)
-            if spans is not None:
-                opens.append((ordinal, len(words)))
             if who is not owner:
                 owner = who
                 codes, tat = who.st.codes, who.tat
@@ -352,6 +343,30 @@ def _encode(items, owner_for, short_codes: bool, spans: dict = None) -> list:
     for who, new in pending.items():
         _commit(new, who.st, who.tat, who.ctx)
     return words
+
+
+def item_spans(items) -> dict:
+    """Ordinal -> Span of each tag of a one-tree token stream, indexed by the
+    words it encodes to: one word per token, and an OpaqueRun's own words
+    for it, whose tags' spans come from the run."""
+    spans = {}
+    stack = []          # per open tag, (its ordinal, its word index)
+    ordinal = i = 0
+    for item in items:
+        cls = type(item)
+        if cls is Open:
+            ordinal += 1
+            stack.append((ordinal, i))
+        elif cls is Close:
+            opened, start = stack.pop()
+            spans[opened] = Span(opened, start, i, ordinal - opened)
+        elif cls is OpaqueRun:
+            _copy_spans(item, ordinal + 1, i, spans)
+            ordinal += 1 + item.opens_inside
+            i += len(item.words)
+            continue
+        i += 1
+    return spans
 
 
 def _copy_spans(run: OpaqueRun, ordinal: int, start: int, spans: dict) -> None:
@@ -520,8 +535,8 @@ stbd = tatbd    # one decoder reads both encodings
 class Session:
     """Per-peer state: one key, its symbol table, and the shared tag table.
 
-    A key ring's members are Sessions too, named by ``key_id``; one of them
-    is the ring's group key.
+    A key ring's members are Sessions too, named by ``key_id``; the ring's
+    ``group_id`` names its group key.
     """
 
     key: TenElementKey
@@ -529,12 +544,11 @@ class Session:
     tat: TagTable
     ctx: TatContext
     key_id: str = ""
-    is_group: bool = False
 
     @classmethod
-    def for_key(cls, key: TenElementKey, key_id: str = "", is_group: bool = False) -> "Session":
+    def for_key(cls, key: TenElementKey, key_id: str = "") -> "Session":
         st = build_st(key)
-        return cls(key, st, TagTable(st), TatContext(), key_id, is_group)
+        return cls(key, st, TagTable(st), TatContext(), key_id)
 
     @cached_property
     def key_text(self) -> str:

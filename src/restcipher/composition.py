@@ -17,7 +17,8 @@ a key not held as an OpaqueRun.  Each step takes a body's structure from the
 one before: a received message's ``layout``, scanned once from the classes
 its parse kept, serves ``verify_digests``, and its ``unsigned`` body serves
 ``compose_decrypt``; ``compose_encrypt`` returns a ``Body`` holding each
-tag's Span, by which ``attach_digests`` and ``refresh_digests`` sign it.
+tag's Span, laid out from the tokens it encoded (``codec.item_spans``), by
+which ``attach_digests`` and ``refresh_digests`` sign it.
 """
 
 import enum
@@ -25,7 +26,8 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 
-from .codec import EncryptedMessage, Session, _decode, _encode, _short_codes, subtree_spans
+from .codec import (EncryptedMessage, Session, _decode, _encode, _short_codes, item_spans,
+                    subtree_spans)
 from .errors import MalformedMessage, MissingKey, RestCipherError
 from .keycore import TenElementKey, serialize_key
 # unused here, but kept bound: perfbench's tests check that its tracer
@@ -49,7 +51,7 @@ class KeyRing:
             if self.group_id is not None:
                 raise ValueError("a ring holds exactly one group key")
             self.group_id = key_id
-        entry = Session.for_key(key, key_id, is_group)
+        entry = Session.for_key(key, key_id)
         self._entries[key_id] = entry
         return entry
 
@@ -63,7 +65,7 @@ class KeyRing:
         return iter(self._entries.values())
 
     def pairwise_ids(self) -> list:
-        return [e.key_id for e in self if not e.is_group]
+        return [e.key_id for e in self if e.key_id != self.group_id]
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,10 @@ class Body(list):
 def compose_encrypt(items, policy, ring: KeyRing, mode: str = "st") -> Body:
     """Body words of a stream, or of a partial stream whose opaque runs are
     spliced back verbatim; each word goes under its owner's tables.
+    ``items`` is read twice, to encode and to lay out, so it is a sequence.
     ``policy`` is a CompositionPolicy or a rule ``owners`` built."""
-    spans = {}
-    words = _encode(items, owners(ring, policy).__getitem__, _short_codes(mode), spans)
-    return Body(words, spans)
+    words = _encode(items, owners(ring, policy).__getitem__, _short_codes(mode))
+    return Body(words, item_spans(items))
 
 
 compose_reencrypt = compose_encrypt

@@ -437,22 +437,9 @@ def emit_json(stream) -> str:
         raise UnsupportedShape("the document nests too deeply for JSON") from None
 
 
-def tag_ordinals(stream) -> dict:
-    """Stream index of each opening tag -> its 1-based document-order ordinal."""
-    ordinals = {}
-    count = 0
-    for i, token in enumerate(stream):
-        if isinstance(token, Open):
-            count += 1
-            ordinals[i] = count
-    return ordinals
-
-
 def tag_names(stream) -> dict:
     """Ordinal -> tag name, for policy display and configuration."""
-    return {
-        ordinal: stream[index].name for index, ordinal in tag_ordinals(stream).items()
-    }
+    return dict(enumerate((t.name for t in stream if isinstance(t, Open)), start=1))
 
 
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")

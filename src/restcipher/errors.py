@@ -134,3 +134,7 @@ class BadRequest(RestCipherError):
 
 class VerificationFailed(RestCipherError):
     """A digest check rejected a message segment."""
+
+
+class EditNotApplied(RestCipherError):
+    """A provider reads no variable text of a tag it was asked to edit."""

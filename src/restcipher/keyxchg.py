@@ -12,7 +12,8 @@ HTTP/1.1 connection, opened on first use and kept alive between requests;
 or open one for the single request and close it.  A request that fails is
 never resent, because a request the server received may already have changed
 its state: the connection is dropped, the caller gets ``Transport``, and the
-next request opens a new one.
+next request opens a new one.  A reply that is not 2xx is ``Transport`` too,
+and quotes the first line of the reply, such as ``error: <Name>: <detail>``.
 """
 
 import contextlib
@@ -137,7 +138,10 @@ class Connection:
             self.close()                # never resent: the next request reconnects
             raise Transport(f"{method} {url} failed: {exc}") from None
         if not 200 <= response.status < 300:
-            raise Transport(f"{method} {url} failed: {response.status} {response.reason}")
+            # the refusal's first line, which names the server's error
+            text = body.decode("ascii", "backslashreplace").partition("\n")[0].strip()
+            raise Transport(f"{method} {url} failed: {response.status} {response.reason}"
+                            + (f": {text}" if text else ""))
         try:
             return body.decode("ascii")
         except UnicodeDecodeError:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
 
-from .codec import EncryptedMessage, OpaqueRun, Session, Span, subtree_spans
+from .codec import EncryptedMessage, OpaqueRun, Session, item_spans, subtree_spans
 from .composition import (
     CompositionPolicy,
     KeyRing,
@@ -47,11 +47,11 @@ from .composition import (
     refresh_digests,
     verify_digests,
 )
-from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml, tag_ordinals
-from .errors import (BadRequest, Bind, Malformed, MalformedMessage, RestCipherError,
-                     VerificationFailed)
+from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml
+from .errors import (BadRequest, Bind, EditNotApplied, Malformed, MalformedMessage,
+                     RestCipherError, VerificationFailed)
 from .keycore import TenElementKey, generate_key, serialize_key, validate_key
-from .keyxchg import GET_KEY_COMMAND, Connection, KeyStore, http_get, http_post, request_key
+from .keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post, request_key
 
 PLAIN_HTTP_WARNING = (
     "serving plain HTTP on loopback; the key exchange is unprotected, "
@@ -299,7 +299,6 @@ class ResourceServer(_HttpService):
     def __init__(self, document: str, *, host: str = "127.0.0.1", port: int = 0,
                  rng=None, bounds=None):
         self.stream = _parse_document(document)
-        self.store = KeyStore()
         self.peers = {}
         self._rng = rng
         self._bounds = {"symbol_type": (40, 63), **(bounds or {})}
@@ -312,7 +311,6 @@ class ResourceServer(_HttpService):
         if body == GET_KEY_COMMAND:
             # a repeated request replaces the peer's key: key changes are client-driven
             key = generate_key(self._bounds, rng=self._rng)
-            self.store.put(peer_id, "session", "pairwise", key)
             self.peers[peer_id] = _PeerState(Session.for_key(key))
             return 200, serialize_key(key)
         state = self.peers.get(peer_id)
@@ -450,22 +448,6 @@ class ScenarioResult:
     reject_ordinals: tuple = ()
 
 
-def _token_spans(stream) -> dict:
-    """Ordinal -> Span of every tag subtree of a token stream, closer
-    inclusive, from one stack pass."""
-    spans = {}
-    stack = []
-    ordinal = 0
-    for i, token in enumerate(stream):
-        if isinstance(token, Open):
-            ordinal += 1
-            stack.append((ordinal, i))
-        elif isinstance(token, Close):
-            opened, start = stack.pop()
-            spans[opened] = Span(opened, start, i, ordinal - opened)
-    return spans
-
-
 def _splice_subtrees(final, decoded, decoded_spans: dict, ordinals) -> tuple:
     """``final`` with the subtrees of ``ordinals`` copied in from ``decoded``,
     a reply decoded with every key, item for word, so that the spans of its
@@ -478,7 +460,7 @@ def _splice_subtrees(final, decoded, decoded_spans: dict, ordinals) -> tuple:
     """
     if len(decoded) != decoded_spans[1].end + 1:
         raise MalformedMessage("the reply decodes to other than one item per word")
-    dst = _token_spans(final)
+    dst = item_spans(final)
     out = []
     pos = 0
     for ordinal in sorted(set(ordinals)):
@@ -497,11 +479,15 @@ def _splice_subtrees(final, decoded, decoded_spans: dict, ordinals) -> tuple:
     return tuple(out)
 
 
-def _apply_edits(items: list, edits: dict) -> list:
-    """Replace the variable text under the given tag ordinals (token items)."""
+def _apply_edits(items: list, edits: dict, name: str) -> list:
+    """Replace the variable text directly under the given tag ordinals
+    (token items).  An edit of a tag with no variable text among the items,
+    one inside an OpaqueRun for instance, raises EditNotApplied, which names
+    the provider ``name`` and each such ordinal."""
     out = list(items)
     ordinal = 0
-    stack = []
+    stack = []          # per open tag, its ordinal: a Variable's innermost tag, no Span's
+    applied = set()
     for i, item in enumerate(out):
         if isinstance(item, OpaqueRun):
             ordinal += 1 + item.opens_inside
@@ -512,6 +498,12 @@ def _apply_edits(items: list, edits: dict) -> list:
             stack.pop()
         elif isinstance(item, Variable) and stack and stack[-1] in edits:
             out[i] = Variable(edits[stack[-1]])
+            applied.add(stack[-1])
+    missed = sorted(edits.keys() - applied)
+    if missed:
+        tags = ("tag " if len(missed) == 1 else "tags ") + ", ".join(map(str, missed))
+        raise EditNotApplied(f"{name} cannot apply its edit of {tags}: "
+                             "it reads no variable text there")
     return out
 
 
@@ -554,7 +546,7 @@ class _Provider(_HttpService):
         if any(v.status is Status.REJECT for v in verdicts):
             raise VerificationFailed(f"{self.name} rejects the incoming message")
         items = compose_decrypt(msg.unsigned(), self.ring, rule)
-        items = _apply_edits(items, self.edits)
+        items = _apply_edits(items, self.edits, self.name)
         words = compose_reencrypt(items, rule, self.ring, self.mode)
         signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
         if self.tamper:
@@ -571,15 +563,16 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
     policy = CompositionPolicy(dict(config.policy))
-    tag_count = len(tag_ordinals(stream))
-    if config.tamper and (config.tamper[0] not in config.providers
-                          or not 1 <= config.tamper[1] <= tag_count):
-        raise Malformed(f"no provider tag {config.tamper} to tamper with")
-
     ring = KeyRing()
     for key_id, key in config.keys.items():
         ring.add_key(key_id, key, is_group=(key_id == config.group_id))
     rule = owners(ring, policy)         # S's, for every message it sends or reads
+    body = compose_encrypt(stream, rule, ring, config.mode)
+    tag_count = len(body.spans)
+    if config.tamper and (config.tamper[0] not in config.providers
+                          or not 1 <= config.tamper[1] <= tag_count):
+        raise Malformed(f"no provider tag {config.tamper} to tamper with")
+    signed = attach_digests(body, rule, ring)
 
     providers = {}
     for name, pair_id in config.providers.items():
@@ -593,9 +586,6 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     transcript = []
     verdicts = {}
     try:
-        body = compose_encrypt(stream, rule, ring, config.mode)
-        signed = attach_digests(body, rule, ring)
-
         replies = {}
         for name, provider in providers.items():
             access = access_header(rule, ring, [config.providers[name]], tag_count)

@@ -250,7 +250,7 @@ def oracle_policy_resolver(policy, ring):
 
 def oracle_recipient_resolver(access, ring):
     """Key id of each ordinal for a recipient that knows no policy."""
-    pairwise = [entry.key_id for entry in ring if not entry.is_group]
+    pairwise = [entry.key_id for entry in ring if entry.key_id != ring.group_id]
     if len(pairwise) > 1:
         raise ValueError("recipient rule needs a single pairwise key; pass a policy")
 

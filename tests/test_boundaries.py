@@ -606,7 +606,7 @@ def test_request_key_stores_the_key_the_server_issued():
         store = KeyStore()
         key = request_key(f"{server.url}/peer", store=store)
         assert store.get("server", "session").key == key
-        assert server.store.get("peer", "session").key == key
+        assert server.peers["peer"].session.key == key
     finally:
         server.close()
 
@@ -628,14 +628,16 @@ def test_request_key_refuses_a_reply_that_is_no_key():
 
 
 class _NotAsciiHandler(BaseHTTPRequestHandler):
-    """Answers every GET and POST with 200 and the body ``é`` in UTF-8."""
+    """Answers every GET and POST with 200 and the body ``é`` in UTF-8, or,
+    on the path ``/refused``, with 503 and two lines, the first not ASCII."""
 
     protocol_version = "HTTP/1.1"
 
     def _reply(self):
         self.rfile.read(int(self.headers.get("Content-Length") or "0"))
-        data = "é".encode("utf-8")
-        self.send_response(200)
+        refused = self.path == "/refused"
+        data = ("é is busy\r\nsecond line" if refused else "é").encode("utf-8")
+        self.send_response(503 if refused else 200)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -681,6 +683,13 @@ def test_an_https_url_is_spoken_to_over_tls():
 def test_a_get_reply_that_is_not_ascii_is_a_named_error(not_ascii_url):
     with pytest.raises(Transport, match=f"GET {not_ascii_url} failed: reply is not ASCII"):
         http_get(not_ascii_url)
+
+
+def test_a_refusal_quotes_its_first_line_with_non_ascii_escaped(not_ascii_url):
+    url = not_ascii_url.replace("/peer", "/refused")
+    with pytest.raises(Transport) as info:
+        http_get(url)
+    assert str(info.value) == f"GET {url} failed: 503 Service Unavailable: \\xc3\\xa9 is busy"
 
 
 def test_a_key_exchange_reply_that_is_not_ascii_is_a_named_error(not_ascii_url):

@@ -19,7 +19,6 @@ from restcipher import (
     parse_json,
     parse_xml,
     tag_names,
-    tag_ordinals,
     variable_type,
 )
 from restcipher import docmodel
@@ -222,7 +221,6 @@ def test_validate_stream_rejects_structural_breaks():
 
 def test_tag_ordinals():
     stream = parse_xml(XML1)
-    assert list(tag_ordinals(stream).values()) == [1, 2, 3]
     assert tag_names(stream) == {1: "root", 2: "name", 3: "value"}
     assert tag_names(parse_xml(XML2)) == {1: "root", 2: "name", 3: "value", 4: "nv"}
     assert tag_names(parse_xml("<a/>")) == {1: "a"}

@@ -30,9 +30,8 @@ from restcipher import (
     verify_digests,
 )
 from restcipher import codec, composition, restkit
-from restcipher.codec import subtree_spans
+from restcipher.codec import item_spans, subtree_spans
 from restcipher.composition import owners
-from restcipher.docmodel import tag_ordinals
 from restcipher.errors import RestCipherError
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT, make_ring
@@ -51,7 +50,7 @@ def _catalog(rng):
     """(stream, policy, tag count) of a random nested catalog and a policy
     that maps some tags, nested ones included, and leaves the rest unmapped."""
     stream = parse_xml(nested_catalog(rng, rng.randint(1, 6)))
-    count = len(tag_ordinals(stream))
+    count = len(item_spans(stream))
     policy = CompositionPolicy({o: rng.choice(["K1", "K2", "K3"])
                                 for o in range(2, count + 1) if rng.random() < 0.6})
     return stream, policy, count

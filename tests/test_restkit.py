@@ -17,23 +17,28 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from restcipher import (
     EncryptedMessage,
     ResourceClient,
     ScenarioConfig,
     Session,
+    Status,
     emit_xml,
     parse_key,
     parse_xml,
     run_composition_scenario,
     serve,
+    tag_names,
 )
-from restcipher.docmodel import Close, Open, Variable, tag_ordinals
-from restcipher.errors import MalformedMessage, Transport
+from restcipher.codec import item_spans
+from restcipher.docmodel import Close, Open, Variable
+from restcipher.errors import EditNotApplied, MalformedMessage, Transport
 from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
 from restcipher import restkit
-from restcipher.restkit import _HttpService, _Provider, _splice_subtrees, _token_spans
+from restcipher.restkit import _HttpService, _Provider, _apply_edits, _splice_subtrees
 
 from conftest import XML1, XML2
 from docgen import nested_catalog
@@ -68,8 +73,8 @@ def test_the_two_party_flow_keeps_both_tag_tables_equal():
     try:
         with ResourceClient(server.url, "peer") as client:
             key = client.exchange_key()
-            assert server.store.get("peer", "session").key == key
             held = server.peers["peer"].session
+            assert held.key == key
             mirror = Session.for_key(key)        # what the server must send
 
             def same_tables():
@@ -136,7 +141,7 @@ def test_after_a_push_to_a_closed_server_the_next_exchange_uses_a_new_key():
                 client.push(parse_xml(NEW_WORDS))
             # the server comes back at the same address with the state it had
             restarted = _served(port=address[1])
-            restarted.peers, restarted.store = server.peers, server.store
+            restarted.peers = server.peers
             server = restarted
             msg, stream = client.fetch()
             assert stream == parse_xml(XML1)
@@ -240,7 +245,8 @@ def test_an_unexpected_exception_is_a_500_and_the_next_request_reconnects(caplog
                 assert response.getheader("Content-Type") == "text/plain"
                 assert response.getheader("Connection") == "close"
                 assert response.read() == b"error: KeyError: 'no entry'"
-            with pytest.raises(Transport, match="500 Internal Server Error"):
+            with pytest.raises(Transport, match="500 Internal Server Error: "
+                                                "error: KeyError: 'no entry'$"):
                 client.fetch()
             del server.respond
             assert client.fetch()[1] == parse_xml(XML1)
@@ -312,7 +318,7 @@ def test_one_clients_requests_share_one_connection_and_each_is_logged(caplog):
             client.exchange_key()
             for _ in range(19):
                 client.fetch()
-            with pytest.raises(Transport, match="400 Bad Request"):
+            with pytest.raises(Transport, match="400 Bad Request: error: MalformedMessage: "):
                 http_post(client.url, "1" * 5000 + ", 04 0", connection=client._connection)
     finally:
         server.close()
@@ -517,13 +523,58 @@ def test_a_tampering_provider_halts_the_scenario():
     assert result.final_document is None
 
 
+def test_a_provider_refuses_an_edit_of_a_tag_it_cannot_read():
+    # SP2's tag 3 lies inside SP1's tag 2, which the recipient rule makes
+    # foreign to SP2, so tag 3 reaches SP2 inside an OpaqueRun
+    config = ScenarioConfig(
+        document='<root a="v"><item><name>n1</name><price>1</price></item><x>b</x></root>',
+        policy={2: "K1", 3: "K2", 4: "K1"}, edits={"SP1": {4: "9"}, "SP2": {3: "n2"}},
+        mode="st")
+    with pytest.raises(Transport, match="/process failed: 400 Bad Request: error: "
+                                        "EditNotApplied: SP2 cannot apply its edit of tag 3: "):
+        run_composition_scenario(config)
+
+
+def test_an_edit_applies_to_the_variable_text_directly_under_its_tag():
+    items = parse_xml("<r><a>x</a><b><c>y</c></b><d></d></r>")
+    assert tuple(_apply_edits(items, {2: "z", 4: "w"}, "SP1")) == parse_xml(
+        "<r><a>z</a><b><c>w</c></b><d></d></r>")
+    # tag 3 holds only a tag, tag 5 no text at all, and there is no tag 9
+    with pytest.raises(EditNotApplied, match="^SP1 cannot apply its edit of tags 3, 5, 9: "):
+        _apply_edits(items, {2: "z", 3: "w", 5: "v", 9: "q"}, "SP1")
+
+
+@settings(max_examples=25, deadline=None)
+@given(hs.randoms(use_true_random=False),
+       hs.lists(hs.sampled_from(["K1", "K2", "K3"]), min_size=1, max_size=20))
+def test_the_scenario_applies_every_edit_on_random_catalogs(rng, keys):
+    """Item j's subtree goes to ``keys[j]``; SP1 renames its items and SP2
+    reprices its own, and S assembles the edited document."""
+    document = nested_catalog(rng, len(keys))
+    names = tag_names(parse_xml(document))
+    items = [o for o, name in names.items() if name == "item"]
+    policy, edits, expected = {}, {"SP1": {}, "SP2": {}}, document
+    for j, (start, end, key) in enumerate(zip(items, items[1:] + [len(names) + 1], keys)):
+        policy.update(dict.fromkeys(range(start, end), key))
+        if key == "K1":
+            edits["SP1"][start + 1] = f"m{j}"
+            expected = expected.replace(f"<name>n{j}</name>", f"<name>m{j}</name>")
+        elif key == "K2":
+            edits["SP2"][start + 2] = f"{j}9"
+            expected = expected.replace(f"<price>{j}5</price>", f"<price>{j}9</price>")
+    result = run_composition_scenario(ScenarioConfig(
+        document=document, policy=policy, edits=edits, mode="st"))
+    assert not result.halted
+    assert all(v.status is Status.ACCEPT for stage in result.verdicts.values() for v in stage)
+    assert result.final_document == emit_xml(parse_xml(expected))
+
+
 # the assembly against one replacement per listed ordinal
 
 
 def _subtree_token_span(stream, ordinal: int):
     """(start, end) token indexes of a tag subtree, closer inclusive."""
-    ordinals = tag_ordinals(stream)
-    start = next(i for i, o in ordinals.items() if o == ordinal)
+    start = [i for i, token in enumerate(stream) if isinstance(token, Open)][ordinal - 1]
     depth = 0
     for i in range(start, len(stream)):
         if isinstance(stream[i], Open):
@@ -587,7 +638,7 @@ def test_splice_equals_replacing_one_by_one(seed):
     want = got = final
     for ordinals, decoded in replies:
         want = _replace_one_by_one(want, decoded, ordinals)
-        got = _splice_subtrees(got, decoded, _token_spans(decoded), ordinals)
+        got = _splice_subtrees(got, decoded, item_spans(decoded), ordinals)
     assert got == want
 
 
@@ -595,8 +646,8 @@ def test_an_sp2_tag_inside_an_sp1_item_keeps_the_sp2_edit():
     final = parse_xml("<r><item><name>a</name><price>1</price></item><x>b</x></r>")
     sp1 = _provider_copy(final, {2}, "SP1")           # the item, name included
     sp2 = _provider_copy(final, {3}, "SP2")           # the name alone
-    got = _splice_subtrees(_splice_subtrees(final, sp1, _token_spans(sp1), (2,)),
-                           sp2, _token_spans(sp2), (3,))
+    got = _splice_subtrees(_splice_subtrees(final, sp1, item_spans(sp1), (2,)),
+                           sp2, item_spans(sp2), (3,))
     want = _replace_one_by_one(_replace_one_by_one(final, sp1, (2,)), sp2, (3,))
     assert got == want == parse_xml(
         "<r><item><name>SP2-a</name><price>SP1-1</price></item><x>b</x></r>")
@@ -606,11 +657,11 @@ def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused():
     final = parse_xml("<r><item><name>a</name></item></r>")
     decoded = parse_xml("<r><item><name>a</name><extra>b</extra></item></r>")
     with pytest.raises(MalformedMessage):
-        _splice_subtrees(final, decoded, _token_spans(decoded), (2,))
+        _splice_subtrees(final, decoded, item_spans(decoded), (2,))
     with pytest.raises(MalformedMessage):
-        _splice_subtrees(final, final, _token_spans(final), (9,))
+        _splice_subtrees(final, final, item_spans(final), (9,))
     with pytest.raises(MalformedMessage):       # an item that stood for several words
-        _splice_subtrees(final, decoded[:3] + decoded[4:], _token_spans(decoded), (2,))
+        _splice_subtrees(final, decoded[:3] + decoded[4:], item_spans(decoded), (2,))
 
 
 # closing a service returns at once
