@@ -21,7 +21,11 @@ every message: ``owner_for(ordinal)`` is the Session whose tables encode or
 decode the tag with that ordinal and the words it holds directly, one for
 every tag in ``stbe``/``tatbe``/``tatbd``, one per subtree in composition.
 Both accept exactly one tag tree and raise UnbalancedClosers for anything
-else before they commit, so no message moves one end alone.
+else before they commit, so no message moves one end alone.  Each takes
+one cheap step per word: a held word encodes as its code's text, one lookup
+in ``TagTable.codes``; variable text is one ``str.translate`` out and one
+``SymbolTable.decode_chars`` back; a word seen earlier in the message is
+decoded once.
 
 A signed message also carries digest words (see ``composition``), each
 right after the closer of the subtree it covers.  A received message is
@@ -77,46 +81,28 @@ _CLOSER, _DIGEST = WordKind.CLOSER, WordKind.DIGEST
 _DIGEST_RE = re.compile(r"[0-9a-f]{32}|[0-9a-f]{40}|[0-9a-f]{64}")
 
 
-def _split_marker(word: str):
-    """(marker length, payload) of a marked or variable word, else None.
-
-    The word grammar: at most three marker zeros, then a non-empty ASCII
-    decimal payload, which lstrip leaves starting at 1-9.
-    """
-    payload = word.lstrip("0")
-    marker = len(word) - len(payload)
-    if marker > 3 or not payload.isdigit() or not payload.isascii():
-        return None
-    return marker, payload
-
-
 def classify_word(word: str) -> WordKind:
-    """Word class from the text alone; raises Unclassifiable."""
+    """Word class from the text alone; raises Unclassifiable.
+
+    The word grammar: a lone ``0`` closes; a marked or variable word is at
+    most three marker zeros, then a non-empty ASCII decimal payload, which
+    lstrip leaves starting at 1-9; a digest needs a hex letter.
+    """
     if word == "0":
-        return WordKind.CLOSER
-    split = _split_marker(word)
-    if split:
-        return _MARKED[split[0]]
-    # an all-decimal word was settled above; a digest needs a hex letter
-    if _DIGEST_RE.fullmatch(word) and not word.isdigit():
-        return WordKind.DIGEST
+        return _CLOSER
+    payload = word.lstrip("0")
+    if payload.isdigit() and payload.isascii():
+        marker = len(word) - len(payload)
+        if marker < 4:
+            return _MARKED[marker]
+    elif payload and _DIGEST_RE.fullmatch(word):
+        return _DIGEST
     raise Unclassifiable(f"word {word!r} matches no word class")
 
 
 def encode_word(word: str, kind: WordKind, st: SymbolTable) -> str:
     """Marker plus the concatenated fixed-width code of every character."""
     return _MARKER[kind] + word.translate(st.codes)
-
-
-def decode_chars(digits: str, st: SymbolTable) -> str:
-    """Inverse of the code concatenation; raises MalformedWord/UnknownCode."""
-    width = st.width
-    if not digits or len(digits) % width:
-        raise MalformedWord(
-            f"payload of {len(digits)} digits is no multiple of width {width}"
-        )
-    chars = st.chars
-    return "".join([chars[digits[i:i + width]] for i in range(0, len(digits), width)])
 
 
 class Span(NamedTuple):
@@ -289,8 +275,9 @@ def _encode(items, owner_for, short_codes: bool) -> list:
     copied verbatim; a tag whose ``owner_for`` is None raises MissingKey.
     Words absent from their owner's tag table at the start of the message
     are spelled out at every occurrence; with ``short_codes`` a word already
-    in the table is sent as its code.  The words hold one word per token and
-    an OpaqueRun's own words for it, the indexes ``item_spans`` gives.
+    in the table is sent as its code, whose text is one lookup in
+    ``TagTable.codes``.  The words hold one word per token and an
+    OpaqueRun's own words for it, the indexes ``item_spans`` gives.
     """
     words = []
     pending = {}        # owner -> {new text: kind}
@@ -307,7 +294,7 @@ def _encode(items, owner_for, short_codes: bool) -> list:
             if outer is not owner:
                 owner = outer
                 if outer is not None:
-                    codes, tat, new = outer.st.codes, outer.tat, pending[outer]
+                    codes, held, new = outer.st.codes, outer.tat.codes, pending[outer]
             continue
         if owner is None and (ordinal or cls is not Open and cls is not OpaqueRun):
             raise UnbalancedClosers(f"{cls.__name__} at word {len(words)} outside the root")
@@ -326,14 +313,15 @@ def _encode(items, owner_for, short_codes: bool) -> list:
             stack.append(owner)
             if who is not owner:
                 owner = who
-                codes, tat = who.st.codes, who.tat
+                codes, held = who.st.codes, who.tat.codes
                 new = pending.setdefault(who, {})
         marker, kind = _TOKEN_WIRE[cls]
         text = item.text if cls is AttrValue else item.name
-        if text not in tat:
+        code = held.get(text)
+        if code is None:
             new.setdefault(text, kind)
         elif short_codes:
-            words.append(marker + str(tat.code_for(text)))
+            words.append(marker + code)
             continue
         words.append(marker + text.translate(codes))
     if stack:
@@ -408,11 +396,9 @@ def tatbe(stream, st: SymbolTable, tat: TagTable, ctx: TatContext,
 
 
 def _decode_word(word, kind, st, tat, new: dict):
-    """Token of one marked or variable word of class ``kind``.  A
-    non-variable word is a held tag code or spelled out, never both; a
-    spelled-out one absent from the table is added to ``new``."""
-    if kind is _VARIABLE:
-        return Variable(decode_chars(word, st))
+    """Token of one marked word of class ``kind``: a held tag code or spelled
+    out, never both; a spelled-out one absent from the table is added to
+    ``new``."""
     if kind is _TAG:
         cls, payload = Open, word[1:]
     elif kind is _ATTR_NAME:
@@ -428,7 +414,7 @@ def _decode_word(word, kind, st, tat, new: dict):
         raise UnknownTatCode(
             f"word {word!r}: code {payload} unknown and no character encoding"
         )
-    text = decode_chars(payload, st)
+    text = st.decode_chars(payload)
     if text not in tat:
         new.setdefault(text, _TOKEN_WIRE[cls][1])
     return cls(text)
@@ -439,10 +425,12 @@ def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
 
     A tag whose ``owner_for`` is None becomes, with its whole subtree, one
     OpaqueRun.  Each distinct word is decoded once per owner, against the
-    tag tables as they stood before the message.  ``kinds`` holds the class
-    of every word (``EncryptedMessage.kinds``), else each is classified as
-    it is decoded; ``spans``, those of a digest-free body's Layout, let a
-    foreign subtree be copied whole, else it is walked word by word.
+    tag tables as they stood before the message: variable text by its
+    owner's ``SymbolTable.decode_chars``, a marked word by ``_decode_word``.
+    ``kinds`` holds the class of every word (``EncryptedMessage.kinds``),
+    else each is classified as it is decoded; ``spans``, those of a
+    digest-free body's Layout, let a foreign subtree be copied whole, else
+    it is walked word by word.
     """
     items = []
     frames = {}         # owner -> ({word: token}, {new text: kind})
@@ -464,7 +452,7 @@ def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
                     seen = {}
                 else:
                     seen, new = frames[outer]
-                    st, tat = outer.st, outer.tat
+                    st, tat, read = outer.st, outer.tat, outer.st.decode_chars
             continue
         token = seen.get(word)
         if token is not None and type(token) is not Open:
@@ -490,10 +478,14 @@ def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
             if who is not owner:
                 owner = who
                 seen, new = frames.setdefault(who, ({}, {}))
-                st, tat = who.st, who.tat
+                st, tat, read = who.st, who.tat, who.st.decode_chars
                 token = seen.get(word)
         if token is None:
-            token = seen[word] = _decode_word(word, classify(word), st, tat, new)
+            kind = classify(word)
+            if kind is _VARIABLE:
+                token = seen[word] = Variable(read(word))
+            else:
+                token = seen[word] = _decode_word(word, kind, st, tat, new)
         items.append(token)
     if stack:
         raise UnbalancedClosers(f"{len(stack)} tags left open at end of message")

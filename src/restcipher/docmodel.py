@@ -6,13 +6,18 @@ supported subset is deliberately small: elements, attributes, and text
 leaves, all within printable ASCII.  Mixed content, comments, processing
 instructions, CDATA, DOCTYPEs, and namespaces are rejected.
 
-XML is read in one pass of expat callbacks and a stream is checked in one
-flat loop, so neither has a nesting limit.  Tokens are frozen and compare by
-value, so one ``parse_xml`` call makes a single ``Open``, ``AttrName`` or
+XML is read in one pass of expat callbacks, so it has no nesting limit.
+JSON goes through the ``json`` module, whose nesting limit (the
+interpreter's recursion limit) surfaces as ``MalformedJson`` or
+``UnsupportedShape``.  Tokens are frozen and compare by value, so one
+``parse_xml`` or ``parse_json`` call makes a single ``Open``, ``AttrName`` or
 ``AttrValue`` per distinct text and checks each distinct name and attribute
-value once; ``Close`` is the shared ``CLOSE``.  JSON goes through the
-``json`` module, whose nesting limit (the interpreter's recursion limit)
-surfaces as ``MalformedJson`` or ``UnsupportedShape``.
+value once; ``Close`` is the shared ``CLOSE``.
+
+The stream rules are written down once, in one flat loop that checks a
+stream and writes its XML: ``emit_xml`` joins what it writes, and
+``validate_stream`` runs it and drops the text.  A stream that breaks them
+raises ``MalformedStream``, which is also a ``ValueError``.
 """
 
 import json
@@ -23,6 +28,7 @@ from xml.parsers import expat
 from .charsets import is_printable
 from .errors import (
     MalformedJson,
+    MalformedStream,
     MalformedXml,
     MixedContentUnsupported,
     RestCipherError,
@@ -76,7 +82,8 @@ def _check_name(name: str, exc=MalformedXml) -> None:
 def _attr_value(value: str, attr: str) -> AttrValue:
     if value == "":
         raise UnsupportedShape(f"empty value for attribute {attr!r}")
-    _check_printable(value, f"attribute {attr!r}")
+    if not (value.isascii() and value.isprintable()):
+        _check_printable(value, f"attribute {attr!r}")
     return AttrValue(value)
 
 
@@ -162,7 +169,8 @@ def parse_xml(text: str) -> tuple:
             if pending.strip():
                 if tokens[-1] is CLOSE:
                     raise MixedContentUnsupported(f"element {name!r} mixes text and children")
-                _check_printable(pending, f"text of {name!r}")
+                if not (pending.isascii() and pending.isprintable()):
+                    _check_printable(pending, f"text of {name!r}")
                 append(Variable(pending))
         append(CLOSE)
         names.pop()
@@ -213,8 +221,57 @@ def parse_json(text: str) -> tuple:
     if isinstance(value, list):
         raise UnsupportedShape("the root cannot be an array")
     tokens = []
+    append = tokens.append
+    opens, attr_names, attr_values = {}, {}, {}
+
+    def element(name: str, value) -> None:
+        token = opens.get(name)
+        if token is None:
+            _check_name(name, exc=UnsupportedShape)
+            token = opens[name] = Open(name)
+        append(token)
+        if not isinstance(value, dict):
+            text = _scalar_text(value)
+            if not text.strip():
+                raise UnsupportedShape("variable text must contain a non-space character")
+            if not (text.isascii() and text.isprintable()):
+                _check_printable(text, f"value of {name!r}")
+            append(Variable(text))
+            append(CLOSE)
+            return
+        seen_child = False
+        for key, item in value.items():
+            if key.startswith("-"):
+                if seen_child:
+                    raise UnsupportedShape("attributes must precede child names")
+                attr = key[1:]
+                token = attr_names.get(attr)
+                if token is None:
+                    if not attr:
+                        raise UnsupportedShape("empty attribute name")
+                    _check_name(attr, exc=UnsupportedShape)
+                    token = attr_names[attr] = AttrName(attr)
+                text = _scalar_text(item)
+                value_token = attr_values.get(text)
+                if value_token is None:
+                    value_token = attr_values[text] = _attr_value(text, attr)
+                append(token)
+                append(value_token)
+            else:
+                seen_child = True
+                if isinstance(item, list):
+                    if not item:
+                        raise UnsupportedShape(f"empty array under {key!r}")
+                    for member in item:
+                        if isinstance(member, list):
+                            raise UnsupportedShape("nested arrays are not supported")
+                        element(key, member)
+                else:
+                    element(key, item)
+        append(CLOSE)
+
     try:
-        _walk_json(name, value, tokens)
+        element(name, value)
     except RecursionError:
         raise UnsupportedShape("the document nests too deeply") from None
     return tuple(tokens)
@@ -232,46 +289,7 @@ def _scalar_text(value) -> str:
     raise UnsupportedShape(f"expected a scalar, got {type(value).__name__}")
 
 
-def _walk_json(name: str, value, tokens: list) -> None:
-    _check_name(name, exc=UnsupportedShape)
-    tokens.append(Open(name))
-    if isinstance(value, dict):
-        seen_child = False
-        for key, item in value.items():
-            if key.startswith("-"):
-                if seen_child:
-                    raise UnsupportedShape("attributes must precede child names")
-                attr = key[1:]
-                if not attr:
-                    raise UnsupportedShape("empty attribute name")
-                _check_name(attr, exc=UnsupportedShape)
-                text = _scalar_text(item)
-                if text == "":
-                    raise UnsupportedShape(f"empty value for attribute {attr!r}")
-                _check_printable(text, f"attribute {attr!r}")
-                tokens.append(AttrName(attr))
-                tokens.append(AttrValue(text))
-            else:
-                seen_child = True
-                if isinstance(item, list):
-                    if not item:
-                        raise UnsupportedShape(f"empty array under {key!r}")
-                    for member in item:
-                        if isinstance(member, list):
-                            raise UnsupportedShape("nested arrays are not supported")
-                        _walk_json(key, member, tokens)
-                else:
-                    _walk_json(key, item, tokens)
-    else:
-        text = _scalar_text(value)
-        if not text.strip():
-            raise UnsupportedShape("variable text must contain a non-space character")
-        _check_printable(text, f"value of {name!r}")
-        tokens.append(Variable(text))
-    tokens.append(CLOSE)
-
-
-# stream validation and emission
+# stream checking and emission
 
 #: the token types that may follow each one (None: the stream's start)
 _FOLLOWERS = {
@@ -284,47 +302,6 @@ _FOLLOWERS = {
 }
 
 
-def validate_stream(stream) -> None:
-    """Assert the word-stream invariants; raises ValueError on structural
-    violations and UnsupportedShape on unrepresentable values.
-
-    Faults are raised in stream order; each distinct name and attribute
-    value is checked once.
-    """
-    names, values = set(), set()
-    depth = 0
-    last = len(stream) - 1
-    kind = None
-    for i, token in enumerate(stream):
-        prev, kind = kind, type(token)
-        if kind not in _FOLLOWERS[prev]:
-            raise ValueError(f"{kind.__name__} at token {i} cannot follow "
-                             f"{prev.__name__ if prev else 'the start'}")
-        if kind is Variable:
-            if not token.text.strip():
-                raise UnsupportedShape("variable text must contain a non-space character")
-            _check_printable(token.text, "variable text")
-        elif kind is Close:
-            depth -= 1
-            if not depth and i != last:
-                raise ValueError("content after the root element")
-        elif kind is AttrValue:
-            if token.text not in values:
-                if token.text == "":
-                    raise UnsupportedShape("empty attribute value")
-                _check_printable(token.text, "attribute value")
-                values.add(token.text)
-        else:
-            depth += kind is Open
-            if token.name not in names:
-                _check_name(token.name, exc=ValueError)
-                names.add(token.name)
-    if kind is None:
-        raise ValueError("empty stream")
-    if depth:
-        raise ValueError(f"unterminated element at token {last + 1}")
-
-
 def _escape_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -333,32 +310,97 @@ def _escape_attr(text: str) -> str:
     return _escape_text(text).replace('"', "&quot;")
 
 
-def emit_xml(stream) -> str:
-    """Canonical XML: double-quoted attributes, single spaces, no self-closing."""
-    validate_stream(stream)
+def _attr_text(value: str) -> str:
+    """An attribute value as it is written, closing quote included."""
+    if value == "":
+        raise UnsupportedShape("empty attribute value")
+    if not (value.isascii() and value.isprintable()):
+        _check_printable(value, "attribute value")
+    if "&" in value or "<" in value or ">" in value or '"' in value:
+        value = _escape_attr(value)
+    return value + '"'
+
+
+def _render(stream) -> list:
+    """The parts of the stream's canonical XML, in one pass that checks the
+    stream rules; raises MalformedStream on a structural fault, and
+    UnsupportedShape or UnsupportedCharacter on an unrepresentable value.
+
+    Faults are raised in stream order.  Each distinct name and attribute
+    value is checked and rendered once; text is escaped only when it holds
+    a character to escape.
+    """
     parts = []
     append = parts.append
-    closers = []
-    head = False            # a start tag whose ">" is still to come
-    for token in stream:
+    tags = {}           # tag name -> (start text, end text)
+    names = {}          # attribute name -> its text up to the opening quote
+    values = {}         # attribute value -> its text from the opening quote
+    ends = []           # the end text of each open element
+    head = False        # a start tag whose ">" is still to come
+    last = len(stream) - 1
+    follows = _FOLLOWERS[None]
+    for i, token in enumerate(stream):
         kind = type(token)
+        if kind not in follows:
+            raise MalformedStream(f"{kind.__name__} at token {i} cannot follow "
+                                  f"{type(stream[i - 1]).__name__ if i else 'the start'}")
+        follows = _FOLLOWERS[kind]
         if kind is AttrName:
-            append(" " + token.name + '="')
-        elif kind is AttrValue:
-            append(_escape_attr(token.text) + '"')
+            text = names.get(token.name)
+            if text is None:
+                _check_name(token.name, exc=MalformedStream)
+                text = names[token.name] = " " + token.name + '="'
+            append(text)
+            continue
+        if kind is AttrValue:
+            text = values.get(token.text)
+            if text is None:
+                text = values[token.text] = _attr_text(token.text)
+            append(text)
+            continue
+        if head:
+            append(">")
+            head = False
+        if kind is Open:
+            tag = tags.get(token.name)
+            if tag is None:
+                _check_name(token.name, exc=MalformedStream)
+                tag = tags[token.name] = ("<" + token.name, "</" + token.name + ">")
+            append(tag[0])
+            ends.append(tag[1])
+            head = True
+        elif kind is Variable:
+            text = token.text
+            if not text.strip():
+                raise UnsupportedShape("variable text must contain a non-space character")
+            if not (text.isascii() and text.isprintable()):
+                _check_printable(text, "variable text")
+            append(_escape_text(text) if "&" in text or "<" in text or ">" in text else text)
         else:
-            if head:
-                append(">")
-                head = False
-            if kind is Open:
-                append("<" + token.name)
-                closers.append("</" + token.name + ">")
-                head = True
-            elif kind is Variable:
-                append(_escape_text(token.text))
-            else:
-                append(closers.pop())
-    return "".join(parts)
+            append(ends.pop())
+            if not ends and i != last:
+                raise MalformedStream("content after the root element")
+    if last < 0:
+        raise MalformedStream("empty stream")
+    if ends:
+        raise MalformedStream(f"unterminated element at token {last + 1}")
+    return parts
+
+
+def validate_stream(stream) -> None:
+    """Assert the word-stream invariants; raises MalformedStream (a
+    ValueError) on structural violations and UnsupportedShape on
+    unrepresentable values.
+
+    Faults are raised in stream order; each distinct name and attribute
+    value is checked once.
+    """
+    _render(stream)
+
+
+def emit_xml(stream) -> str:
+    """Canonical XML: double-quoted attributes, single spaces, no self-closing."""
+    return "".join(_render(stream))
 
 
 class _Node:

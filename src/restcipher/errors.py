@@ -71,6 +71,11 @@ class UnsupportedCharacter(RestCipherError):
     """A character falls outside the printable range or the key's charset."""
 
 
+class MalformedStream(RestCipherError, ValueError):
+    """A word stream is not one document: a token out of place, an invalid
+    name, or elements left open or after the root."""
+
+
 # codec
 
 

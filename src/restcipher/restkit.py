@@ -47,7 +47,8 @@ from .composition import (
     refresh_digests,
     verify_digests,
 )
-from .docmodel import Close, Open, Variable, emit_xml, parse_json, parse_xml
+from .docmodel import (Close, Open, Variable, emit_xml, parse_json, parse_xml,
+                       validate_stream)
 from .errors import (BadRequest, Bind, EditNotApplied, Malformed, MalformedMessage,
                      RestCipherError, VerificationFailed)
 from .keycore import TenElementKey, generate_key, serialize_key, validate_key
@@ -291,6 +292,9 @@ class ResourceServer(_HttpService):
     POST /<peer> ""         -> ST-encrypted resource representation
     POST /<peer> <message>  -> decode update, store it, reply encrypted
 
+    A decoded update that is not one document is refused with
+    MalformedStream and not stored.
+
     Unless ``bounds`` sets a symbol type, an issued key uses a four-class
     arrangement, which holds every printable character, so any document
     encodes under it.
@@ -319,8 +323,9 @@ class ResourceServer(_HttpService):
         with state.lock:
             if body:
                 # non-empty POST carries an encrypted update of the resource
-                msg = EncryptedMessage.parse(body)
-                self.stream = state.session.decrypt(msg)
+                stream = state.session.decrypt(EncryptedMessage.parse(body))
+                validate_stream(stream)
+                self.stream = stream
             if body == "" or not state.st_sent:
                 # empty POST asks for the resource representation; the first
                 # response of a session is always symbol-table encrypted
@@ -394,7 +399,9 @@ class ResourceClient:
         return self._exchange(lambda: http_post(self.url, "", connection=self._connection))
 
     def push(self, stream, mode: str = "tat"):
-        """POST an encrypted update; the reply is the updated resource."""
+        """POST an encrypted update; the reply is the updated resource.  A
+        stream that is not one document raises MalformedStream, unsent."""
+        validate_stream(stream)
         return self._exchange(lambda: http_post(
             self.url, self.session.encrypt(stream, mode=mode, access=(1,)).serialize(),
             connection=self._connection))

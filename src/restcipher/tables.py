@@ -9,10 +9,11 @@ No tag code spells a word, so a held code on the wire was sent as one, and
 a receiver reads both encodings alike.
 """
 
+import re
 from dataclasses import dataclass
 
 from .charsets import charset_for
-from .errors import CodeSpaceExhausted, UnknownCode, UnsupportedCharacter
+from .errors import CodeSpaceExhausted, MalformedWord, UnknownCode, UnsupportedCharacter
 from .keycore import TenElementKey
 
 
@@ -104,15 +105,30 @@ class _ValueMap(dict):
         raise UnsupportedCharacter(f"character {char!r} not in symbol table")
 
 
+def _reader(width: int, chars: _CharMap):
+    """The inverse of a word's code concatenation: a length check, one split
+    into ``width``-digit codes, and one join of their characters."""
+    split = re.compile(f".{{{width}}}", re.S).findall
+    char_of = chars.__getitem__
+
+    def decode_chars(digits: str) -> str:
+        if not digits or len(digits) % width:
+            raise MalformedWord(
+                f"payload of {len(digits)} digits is no multiple of width {width}")
+        return "".join(map(char_of, split(digits)))
+
+    return decode_chars
+
+
 class SymbolTable:
     """Bijection between characters and fixed-width decimal codes.
 
-    Held as three compiled maps, built once per key: ``codes`` maps
-    ``ord(char)`` to its code string, so spelling a word is one
+    Held as three compiled maps and a reader, built once per key: ``codes``
+    maps ``ord(char)`` to its code string, so spelling a word is one
     ``str.translate``; ``chars`` maps a code string back to its character,
-    so reading a word is one lookup per ``width``-digit chunk; ``values``
-    maps a character to its code as an int, so a word's code sum is one
-    lookup per character.
+    and ``decode_chars(digits)`` reads a spelled word back with it, raising
+    MalformedWord or UnknownCode; ``values`` maps a character to its code as
+    an int, so a word's code sum is one lookup per character.
     """
 
     def __init__(self, width: int, entries):
@@ -129,6 +145,7 @@ class SymbolTable:
             self.codes[ord(char)] = code
             self.chars[code] = char
             self.values[char] = int(code)
+        self.decode_chars = _reader(width, self.chars)
 
     def __len__(self):
         return len(self.codes)
@@ -189,6 +206,10 @@ def build_st(key: TenElementKey) -> SymbolTable:
 class TagTable:
     """Map from non-variable words to agreed integers, stable once assigned.
 
+    ``codes`` maps each held word to its code's decimal text, the wire text
+    a tag-table encoder sends after the marker, so a held word encodes with
+    one lookup; ``word_for`` reads that text back.
+
     No code it holds spells a word under its symbol table ``st``: ``insert``
     refuses one and ``first_free`` steps past it.  An index of free codes
     makes that search short: for each code held or found to spell a word,
@@ -202,22 +223,23 @@ class TagTable:
 
     def __init__(self, st: SymbolTable):
         self.st = st
-        self._by_word = {}      # word -> (code, kind)
-        self._by_code = {}      # decimal string of a code -> word
+        self.codes = {}         # word -> decimal text of its code
+        self._by_code = {}      # decimal text of a code -> (word, kind)
         self._skip = {}         # held or spelling code -> higher code
 
     def __len__(self):
-        return len(self._by_word)
+        return len(self.codes)
 
     def __contains__(self, word):
-        return word in self._by_word
+        return word in self.codes
 
     def code_for(self, word: str) -> int:
-        return self._by_word[word][0]
+        return int(self.codes[word])
 
     def word_for(self, payload: str):
         """The word whose code reads ``payload`` in decimal, else None."""
-        return self._by_code.get(payload)
+        entry = self._by_code.get(payload)
+        return None if entry is None else entry[0]
 
     def first_free(self, code: int) -> int:
         """The smallest code at least ``code`` neither held nor spelling."""
@@ -231,19 +253,20 @@ class TagTable:
         return code
 
     def insert(self, word: str, code: int, kind: str) -> None:
-        if word in self._by_word or str(code) in self._by_code:
+        text = str(code)
+        if word in self.codes or text in self._by_code:
             raise ValueError("tag table entries must be bijective")
         if code < 1:
             raise ValueError("tag codes are positive")
         if self.st.spells(code):
             raise ValueError(f"tag code {code} spells a word")
-        self._by_word[word] = (code, kind)
-        self._by_code[str(code)] = word
+        self.codes[word] = text
+        self._by_code[text] = (word, kind)
         self._skip[code] = code + 1
 
     def items(self):
         """(word, code, kind) in insertion order."""
-        return [(w, c, k) for w, (c, k) in self._by_word.items()]
+        return [(w, int(c), k) for c, (w, k) in self._by_code.items()]
 
 
 @dataclass

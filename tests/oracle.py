@@ -49,6 +49,7 @@ from restcipher.composition import Status, Verdict, _digest
 from restcipher.docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from restcipher.errors import (
     MalformedMessage,
+    MalformedStream,
     MalformedXml,
     MissingKey,
     MixedContentUnsupported,
@@ -327,6 +328,15 @@ def oracle_owned(items, policy, ring):
             yield item, stack[-1]
 
 
+def _oracle_decode_word(word, session, new: dict):
+    """Token of one word under ``session``'s tables: variable text read by
+    its symbol table, a marked word by the package's ``_decode_word``."""
+    kind = codec.classify_word(word)
+    if kind is codec.WordKind.VARIABLE:
+        return Variable(session.st.decode_chars(word))
+    return codec._decode_word(word, kind, session.st, session.tat, new)
+
+
 def oracle_decrypt(words, session) -> tuple:
     """The single-key decode loop: a closer-depth count and nothing more."""
     tokens = []
@@ -342,8 +352,7 @@ def oracle_decrypt(words, session) -> tuple:
             continue
         token = seen.get(word)
         if token is None:
-            token = seen[word] = codec._decode_word(
-                word, codec.classify_word(word), session.st, session.tat, new)
+            token = seen[word] = _oracle_decode_word(word, session, new)
         if type(token) is Open:
             depth += 1
         tokens.append(token)
@@ -421,8 +430,7 @@ def oracle_compose_decrypt(msg, ring, policy=None) -> list:
         entry, decoded, new = stack[-1]
         token = decoded.get(word)
         if token is None:
-            token = decoded[word] = codec._decode_word(
-                word, codec.classify_word(word), entry.st, entry.tat, new)
+            token = decoded[word] = _oracle_decode_word(word, entry, new)
         items.append(token)
         i += 1
     for entry, _, new in frames.values():
@@ -559,13 +567,13 @@ def _oracle_walk_xml(elem, tokens: list) -> None:
 def oracle_validate_stream(stream) -> None:
     def element(i: int) -> int:
         if i >= len(stream) or not isinstance(stream[i], Open):
-            raise ValueError(f"expected an opening tag at token {i}")
-        docmodel._check_name(stream[i].name, exc=ValueError)
+            raise MalformedStream(f"expected an opening tag at token {i}")
+        docmodel._check_name(stream[i].name, exc=MalformedStream)
         i += 1
         while i < len(stream) and isinstance(stream[i], AttrName):
-            docmodel._check_name(stream[i].name, exc=ValueError)
+            docmodel._check_name(stream[i].name, exc=MalformedStream)
             if i + 1 >= len(stream) or not isinstance(stream[i + 1], AttrValue):
-                raise ValueError(f"attribute name without value at token {i}")
+                raise MalformedStream(f"attribute name without value at token {i}")
             if stream[i + 1].text == "":
                 raise UnsupportedShape("empty attribute value")
             docmodel._check_printable(stream[i + 1].text, "attribute value")
@@ -579,14 +587,14 @@ def oracle_validate_stream(stream) -> None:
             while i < len(stream) and isinstance(stream[i], Open):
                 i = element(i)
         if i >= len(stream) or not isinstance(stream[i], Close):
-            raise ValueError(f"unterminated or mixed element at token {i}")
+            raise MalformedStream(f"unterminated or mixed element at token {i}")
         return i + 1
 
     if not stream:
-        raise ValueError("empty stream")
+        raise MalformedStream("empty stream")
     end = element(0)
     if end != len(stream):
-        raise ValueError("content after the root element")
+        raise MalformedStream("content after the root element")
 
 
 def oracle_emit_xml(stream) -> str:

@@ -29,7 +29,8 @@ from restcipher import (
     serve,
 )
 from restcipher.cli import main
-from restcipher.errors import Corrupt, Malformed, Transport
+from restcipher.docmodel import CLOSE, AttrName, Open, Variable
+from restcipher.errors import Corrupt, Malformed, MalformedStream, Transport
 from restcipher.keyxchg import KeyStore, http_get, http_post, load_store, save_store
 from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider
 
@@ -60,6 +61,63 @@ def test_non_ascii_post_to_the_resource_server_is_a_bad_request():
             assert client.fetch()[1] == parse_xml(XML1)
     finally:
         server.close()
+
+
+#: a decoded stream that is no document: the attribute's value is missing
+NO_DOCUMENT = (Open("a"), AttrName("b"), Variable("x"), CLOSE)
+
+
+def test_a_client_refuses_to_push_a_stream_that_is_no_document():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            client.fetch()
+            before = client.session.tat.items()
+            with pytest.raises(MalformedStream, match="cannot follow AttrName"):
+                client.push(NO_DOCUMENT)
+            assert client.session.tat.items() == before
+            assert server.peers["peer"].session.tat.items() == before
+            assert server.stream == parse_xml(XML1)
+            assert client.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+
+
+def test_the_resource_server_refuses_an_update_that_is_no_document():
+    server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
+    try:
+        with ResourceClient(server.url, "p1") as sender, \
+                ResourceClient(server.url, "p2") as reader:
+            sender.exchange_key()
+            reader.exchange_key()
+            sender.fetch()
+            body = sender.session.encrypt(NO_DOCUMENT, mode="tat", access=(1,)).serialize()
+            with pytest.raises(Transport, match="400 .*error: MalformedStream: "
+                                                "Variable at token 2 cannot follow AttrName"):
+                http_post(sender.url, body)
+            assert server.stream == parse_xml(XML1)
+            # the refused update's new words entered both ends alike
+            assert sender.session.tat.items() == server.peers["p1"].session.tat.items()
+            assert sender.fetch()[1] == parse_xml(XML1)
+            assert reader.fetch()[1] == parse_xml(XML1)
+    finally:
+        server.close()
+
+
+def test_decrypting_a_stream_that_is_no_document_is_a_named_error(tmp_path, capsys):
+    assert main(["keygen", "--seed", "7", "--bounds", "symbol_type=63..63"]) == 0
+    key = capsys.readouterr().out.strip()
+    plain, cipher = tmp_path / "plain.xml", tmp_path / "cipher"
+    plain.write_text('<a b="c">x</a>', encoding="utf-8")
+    assert main(["encrypt", "--key", key, "--mode", "st", "--in", str(plain)]) == 0
+    assert capsys.readouterr().out == "0884 00306 000337 593 0\n"
+    cipher.write_text("0884 00306 593 0", encoding="utf-8")    # the value word dropped
+    state = tmp_path / "receiver.state"
+    assert main(["decrypt", "--key", key, "--state", str(state), "--in", str(cipher)]) == 1
+    assert capsys.readouterr().err == (
+        "error: MalformedStream: Variable at token 2 cannot follow AttrName\n")
+    assert not state.exists()
 
 
 def _raw_exchange(url: str, head: str, body: bytes = b"") -> bytes:

@@ -23,7 +23,6 @@ from restcipher import (
     tatbd,
     tatbe,
 )
-from restcipher.codec import decode_chars
 from restcipher.errors import (
     MalformedMessage,
     MalformedWord,
@@ -422,13 +421,13 @@ def test_characters_outside_the_charset_are_never_copied(session_k1, letters_onl
 
 def test_payload_width_and_unknown_chunks(session_k1):
     st = session_k1.st
-    assert decode_chars("117126126104", st) == "root"
+    assert st.decode_chars("117126126104") == "root"
     for payload in ("", "1171", "11712"):
         with pytest.raises(MalformedWord):
-            decode_chars(payload, st)
+            st.decode_chars(payload)
     for payload in ("999", "117999", "099", "117099"):
         with pytest.raises(UnknownCode):
-            decode_chars(payload, st)
+            st.decode_chars(payload)
     with pytest.raises(UnknownCode):
         st.char_for(99)
 

@@ -25,6 +25,7 @@ from restcipher import docmodel
 from restcipher.docmodel import CLOSE, validate_stream
 from restcipher.errors import (
     MalformedJson,
+    MalformedStream,
     MalformedXml,
     MixedContentUnsupported,
     RestCipherError,
@@ -33,7 +34,7 @@ from restcipher.errors import (
 )
 
 from conftest import JSON1, XML1, XML2
-from docgen import random_doc_key, random_stream
+from docgen import nested_catalog, random_doc_key, random_stream
 from oracle import (
     oracle_emit_json,
     oracle_emit_xml,
@@ -183,6 +184,18 @@ def test_emit_xml_escapes():
 
 def test_emit_json_round_trip_of_xml1():
     assert parse_json(emit_json(parse_xml(XML1))) == parse_xml(XML1)
+
+
+def test_parse_json_makes_one_token_per_distinct_text():
+    xml = nested_catalog(random.Random(5), 12)
+    stream = parse_json(emit_json(parse_xml(xml)))
+    assert stream == parse_xml(xml)
+    shared = {}
+    for token in stream:
+        if type(token) in (Open, AttrName, AttrValue):
+            shared.setdefault(token, set()).add(id(token))
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert sum(type(token) is Open and token.name == "item" for token in stream) == 12
 
 
 def test_emit_json_arrays_for_adjacent_repeats():
@@ -354,7 +367,7 @@ def test_emitters_match_the_recursive_validator(seed, json_safe, mutation):
 
 
 def test_emitters_match_the_recursive_validator_on_an_empty_stream():
-    assert _outcome(emit_xml, ()) == _outcome(oracle_emit_xml, ()) == ValueError
+    assert _outcome(emit_xml, ()) == _outcome(oracle_emit_xml, ()) == MalformedStream
 
 
 def _load_benchmark_generator():

@@ -19,7 +19,10 @@ from restcipher import (
     validate_key,
 )
 from restcipher.charsets import ARRANGEMENTS, CLASS_CHARS
-from restcipher.errors import CodeSpaceExhausted, UnknownCode, UnsupportedCharacter
+from restcipher.codec import Session
+from restcipher.docmodel import CLOSE, AttrName, AttrValue, Open
+from restcipher.errors import (CodeSpaceExhausted, UnbalancedClosers, UnknownCode,
+                               UnsupportedCharacter)
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT
 from oracle import (oracle_free_codes, oracle_spelling, oracle_symbol_table, oracle_tat_code,
@@ -323,3 +326,65 @@ def test_codes_equal_the_oracle_past_every_width_step(loaded, first, sizes, rng)
     with pytest.raises(CodeSpaceExhausted):
         tat_upsert(tat, TatContext(code_digits=1), "abcdefg", "tag")
     assert tat.items() == before
+
+
+# the encoder's held-word lookup
+
+
+_KINDS = ("tag", "attribute-name", "attribute-value")
+
+
+def _assert_lookup_matches(tat, others):
+    """``TagTable.codes`` gives each held word its code's text, and no other
+    word anything."""
+    held = tat.items()
+    assert len(tat.codes) == len(held)
+    for word, code, _ in held:
+        assert tat.codes.get(word) == str(code)
+    assert not any(tat.codes.get(word) is not None for word in others)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    hs.integers(1, 9),
+    hs.lists(hs.tuples(hs.sampled_from(["load", "upsert", "refused"]),
+                       hs.integers(1, 30)), max_size=10),
+    hs.integers(0, 2**32),
+)
+def test_the_held_word_lookup_follows_every_table_change(first, steps, seed):
+    rng = random.Random(seed)
+    session = Session.for_key(parse_key(K1_TEXT))
+    tat, ctx = session.tat, session.ctx
+    words = rng.sample(_ANAGRAMS, len(_ANAGRAMS))
+    # a first message of one-digit codes, the drawn steps, then messages
+    # until the table is past both width steps
+    padding = [("upsert", rng.randint(5, 30)) for _ in range(12)]
+    sizes = []
+    for action, count in chain([("upsert", first)], steps, padding):
+        if len(tat) > 110 and action == "upsert":
+            continue
+        batch, words = words[:count], words[count:]
+        if action == "load":
+            # rows as ``cli._load_state`` reads them from a state file
+            for word in batch:
+                tat.insert(word, tat.first_free(rng.randint(1000, 2000)), rng.choice(_KINDS))
+        elif action == "upsert":
+            ctx.begin_message(len(tat), len(batch), tat.st)
+            for word in batch:
+                tat_upsert(tat, ctx, word, rng.choice(_KINDS))
+        else:
+            before = tat.items()
+            stream = [Open(batch[0])]
+            for word in batch[1:]:
+                stream += [AttrName(word), AttrValue(word)]
+            with pytest.raises(UnbalancedClosers):     # refused before it commits
+                session.encrypt(stream, mode="tat")
+            assert tat.items() == before
+        sizes.append(len(tat))
+        _assert_lookup_matches(tat, words[:50])
+        # every held word goes out as its code
+        held = tat.items()
+        stream = [Open(held[0][0])] + [t for w, _, _ in held for t in (Open(w), CLOSE)] + [CLOSE]
+        assert session.encrypt(stream, mode="tat").words == (
+            "0" + str(held[0][1]), *(w for _, c, _ in held for w in ("0" + str(c), "0")), "0")
+    assert sizes[0] < 10 and max(sizes) > 100
