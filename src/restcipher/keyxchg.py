@@ -7,17 +7,27 @@ exchange should ride on TLS in real deployments; this package's harness
 speaks plain HTTP and says so.
 
 Every request goes through ``Connection.request``.  A ``Connection`` is one
-HTTP/1.1 connection, opened on first use and kept alive between requests;
-``http_get``, ``http_post`` and ``request_key`` use the one they are given,
-or open one for the single request and close it.  A request that fails is
-never resent, because a request the server received may already have changed
-its state: the connection is dropped, the caller gets ``Transport``, and the
-next request opens a new one.  A reply that is not 2xx is ``Transport`` too,
-and quotes the first line of the reply, such as ``error: <Name>: <detail>``.
+HTTP/1.1 connection on a socket of its own, opened on first use and kept
+alive between requests; ``http_get``, ``http_post`` and ``request_key`` use
+the one they are given, or open one for the single request and close it.  A
+request that fails is never resent, because a request the server received
+may already have changed its state: the connection is dropped, the caller
+gets ``Transport``, and the next request opens a new one.  A reply that is
+not 2xx is ``Transport`` too, and quotes the first line of the reply, such
+as ``error: <Name>: <detail>``.
+
+Both ends speak the same small part of HTTP/1.1 (RFC 9112): GET and POST,
+bodies framed by ``Content-Length`` and nothing else, kept-alive
+connections.  ``read_fields`` and ``read_body`` frame a header block and a
+body for the client here and for ``restkit``'s server alike, with the
+stdlib's limits on lines.  Neither end loads ``http.client``,
+``http.server`` or ``email``, and only an ``https`` connection loads
+``ssl``.
 """
 
 import contextlib
-import http.client
+import re
+import socket
 import threading
 import urllib.parse
 from dataclasses import dataclass
@@ -101,6 +111,106 @@ def load_store(path) -> KeyStore:
     return store
 
 
+#: the stdlib's limits: bytes in one line, and lines in one header block,
+#: the blank line that ends it counted
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+#: a field name is a token (RFC 9110 §5.6.2): no whitespace, no separator
+_FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+#: what a request target may not hold: a space, a control or a non-ASCII character
+_UNSAFE_TARGET = re.compile(r"[^!-~]")
+
+
+def read_fields(reader):
+    """The fields of the header block next on ``reader`` by lower-case name;
+    the values of a name given twice are joined by ", " (RFC 9110 §5.3), so
+    a second Content-Length is no decimal.  None if end of file comes first.
+
+    Raises ValueError for a line that is no field (an obs-fold, whitespace
+    before the colon, no colon: RFC 9112 §5), a line over MAX_LINE bytes, or
+    a block of more than MAX_HEADERS lines."""
+    fields = {}
+    for _ in range(MAX_HEADERS):
+        line = reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise ValueError("Line too long")
+        if line == b"\r\n" or line == b"\n":
+            return fields
+        if not line.endswith(b"\n"):
+            return None
+        text = str(line, "iso-8859-1")
+        name, colon, value = text.partition(":")
+        if not (colon and _FIELD_NAME.fullmatch(name)):
+            text = text.rstrip("\r\n")
+            raise ValueError(f"bad header line {text!r}")
+        name = name.lower()
+        value = value.strip(" \t\r\n")
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise ValueError("Too many headers")
+
+
+def read_body(reader, length: str):
+    """The body whose Content-Length is ``length``, read a MiB at a time so
+    that memory follows the bytes that arrive; None if end of file comes
+    first.  A length that is not a plain decimal raises ValueError."""
+    # at most 18 digits: more than any body, and within int()'s limit on digits
+    if not (length.isdecimal() and length.isascii() and len(length) <= 18):
+        raise ValueError(f"bad Content-Length {length!r}")
+    left = int(length)
+    chunks = []
+    while left:
+        chunk = reader.read(min(left, 1 << 20))
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        left -= len(chunk)
+    return b"".join(chunks)
+
+
+def _read_reply(reader) -> tuple:
+    """(status, reason, body, keep) of the next reply on ``reader``: a status
+    line, a header block and a body of Content-Length bytes, or of every
+    byte up to end of file when the reply gives no length.  An interim 1xx
+    reply is skipped.  ``keep`` is whether the connection stays open after
+    it.  A reply that does not frame so raises ValueError."""
+    status = 100
+    while status < 200:
+        line = reader.readline(MAX_LINE + 1)
+        if not line:
+            raise ValueError("the connection closed with no reply")
+        version, code, reason = (str(line, "iso-8859-1").split(None, 2) + ["", ""])[:3]
+        if (version not in ("HTTP/1.0", "HTTP/1.1") or len(code) != 3
+                or not (code.isdecimal() and code.isascii()) or code[0] == "0"):
+            raise ValueError(f"bad status line {line!r}")
+        fields = read_fields(reader)
+        if fields is None:
+            raise ValueError("the reply ended in its header block")
+        status, reason = int(code), reason.strip()
+    if "transfer-encoding" in fields:
+        raise ValueError(f"a reply with Transfer-Encoding "
+                         f"{fields['transfer-encoding']!r} is not read: only Content-Length is")
+    connection = fields.get("connection", "").lower()
+    keep = "close" not in connection if version == "HTTP/1.1" else "keep-alive" in connection
+    length = fields.get("content-length")
+    if length is None:
+        return status, reason, reader.read(), False
+    body = read_body(reader, length)
+    if body is None:
+        raise ValueError(f"the reply ended before its {length} bytes of body")
+    return status, reason, body, keep
+
+
+def _target(url: str) -> str:
+    """The request target of ``url``: its path (``/`` for none) and query."""
+    parts = urllib.parse.urlsplit(url)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    if _UNSAFE_TARGET.search(target):
+        raise ValueError(f"bad request target {target!r}: "
+                         "a space, a control or a non-ASCII character")
+    return target
+
+
 class Connection:
     """One kept-alive HTTP/1.1 connection to the host of ``url`` (TLS for an
     ``https`` URL), for one request at a time; ``close`` it when done."""
@@ -111,36 +221,59 @@ class Connection:
             port = parts.port
         except ValueError as exc:
             raise Transport(f"bad URL {url!r}: {exc}") from None
-        if parts.scheme not in ("http", "https") or not parts.hostname:
+        host = parts.hostname
+        if parts.scheme not in ("http", "https") or not host:
             raise Transport(f"bad URL {url!r}: not http:// or https:// with a host")
-        connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
-                            else http.client.HTTPConnection)
-        self._http = connection_class(parts.hostname, port)
+        self._tls = parts.scheme == "https"
+        self._address = (host, port or (443 if self._tls else 80))
+        name = f"[{host}]" if ":" in host else host      # an IPv6 literal
+        self._host = name if port is None else f"{name}:{port}"
+        self._sock = self._reader = None
+        self._timeout = None
+
+    def _open(self, timeout: float) -> None:
+        if self._tls:
+            import ssl                  # here, so that only an https connection loads it
+
+            context = ssl.create_default_context()
+        sock = socket.create_connection(self._address, timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls:
+                sock = context.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._reader, self._timeout = sock, sock.makefile("rb"), timeout
 
     def request(self, method: str, url: str, data, timeout: float, *, last=False) -> str:
         """Send one request to ``url`` on this connection and return the
         response body; transport faults wrapped.  A GET (``data`` None) sends
         no Content-Type; the ``last`` request on a connection asks the server
-        to close it after the reply."""
-        parts = urllib.parse.urlsplit(url)
-        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        headers = {} if data is None else {"Content-Type": "text/plain"}
-        if last:
-            headers["Connection"] = "close"
-        self._http.timeout = timeout
-        if self._http.sock is not None:
-            self._http.sock.settimeout(timeout)
+        to close it after the reply.  The head and body go out in one write."""
         try:
-            self._http.request(method, target, data, headers)
-            response = self._http.getresponse()
-            body = response.read()
-        except (http.client.HTTPException, OSError) as exc:
+            head = f"{method} {_target(url)} HTTP/1.1\r\nHost: {self._host}\r\n"
+            if data is not None:
+                head += f"Content-Type: text/plain\r\nContent-Length: {len(data)}\r\n"
+            if last:
+                head += "Connection: close\r\n"
+            message = (head + "\r\n").encode("ascii")
+            if self._sock is None:
+                self._open(timeout)
+            elif timeout != self._timeout:
+                self._sock.settimeout(timeout)
+                self._timeout = timeout
+            self._sock.sendall(message + data if data else message)
+            status, reason, body, keep = _read_reply(self._reader)
+        except (OSError, ValueError) as exc:
             self.close()                # never resent: the next request reconnects
             raise Transport(f"{method} {url} failed: {exc}") from None
-        if not 200 <= response.status < 300:
+        if not keep:
+            self.close()
+        if not 200 <= status < 300:
             # the refusal's first line, which names the server's error
             text = body.decode("ascii", "backslashreplace").partition("\n")[0].strip()
-            raise Transport(f"{method} {url} failed: {response.status} {response.reason}"
+            raise Transport(f"{method} {url} failed: {status} {reason}"
                             + (f": {text}" if text else ""))
         try:
             return body.decode("ascii")
@@ -148,7 +281,10 @@ class Connection:
             raise Transport(f"{method} {url} failed: reply is not ASCII text") from None
 
     def close(self) -> None:
-        self._http.close()
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
 
 def _request(method: str, url: str, data, timeout: float, connection) -> str:

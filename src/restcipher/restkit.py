@@ -8,30 +8,34 @@ variables of its own tags and passes everything else through byte-identical.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
 in front.  Bodies are text/plain and no custom header is used.  Every service
-shares one request handler (``_HttpService``), which hands the path and body
-to the service's ``respond`` and writes the status and text it returns; a
-``RestCipherError`` raised while reading the request or responding becomes a
-400 ``error: <Name>: <detail>``, and any other exception a 500.
+shares one request handler (``_Handler``), which reads each request itself,
+hands the path and body to the service's ``respond`` and writes the status
+and text it returns; a ``RestCipherError`` raised while reading the request
+or responding becomes a 400 ``error: <Name>: <detail>``, and any other
+exception a 500.
 
-Connections are HTTP/1.1 and kept alive.  A ``ResourceClient`` sends every
-request over one connection of its own and closes it in ``close``; a request
-that fails is never resent, since the server may already have committed its
-words to the tag tables.  A service serves each connection on one thread for
-the connection's life (the stdlib's threading server loop) and turns Nagle's
-algorithm off; its ``close`` ends every idle connection.  Each service
-accepts on a thread of its own that blocks until a connection arrives, so
-closing one does not wait on a poll: ``close`` wakes it with a connection.
+Connections are HTTP/1.1 and kept alive, and both ends speak only the part
+of it the harness needs (``keyxchg`` frames header blocks and bodies for
+both): GET and POST, bodies framed by ``Content-Length``.  A
+``ResourceClient`` sends every request over one connection of its own and
+closes it in ``close``; a request that fails is never resent, since the
+server may already have committed its words to the tag tables.  A service
+serves each connection on one thread for the connection's life (the
+stdlib's threading server loop) and turns Nagle's algorithm off; its
+``close`` ends every idle connection.  Each service accepts on a thread of
+its own that blocks until a connection arrives, so closing one does not
+wait on a poll: ``close`` wakes it with a connection.
 """
 
 import contextlib
+import functools
 import signal
 import socket
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, HTTPServer
-from socketserver import ThreadingMixIn
+from socketserver import StreamRequestHandler, TCPServer, ThreadingMixIn
 
 from .codec import EncryptedMessage, OpaqueRun, Session, item_spans, subtree_spans
 from .composition import (
@@ -52,7 +56,8 @@ from .docmodel import (Close, Open, Variable, emit_xml, parse_json, parse_xml,
 from .errors import (BadRequest, Bind, EditNotApplied, Malformed, MalformedMessage,
                      RestCipherError, VerificationFailed)
 from .keycore import TenElementKey, generate_key, serialize_key, validate_key
-from .keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post, request_key
+from .keyxchg import (GET_KEY_COMMAND, MAX_LINE, Connection, http_get, http_post, read_body,
+                      read_fields, request_key)
 
 PLAIN_HTTP_WARNING = (
     "serving plain HTTP on loopback; the key exchange is unprotected, "
@@ -78,18 +83,146 @@ def _parse_document(text: str):
     return parse_json(text)
 
 
-class _Server(ThreadingMixIn, HTTPServer):
-    """The stdlib's ``ThreadingHTTPServer``: each connection is served on a
-    thread of its own for its whole life; ``close`` bounds its own wait.
-    The service tracks a connection from its accept, on the accepting
-    thread, so ``close`` waits for every connection accepted before it."""
+#: the reason phrase of each status a service here gives (RFC 9110 §15); any
+#: other status gets an empty one, which RFC 9112 §4 allows
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
+            500: "Internal Server Error"}
 
+_DEBUG = 10                # logging.DEBUG; logging is loaded only with a service
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """``second`` of the epoch as an IMF-fixdate (RFC 9110 §5.6.7), for the
+    Date field of every reply; rendered once a second."""
+    t = time.gmtime(second)
+    day = "MonTueWedThuFriSatSun"[3 * t.tm_wday:3 * t.tm_wday + 3]
+    month = "JanFebMarAprMayJunJulAugSepOctNovDec"[3 * t.tm_mon - 3:3 * t.tm_mon]
+    return (f"{day}, {t.tm_mday:02d} {month} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _Handler(StreamRequestHandler):
+    """The one request handler of every service (see ``_HttpService``): it
+    reads the requests of one connection one after another, each with the
+    stdlib's limits and refusal texts, and writes each reply."""
+
+    # a reply's head and body are two writes, so that a write to a client
+    # that has left fails on the second; with Nagle on, a kept-alive client
+    # would wait out its delayed ACK for the body
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        import logging
+
+        log = logging.getLogger("restcipher.http")
+        while self._answer(log):
+            pass
+
+    def _answer(self, log) -> bool:
+        """Read one request and write its reply; False once the connection
+        is to close."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            return False
+        started = time.perf_counter()
+        service = self.server.service
+        keep = False
+        text = error = None
+        try:
+            request = self._read_request(line)
+            if request is None:
+                return False
+            keep, data = request
+            try:
+                text = data.decode("ascii")     # a GET's body is read and dropped
+            except UnicodeDecodeError:
+                raise BadRequest("request body is not ASCII text") from None
+            status, reply = service.respond(self.path, text if self.command == "POST" else None)
+        except RestCipherError as exc:
+            status, reply, error = 400, f"error: {exc.name}: {exc}", exc.name
+        except Exception as exc:        # noqa: BLE001 - any fault gets a reply
+            # a fault, not a refusal: nothing more is read on this connection
+            keep = False
+            error = type(exc).__name__
+            status, reply = 500, f"error: {error}: {exc}"
+        data = reply.encode("ascii", "backslashreplace")     # it may quote the request
+        close = "" if keep else "Connection: close\r\n"
+        self.request.sendall(
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\nContent-Type: text/plain\r\n"
+            f"Content-Length: {len(data)}\r\n{close}\r\n".encode("ascii"))
+        if data and self.command != "HEAD":
+            self.request.sendall(data)
+        if log.isEnabledFor(_DEBUG):
+            # a request line refused before its method was read has no path
+            log.debug("%s:%s %s %s %d %s in=%d out=%d %.3fms", *self.client_address[:2],
+                      self.command or "-", self.path or "-", status, error or "-",
+                      len(text or ""), len(data), (time.perf_counter() - started) * 1000)
+        return keep
+
+    def _read_request(self, line: bytes):
+        """Read the rest of the request whose first line is ``line``: set
+        ``command`` and ``path``, and return whether the connection is kept
+        alive after it and its body.  None for no whole request: a blank
+        line, or a request cut short by end of file.  A refusal raises
+        BadRequest, after which the connection closes, since the rest of the
+        request may be unread."""
+        self.command = self.path = None
+        if len(line) > MAX_LINE:
+            raise BadRequest("Request-URI Too Long")
+        request_line = str(line, "iso-8859-1").rstrip("\r\n")
+        words = request_line.split()
+        if not words:
+            return None
+        if len(words) >= 3:
+            text = words[-1]
+            numbers = text[5:].split(".") if text.startswith("HTTP/") else ()
+            if not (len(numbers) == 2 and all(n.isdecimal() and n.isascii() and len(n) <= 10
+                                              for n in numbers)):
+                raise BadRequest(f"Bad request version ({text!r})")
+            version = int(numbers[0]), int(numbers[1])
+            if version >= (2, 0):
+                raise BadRequest(f"Invalid HTTP version ({text[5:]})")
+        if len(words) == 2 and words[0] != "GET":
+            raise BadRequest(f"Bad HTTP/0.9 request type ({words[0]!r})")
+        if len(words) != 3:
+            raise BadRequest(f"Bad request syntax ({request_line!r})")
+        self.command, self.path = words[0], words[1]
+        try:
+            fields = read_fields(self.rfile)
+            if fields is None:
+                return None
+            if self.command not in ("GET", "POST"):
+                # refused before respond, which reads a body of None as a GET
+                raise ValueError(f"method {self.command!r} is not supported; use GET or POST")
+            if "transfer-encoding" in fields:
+                raise ValueError("a request body must come with a Content-Length")
+            if version >= (1, 1) and fields.get("expect", "").lower() == "100-continue":
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = read_body(self.rfile, fields.get("content-length", "0"))
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
+        if body is None:
+            return None
+        connection = fields.get("connection", "").lower()
+        return connection == "keep-alive" or (version >= (1, 1) and connection != "close"), body
+
+
+class _Server(ThreadingMixIn, TCPServer):
+    """A TCP server with the one request handler: each connection is served
+    on a thread of its own for its whole life; ``close`` bounds its own
+    wait.  The service tracks a connection from its accept, on the
+    accepting thread, so ``close`` waits for every connection accepted
+    before it."""
+
+    allow_reuse_address = True          # a service restarted on its port binds at once
     daemon_threads = True
     block_on_close = False
 
-    def __init__(self, address, handler, service):
+    def __init__(self, address, service):
         self.service = service
-        super().__init__(address, handler)
+        super().__init__(address, _Handler)
 
     def get_request(self):
         request, client_address = super().get_request()
@@ -111,109 +244,30 @@ class _Server(ThreadingMixIn, HTTPServer):
 
 
 class _HttpService:
-    """An HTTPServer on a thread of its own, with the one request handler.
+    """A TCP server on a thread of its own, with the one request handler.
 
     Each connection is served on a thread of its own, which reads its
     requests one after another.  For each it reads a POST body as ASCII text
     (a GET's body is read and dropped: ``None``), calls ``respond(path,
-    body)`` and writes the ``(status, text)`` it returns as text/plain.  A
-    ``RestCipherError`` raised while reading the body or responding is
-    written as ``400 error: <Name>: <detail>``, and so is any method but GET
-    and POST (a HEAD gets the headers only) and any request line or header
-    block the stdlib refuses (``BadRequest``).  Any other exception is
+    body)`` and writes the ``(status, text)`` it returns as text/plain, with
+    a Date.  A ``RestCipherError`` raised while reading the body or
+    responding is written as ``400 error: <Name>: <detail>``, and so is any
+    method but GET and POST (a HEAD gets the headers only) and any request
+    line or header block the handler refuses (``BadRequest``): one over the
+    stdlib's limits, a Transfer-Encoding, a Content-Length that is not one
+    plain decimal, an obs-fold or whitespace before a colon.  A refusal of
+    the request's head closes the connection.  Any other exception is
     written as ``500 error: <Name>: <detail>``, and the connection closes.
     A reply after which the connection closes says ``Connection: close``.
-    Each request is one debug line on the ``restcipher.http`` logger; a
-    connection that ends in a fault (its peer left before the reply, or it
-    got no thread) is one warning line there.
+    Each request is one debug line on the ``restcipher.http`` logger, built
+    only when that logger is at DEBUG; a connection that ends in a fault
+    (its peer left before the reply, or it got no thread) is one warning
+    line there.
     """
 
     def __init__(self, host: str, port: int):
-        import logging                  # here, so that code with no service loads none of it
-
-        service = self
-        log = logging.getLogger("restcipher.http")
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # headers and body are written apart: with Nagle on, a kept-alive
-            # client would wait out its delayed ACK for the body
-            disable_nagle_algorithm = True
-
-            def log_request(self, code="-", size="-"):
-                pass                        # _answer logs the requests it answers
-
-            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-                log.debug("%s:%s " + format, *self.client_address[:2], *args)
-
-            def _read_body(self) -> str:
-                if "Transfer-Encoding" in self.headers:
-                    self.close_connection = True    # the body's end is not read
-                    raise BadRequest("a request body must come with a Content-Length")
-                length = self.headers.get("Content-Length") or "0"
-                if not (length.isdecimal() and length.isascii()):
-                    self.close_connection = True    # the body's end is unknown
-                    raise BadRequest(f"bad Content-Length {length!r}")
-                try:
-                    return self.rfile.read(int(length)).decode("ascii")
-                except UnicodeDecodeError:
-                    raise BadRequest("request body is not ASCII text") from None
-
-            def _answer(self, refusal: BadRequest = None) -> None:
-                started = time.perf_counter()
-                error = body = None
-                try:
-                    if refusal is not None:
-                        raise refusal
-                    if self.command not in ("GET", "POST"):
-                        # refused before respond, which reads a body of None as
-                        # a GET; its body is left unread, so the connection closes
-                        self.close_connection = True
-                        raise BadRequest(f"method {self.command!r} is not supported; "
-                                         "use GET or POST")
-                    body = self._read_body()    # a GET's body is read and dropped
-                    status, text = service.respond(
-                        self.path, body if self.command == "POST" else None)
-                except RestCipherError as exc:
-                    status, text, error = 400, f"error: {exc.name}: {exc}", exc.name
-                except Exception as exc:        # noqa: BLE001 - any fault gets a reply
-                    # a fault, not a refusal: nothing more is read on this connection
-                    self.close_connection = True
-                    error = type(exc).__name__
-                    status, text = 500, f"error: {error}: {exc}"
-                data = text.encode("ascii", "backslashreplace")   # it may quote the request
-                self.send_response(status)
-                self.send_header("Content-Type", "text/plain")
-                self.send_header("Content-Length", str(len(data)))
-                if self.close_connection:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                if self.command == "HEAD":
-                    data = b""
-                self.wfile.write(data)
-                # a request line refused before its method was read has no path
-                log.debug("%s:%s %s %s %d %s in=%d out=%d %.3fms",
-                           *self.client_address[:2], self.command or "-",
-                           self.path if self.command else "-", status, error or "-",
-                           len(body or ""), len(data), (time.perf_counter() - started) * 1000)
-
-            def send_error(self, code, message=None, explain=None):
-                # the stdlib's own refusal of a request line or header block
-                # it cannot parse; having read no HTTP version it would write
-                # no status line
-                self.close_connection = True
-                self.request_version = self.protocol_version
-                self._answer(BadRequest(message or code.phrase))
-
-            do_GET = do_POST = _answer
-
-            def __getattr__(self, name):
-                if name.startswith("do_"):
-                    return self._answer     # which refuses every other method
-                raise AttributeError(name)
-
         try:
-            self._httpd = _Server((host, port), Handler, self)
+            self._httpd = _Server((host, port), self)
         except OSError as exc:
             raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._closing = False
