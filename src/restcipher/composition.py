@@ -18,9 +18,12 @@ one before: a received message's ``layout``, scanned once from the classes
 its parse kept, serves ``verify_digests``, and its ``unsigned`` body serves
 ``compose_decrypt``; ``compose_encrypt`` returns a ``Body`` holding each
 tag's Span, laid out from the tokens it encoded (``codec.item_spans``), by
-which ``attach_digests`` and ``refresh_digests`` sign it.
+which ``attach_digests`` and ``refresh_digests`` sign it.  A sender reads a
+recipient's reply by ``reply_owners``, its own rule cut down to the subtrees
+it granted and the tags around them, from the spans of the Body it sent.
 """
 
+import bisect
 import enum
 import hashlib
 import hmac
@@ -115,6 +118,28 @@ def owners(ring: KeyRing, policy=None, access=()) -> Owners:
         rule = Owners(dict.fromkeys(access, keys[pairwise[0]] if pairwise else None))
     rule[1] = keys.get(ring.group_id)
     return rule
+
+
+def reply_owners(rule: Owners, spans: dict, access) -> Owners:
+    """The rule by which a sender reads a recipient's reply: cut from the
+    sender's own ``rule`` and the ``spans`` of the body it sent, it gives
+    the root, every tag of each subtree ``access`` grants and every tag that
+    encloses a granted one the owner ``rule`` gives it.  Every other tag is
+    foreign, so its subtree is copied as an OpaqueRun and never read."""
+    granted = sorted(access)
+    read = Owners()
+    for ordinal in granted:
+        if ordinal not in read:         # else inside a granted subtree already read
+            for inner in range(ordinal, ordinal + 1 + spans[ordinal].opens_inside):
+                read[inner] = rule[inner]
+    for ordinal, span in spans.items():
+        if span.opens_inside and ordinal not in read:
+            # the first granted tag after this one, if it lies inside it
+            k = bisect.bisect_right(granted, ordinal)
+            if k < len(granted) and granted[k] <= ordinal + span.opens_inside:
+                read[ordinal] = rule[ordinal]
+    read[1] = rule[1]
+    return read
 
 
 class Body(list):
@@ -212,12 +237,15 @@ def attach_digests(body_words, policy, ring: KeyRing,
 
 def _spliced(body_words, by_closer: dict) -> list:
     """The body with each digest of ``by_closer`` (closer index -> digest
-    word) after its closer; the root's closer is the last word."""
+    word) after its closer; the root's closer is the last word.  The words
+    between two closers are copied as one slice."""
     out = []
-    for i, word in enumerate(body_words):
-        out.append(word)
-        if i in by_closer:
-            out.append(by_closer[i])
+    pos = 0
+    for end in sorted(by_closer):
+        out += body_words[pos:end + 1]
+        out.append(by_closer[end])
+        pos = end + 1
+    out += body_words[pos:]
     return out
 
 

@@ -143,3 +143,7 @@ class VerificationFailed(RestCipherError):
 
 class EditNotApplied(RestCipherError):
     """A provider reads no variable text of a tag it was asked to edit."""
+
+
+class AccessNotGranted(RestCipherError):
+    """A provider's reply names other tags than the ones it was granted."""

@@ -5,6 +5,10 @@ Two pieces: a resource server / client pair exercising the two-party flow
 a three-party composition pipeline in which a main server S fans a multi-key
 signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
+S checks every digest of each reply, but decodes and splices in only the
+subtrees it granted that provider, and refuses a reply whose access list is
+not the one it sent: nothing signs that list, and every provider holds the
+group key that signs the root.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
 in front.  Bodies are text/plain and no custom header is used.  Every service
@@ -49,12 +53,13 @@ from .composition import (
     compose_reencrypt,
     owners,
     refresh_digests,
+    reply_owners,
     verify_digests,
 )
 from .docmodel import (Close, Open, Variable, emit_xml, parse_json, parse_xml,
                        validate_stream)
-from .errors import (BadRequest, Bind, EditNotApplied, Malformed, MalformedMessage,
-                     RestCipherError, VerificationFailed)
+from .errors import (AccessNotGranted, BadRequest, Bind, EditNotApplied, Malformed,
+                     MalformedMessage, RestCipherError, VerificationFailed)
 from .keycore import TenElementKey, generate_key, serialize_key, validate_key
 from .keyxchg import (GET_KEY_COMMAND, MAX_LINE, Connection, http_get, http_post, read_body,
                       read_fields, request_key)
@@ -509,34 +514,50 @@ class ScenarioResult:
     reject_ordinals: tuple = ()
 
 
-def _splice_subtrees(final, decoded, decoded_spans: dict, ordinals) -> tuple:
-    """``final`` with the subtrees of ``ordinals`` copied in from ``decoded``,
-    a reply decoded with every key, item for word, so that the spans of its
-    Layout (``decoded_spans``) index it; one that is not is refused.
+def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
+    """``final``, a token stream whose ``item_spans`` are ``spans``, with the
+    subtrees of ``ordinals`` copied in from ``decoded``, a reply's items:
+    each listed subtree decoded whole, any other subtree that holds no
+    listed tag an OpaqueRun or decoded.
 
     Only the outermost listed subtrees are copied, in stream order; a listed
     tag nested in one of them comes along with it.  This equals replacing the
     listed subtrees one by one as long as each copied subtree holds as many
-    tags as the one it replaces, so a reply that changes that is refused.
+    tags as the one it replaces, so a reply that changes that, or the number
+    of tags in all, is refused, and so is one with a listed tag left opaque.
     """
-    if len(decoded) != decoded_spans[1].end + 1:
-        raise MalformedMessage("the reply decodes to other than one item per word")
-    dst = item_spans(final)
+    wanted = set(ordinals)
+    src = {}            # listed ordinal -> (first item, last item, tags inside)
+    stack = []          # per open tag, (its ordinal, its item index)
+    ordinal = 0
+    for i, item in enumerate(decoded):
+        cls = type(item)
+        if cls is Open:
+            ordinal += 1
+            stack.append((ordinal, i))
+        elif cls is Close:
+            opened, start = stack.pop()
+            if opened in wanted:
+                src[opened] = start, i, ordinal - opened
+        elif cls is OpaqueRun:
+            ordinal += 1 + item.opens_inside
+    if ordinal != len(spans):
+        raise MalformedMessage(f"the reply holds {ordinal} tags, the document {len(spans)}")
     out = []
     pos = 0
-    for ordinal in sorted(set(ordinals)):
-        if ordinal not in dst or ordinal not in decoded_spans:
+    for ordinal in sorted(wanted):
+        if ordinal not in spans or ordinal not in src:
             raise MalformedMessage(f"tag {ordinal} is missing from the document or the reply")
-        _, start, end, inside = dst[ordinal]
+        _, start, end, inside = spans[ordinal]
         if start < pos:
             continue            # copied with an enclosing subtree
-        src = decoded_spans[ordinal]
-        if src.opens_inside != inside:
+        first, last, opens_inside = src[ordinal]
+        if opens_inside != inside:
             raise MalformedMessage(f"reply changes the tags inside tag {ordinal}")
-        out.extend(final[pos:start])
-        out.extend(decoded[src.start:src.end + 1])
+        out += final[pos:start]
+        out += decoded[first:last + 1]
         pos = end + 1
-    out.extend(final[pos:])
+    out += final[pos:]
     return tuple(out)
 
 
@@ -620,6 +641,14 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
 
     The honest run returns the final edited document; a tampering provider
     halts the pipeline with Reject verdicts on the touched tags.
+
+    S splices in from each reply only the subtrees it granted that
+    provider, and refuses with AccessNotGranted, splicing nothing, a reply
+    whose access list is not the one S sent it: nothing signs that list.
+    S reads a reply under ``reply_owners``: the root, the granted subtrees
+    and the tags that enclose them.  Every other subtree is checked against
+    its digests only, and S's own copy of it stays in the final document,
+    so a word S cannot read there is not decoded at all.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -650,27 +679,31 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
         replies = {}
         for name, provider in providers.items():
             access = access_header(rule, ring, [config.providers[name]], tag_count)
+            reads = reply_owners(rule, body.spans, access)
             message = EncryptedMessage(access, tuple(signed)).serialize()
             uri = f"{provider.url}/process"
             transcript.append(TranscriptEntry(f"S->{name}", uri, message))
             reply = http_post(uri, message)
             transcript.append(TranscriptEntry(f"{name}->S", uri, reply))
             reply_msg = EncryptedMessage.parse(reply)
+            if reply_msg.access != access:
+                raise AccessNotGranted(f"{name} replies for tags {reply_msg.access}, "
+                                       f"but was granted {access}")
             stage = verify_digests(reply_msg, ring, rule)
             verdicts[f"S<-{name}"] = stage
             rejected = tuple(v.ordinal for v in stage if v.status is Status.REJECT)
             if rejected:
                 return ScenarioResult(transcript, verdicts, halted=True,
                                       reject_ordinals=rejected)
-            replies[name] = reply_msg
+            replies[name] = reply_msg, reads
 
-        # assemble: take each provider's edited subtrees, everything else from S's copy
+        # assemble: take each provider's granted subtrees, everything else from S's copy
         final = stream
-        for name in providers:
-            reply = replies[name]
-            # full ring + policy: no opaque runs remain
-            decoded = compose_decrypt(reply.unsigned(), ring, rule)
-            final = _splice_subtrees(final, decoded, reply.layout.spans, reply.access)
+        for reply, reads in replies.values():
+            decoded = compose_decrypt(reply.unsigned(), ring, reads)
+            # the body's words are the stream's items, so it has the stream's spans
+            spans = body.spans if final is stream else item_spans(final)
+            final = _splice_subtrees(final, spans, decoded, reply.access)
         document = emit_xml(final)
         transcript.append(TranscriptEntry("S", "final", document, kind="document"))
         return ScenarioResult(transcript, verdicts, final_document=document,

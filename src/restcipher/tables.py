@@ -5,10 +5,13 @@ reads the grid into a character ↔ fixed-width-code bijection, and the tag
 table maps whole non-variable words to short agreed integers, grown
 identically by encoder and decoder.  The temporary table is only an
 intermediate: callers normally go straight to ``build_st`` and drop it.
+A symbol table is never changed once built, so every holder of an equal key
+shares one from ``build_st``'s cache.
 No tag code spells a word, so a held code on the wire was sent as one, and
 a receiver reads both encodings alike.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -178,11 +181,22 @@ def _adjust_width(value: int, width: int) -> int:
     return value // 10 ** (digits - width)
 
 
+#: how many symbol tables ``build_st`` keeps, the least recently used
+#: dropped first
+_ST_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_ST_CACHE_SIZE)
 def build_st(key: TenElementKey) -> SymbolTable:
     """Derive the symbol table; the temporary table is discarded afterwards.
 
     Cells are visited row-major; a colliding code is incremented until free,
     wrapping from the largest width-digit value to the smallest.
+
+    Equal keys get the same table: the last ``_ST_CACHE_SIZE`` are kept,
+    least recently used out first, and each is shared by every Session,
+    ring and peer that holds its key.  No caller changes a SymbolTable once
+    it is built.
     """
     tt = build_tt(key)
     lo = 10 ** (key.final_sum - 1)

@@ -183,6 +183,23 @@ def test_access_headers(ring, policy):
     assert access_header(policy, ring, ["K3"], 4) == ()
 
 
+def test_a_reply_is_read_in_the_granted_subtrees_and_around_them(ring):
+    # r1 a2 b3 c4 d5 e6 f7; the group key K3 owns every tag
+    rule = owners(ring, CompositionPolicy({}))
+    spans = compose_encrypt(parse_xml(
+        "<r><a><b>1</b><c><d>2</d></c></a><e><f>3</f></e></r>"), rule, ring, "st").spans
+
+    def read(access):
+        return sorted(o for o in range(1, 8) if composition.reply_owners(
+            rule, spans, access)[o] is not None)
+
+    assert read((4,)) == [1, 2, 4, 5]          # a encloses c, d lies inside it
+    assert read((2, 7)) == [1, 2, 3, 4, 5, 6, 7]
+    assert read((2, 5)) == [1, 2, 3, 4, 5]     # d comes with a
+    assert read(()) == [1]
+    assert composition.reply_owners(rule, spans, (4,))[2] is ring["K3"]
+
+
 # compose_decrypt
 
 

@@ -33,9 +33,11 @@ from restcipher import (
     serve,
     tag_names,
 )
-from restcipher.codec import item_spans
+from restcipher.codec import OpaqueRun, item_spans
+from restcipher.composition import (Owners, compose_decrypt, compose_encrypt, owners,
+                                    refresh_digests, reply_owners)
 from restcipher.docmodel import Close, Open, Variable
-from restcipher.errors import EditNotApplied, MalformedMessage, Transport
+from restcipher.errors import EditNotApplied, MalformedMessage, RestCipherError, Transport
 from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
 from restcipher import restkit
 from restcipher.restkit import _HttpService, _Provider, _apply_edits, _splice_subtrees
@@ -523,6 +525,36 @@ def test_a_tampering_provider_halts_the_scenario():
     assert result.final_document is None
 
 
+class _Forger(_Provider):
+    """A provider that also holds the group key, so it can read and re-sign
+    the group's tag 4: it sets that tag's text to FORGED and claims access
+    to tag 4 as well as its own tag 2."""
+
+    def process(self, body: str) -> str:
+        msg = EncryptedMessage.parse(body)
+        rule = owners(self.ring, access=msg.access)
+        rule[4] = self.ring[self.ring.group_id]
+        items = compose_decrypt(msg.unsigned(), self.ring, rule)
+        words = compose_encrypt(_apply_edits(items, {4: "FORGED"}, self.name),
+                                rule, self.ring, self.mode)
+        signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
+        return EncryptedMessage((2, 4), tuple(signed)).serialize()
+
+
+@pytest.mark.parametrize("mode", ["tat", "st"])
+def test_a_reply_claiming_a_tag_it_was_not_granted_is_refused(monkeypatch, mode):
+    # tag 4 is the group key's, which every provider holds; nothing signs the
+    # access list, so only the list S sent says what SP1 may change
+    monkeypatch.setattr(restkit, "_Provider", lambda name, *args: (
+        _Forger if name == "SP1" else _Provider)(name, *args))
+    config = ScenarioConfig(policy={2: "K1", 3: "K2"},
+                            edits={"SP1": {2: "iitd"}, "SP2": {3: "7"}}, mode=mode)
+    with pytest.raises(RestCipherError) as refused:
+        run_composition_scenario(config)
+    assert refused.value.name == "AccessNotGranted"
+    assert str(refused.value) == "SP1 replies for tags (2, 4), but was granted (2,)"
+
+
 def test_a_provider_refuses_an_edit_of_a_tag_it_cannot_read():
     # SP2's tag 3 lies inside SP1's tag 2, which the recipient rule makes
     # foreign to SP2, so tag 3 reaches SP2 inside an OpaqueRun
@@ -628,6 +660,33 @@ def _policies(stream, rng):
     return sp1, sp2
 
 
+def _as_read(stream, ordinals) -> tuple:
+    """``stream`` as the sender reads a reply granting ``ordinals``: each
+    subtree ``reply_owners`` leaves foreign is one OpaqueRun."""
+    spans = item_spans(stream)
+    everything = Owners()
+    everything.default = "held"
+    reads = reply_owners(everything, spans, ordinals)
+    out, ordinal, i = [], 0, 0
+    while i < len(stream):
+        if isinstance(stream[i], Open):
+            ordinal += 1
+            if reads[ordinal] is None:
+                span = spans[ordinal]
+                out.append(OpaqueRun(("w",) * (span.end - span.start + 1),
+                                     ordinal, span.opens_inside))
+                ordinal += span.opens_inside
+                i = span.end + 1
+                continue
+        out.append(stream[i])
+        i += 1
+    return tuple(out)
+
+
+def _splice(final, decoded, ordinals) -> tuple:
+    return _splice_subtrees(final, item_spans(final), decoded, ordinals)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_splice_equals_replacing_one_by_one(seed):
     rng = random.Random(seed)
@@ -635,19 +694,24 @@ def test_splice_equals_replacing_one_by_one(seed):
     sp1, sp2 = _policies(final, rng)
     replies = [(sorted(sp1), _provider_copy(final, sp1, "SP1")),
                (sorted(sp2), _provider_copy(final, sp2, "SP2"))]
-    want = got = final
+    want = got = whole = final
     for ordinals, decoded in replies:
         want = _replace_one_by_one(want, decoded, ordinals)
-        got = _splice_subtrees(got, decoded, item_spans(decoded), ordinals)
-    assert got == want
+        got = _splice(got, _as_read(decoded, ordinals), ordinals)
+        whole = _splice(whole, decoded, ordinals)       # every subtree decoded
+    assert got == whole == want
 
 
 def test_an_sp2_tag_inside_an_sp1_item_keeps_the_sp2_edit():
     final = parse_xml("<r><item><name>a</name><price>1</price></item><x>b</x></r>")
     sp1 = _provider_copy(final, {2}, "SP1")           # the item, name included
     sp2 = _provider_copy(final, {3}, "SP2")           # the name alone
-    got = _splice_subtrees(_splice_subtrees(final, sp1, item_spans(sp1), (2,)),
-                           sp2, item_spans(sp2), (3,))
+    # SP2's reply read by the sender: the item around the name is decoded,
+    # the price inside it and the tag x are opaque
+    read = _as_read(sp2, (3,))
+    assert [type(t).__name__ for t in read] == [
+        "Open", "Open", "Open", "Variable", "Close", "OpaqueRun", "Close", "OpaqueRun", "Close"]
+    got = _splice(_splice(final, _as_read(sp1, (2,)), (2,)), read, (3,))
     want = _replace_one_by_one(_replace_one_by_one(final, sp1, (2,)), sp2, (3,))
     assert got == want == parse_xml(
         "<r><item><name>SP2-a</name><price>SP1-1</price></item><x>b</x></r>")
@@ -656,12 +720,14 @@ def test_an_sp2_tag_inside_an_sp1_item_keeps_the_sp2_edit():
 def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused():
     final = parse_xml("<r><item><name>a</name></item></r>")
     decoded = parse_xml("<r><item><name>a</name><extra>b</extra></item></r>")
-    with pytest.raises(MalformedMessage):
-        _splice_subtrees(final, decoded, item_spans(decoded), (2,))
-    with pytest.raises(MalformedMessage):
-        _splice_subtrees(final, final, item_spans(final), (9,))
-    with pytest.raises(MalformedMessage):       # an item that stood for several words
-        _splice_subtrees(final, decoded[:3] + decoded[4:], item_spans(decoded), (2,))
+    with pytest.raises(MalformedMessage, match="tags inside tag 2"):    # as many tags in all
+        _splice(final, parse_xml("<r><item>a</item><name>b</name></r>"), (2,))
+    with pytest.raises(MalformedMessage, match="holds 4 tags, the document 3"):
+        _splice(final, decoded, (2,))
+    with pytest.raises(MalformedMessage, match="tag 9 is missing"):
+        _splice(final, final, (9,))
+    with pytest.raises(MalformedMessage, match="tag 3 is missing"):     # left opaque
+        _splice(final, (final[0], OpaqueRun(("w",) * 5, 2, 1), final[-1]), (3,))
 
 
 # closing a service returns at once

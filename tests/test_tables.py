@@ -19,12 +19,16 @@ from restcipher import (
     validate_key,
 )
 from restcipher.charsets import ARRANGEMENTS, CLASS_CHARS
-from restcipher.codec import Session
+from restcipher.codec import EncryptedMessage, Session
+from restcipher.composition import (CompositionPolicy, KeyRing, compose_decrypt,
+                                    compose_encrypt)
+from restcipher.docmodel import parse_xml
+from restcipher.restkit import ResourceClient, serve
 from restcipher.docmodel import CLOSE, AttrName, AttrValue, Open
 from restcipher.errors import (CodeSpaceExhausted, UnbalancedClosers, UnknownCode,
                                UnsupportedCharacter)
 
-from conftest import K1_TEXT, K2_TEXT, K3_TEXT
+from conftest import K1_TEXT, K2_TEXT, K3_TEXT, XML1
 from oracle import (oracle_free_codes, oracle_spelling, oracle_symbol_table, oracle_tat_code,
                     oracle_tat_replay)
 
@@ -153,6 +157,56 @@ def test_symbol_table_is_bijective_and_fixed_width():
 def test_identical_keys_identical_tables(k1):
     a, b = build_st(k1), build_st(k1)
     assert a.items() == b.items()
+
+
+# one shared table per key
+
+
+def test_equal_keys_share_one_table(k1):
+    assert Session.for_key(k1).st is Session.for_key(parse_key(K1_TEXT)).st is build_st(k1)
+    rings = [KeyRing(), KeyRing()]
+    for ring in rings:
+        ring.add_key("K1", parse_key(K1_TEXT))
+    assert rings[0]["K1"].st is rings[1]["K1"].st is build_st(k1)
+    # a key the server issues and the key the client reads back from the wire
+    server = serve(XML1)
+    try:
+        with ResourceClient(server.url, "peer") as client:
+            client.exchange_key()
+            assert client.session.st is server.peers["peer"].session.st
+            assert client.session.tat is not server.peers["peer"].session.tat
+    finally:
+        server.close()
+
+
+def test_the_table_cache_stays_at_its_bound():
+    bound = build_st.cache_info().maxsize
+    rng = random.Random(29)
+    keys = set()
+    while len(keys) < bound + 8:
+        keys.add(generate_key({"symbol_type": (40, 63)}, rng=rng))
+    for key in keys:
+        build_st(key)
+        assert build_st.cache_info().currsize <= bound
+    assert build_st.cache_info().currsize == bound
+
+
+def test_no_message_changes_a_shared_table(k1):
+    st = build_st(k1)
+    before = dict(st.codes), dict(st.chars), dict(st.values)
+    sender, receiver = Session.for_key(k1), Session.for_key(k1)
+    assert sender.st is receiver.st is st
+    stream = parse_xml(XML1)
+    for mode in ("st", "tat", "tat"):
+        assert receiver.decrypt(sender.encrypt(stream, mode=mode)) == stream
+    ring = KeyRing()
+    ring.add_key("K1", k1, is_group=True)
+    body = compose_encrypt(stream, CompositionPolicy({}), ring, "tat")
+    compose_decrypt(EncryptedMessage((), tuple(body)), ring, CompositionPolicy({}))
+    with pytest.raises(UnsupportedCharacter):
+        sender.encrypt(parse_xml("<r>$</r>"))
+    assert len(sender.tat) > 0 and ring["K1"].st is st
+    assert (st.codes, st.chars, st.values) == before
 
 
 def test_symbol_table_lookup_errors(k1):
