@@ -22,9 +22,8 @@ from restcipher.charsets import ARRANGEMENTS, CLASS_CHARS
 from restcipher.codec import EncryptedMessage, Session
 from restcipher.composition import (CompositionPolicy, KeyRing, compose_decrypt,
                                     compose_encrypt)
-from restcipher.docmodel import parse_xml
+from restcipher.docmodel import CLOSE, AttrName, AttrValue, Open, parse_xml
 from restcipher.restkit import ResourceClient, serve
-from restcipher.docmodel import CLOSE, AttrName, AttrValue, Open
 from restcipher.errors import (CodeSpaceExhausted, UnbalancedClosers, UnknownCode,
                                UnsupportedCharacter)
 
