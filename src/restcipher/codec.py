@@ -32,7 +32,12 @@ right after the closer of the subtree it covers.  A received message is
 classified and scanned once: ``EncryptedMessage.parse`` keeps each distinct
 word's class, ``layout`` scans the body into its ``Layout`` from those, and
 ``unsigned`` hands classes and spans to ``_decode``, which copies a foreign
-subtree by its Span.  ``item_spans`` lays out a body to be encoded from its
+subtree by its Span.  The layout scan (``subtree_spans``) reads the classes
+through one ``map`` and does work only at a tag, a closer and the word after
+a closer, where a digest may stand; it notes each digest word's place and
+cuts the body out of the words with slices.  It runs on first use only, so
+a message no step asks the layout of, as on the two-party path, never
+pays for it.  ``item_spans`` lays out a body to be encoded from its
 tokens, an OpaqueRun bringing the spans inside it, so that body is signed
 without a scan of its words.
 """
@@ -40,7 +45,7 @@ without a scan of its words.
 import enum
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -114,6 +119,11 @@ class Span(NamedTuple):
     opens_inside: int
 
 
+#: a Span of an (ordinal, start, end, opens_inside) tuple, made with no call
+#: of Python code
+_span = partial(tuple.__new__, Span)
+
+
 class Layout(NamedTuple):
     """A body's words less its digest words, each tag ordinal's Span in
     them, and each ordinal's digest word, in word order."""
@@ -125,61 +135,85 @@ class Layout(NamedTuple):
 
 def subtree_spans(words, kinds=None) -> Layout:
     """The Layout of a body's words; raises MalformedMessage, or
-    Unclassifiable for a word of no class.  ``kinds`` holds the class of
-    words already classified (``EncryptedMessage.kinds``).
+    Unclassifiable for a word of no class, the first fault in word order.
+    ``kinds``, where given, holds the class of every word
+    (``EncryptedMessage.kinds``), else each distinct word is classified once.
 
     Digest words are legal only directly after a closer; they attach to the
     subtree that closer ended and are left out of ``body``.  Only a tag may
     follow a closer, so there a word of a digest's length and alphabet is a
     digest even when all-decimal, unless the root is still open and the word
     is tag-shaped too (about 3e-8 of md5 digests).
+
+    The scan reads the words' classes through one ``map`` and does work only
+    at a tag, a closer and the word after a closer; any other word inside a
+    tag costs a few identity tests.  It notes where each digest word is and
+    cuts the body from ``words`` with slices between them.
     """
-    body = []
+    if kinds is None:
+        kinds = _kinds_of(words)
     spans = {}
     digests = {}
-    kind_of = {} if kinds is None else kinds
-    stack = []
+    cuts = []           # index in ``words`` of each digest word
+    shift = 0           # digest words so far: ``words`` index less body index
+    stack = []          # per open tag, (its ordinal, its index in the body)
     ordinal = 0
-    last_closed = None
+    last_closed = None  # the tag whose closer is the last word read, else None
     tag, closer, digest = _TAG, _CLOSER, _DIGEST
-    for j, word in enumerate(words):
-        kind = kind_of.get(word)
-        if kind is None:
-            kind = kind_of[word] = classify_word(word)
-        if (last_closed is not None and kind is not closer
-                and (kind is not tag or not stack) and _DIGEST_RE.fullmatch(word)):
-            kind = digest
-        if kind is digest:
-            if last_closed is None:
-                raise MalformedMessage(f"digest at word {j} does not follow a closer")
-            if last_closed in digests:
-                raise MalformedMessage(f"second digest for tag {last_closed}")
-            digests[last_closed] = word
-            continue
-        i = j - len(digests)        # the word's index in the body
-        body.append(word)
-        if kind is tag:
-            if not stack and spans:
-                raise MalformedMessage("multiple roots in one message")
+    for j, kind in enumerate(map(kinds.__getitem__, words)):
+        if kind is tag and (stack or not spans):
             ordinal += 1
-            stack.append((ordinal, i))
+            stack.append((ordinal, j - shift))
             last_closed = None
         elif kind is closer:
             if not stack:
                 raise MalformedMessage(f"closer at word {j} with no open tag")
             opened, start = stack.pop()
             # every tag opened since this one lies inside it
-            spans[opened] = Span(opened, start, i, ordinal - opened)
+            spans[opened] = _span((opened, start, j - shift, ordinal - opened))
             last_closed = opened
-        else:
-            if not stack:
+        elif last_closed is not None or not stack or kind is digest or kind is None:
+            # a tag after the root, or a word after a closer, outside every
+            # tag, of the digest class or of no class
+            word = words[j]
+            if kind is None:
+                classify_word(word)     # raises Unclassifiable
+            if last_closed is not None and (kind is digest or _DIGEST_RE.fullmatch(word)):
+                if last_closed in digests:
+                    raise MalformedMessage(f"second digest for tag {last_closed}")
+                digests[last_closed] = word
+                cuts.append(j)
+                shift += 1
+            elif kind is digest:
+                raise MalformedMessage(f"digest at word {j} does not follow a closer")
+            elif kind is tag:
+                raise MalformedMessage("multiple roots in one message")
+            elif not stack:
                 raise MalformedMessage(f"word {j} outside any tag")
-            last_closed = None
+            else:
+                last_closed = None
     if stack:
         raise MalformedMessage(f"{len(stack)} tags left open")
     if not spans:
         raise MalformedMessage("message contains no tags")
+    body = []
+    pos = 0
+    for cut in cuts:
+        body += words[pos:cut]
+        pos = cut + 1
+    body += words[pos:]
     return Layout(tuple(body), spans, digests)
+
+
+def _kinds_of(words) -> dict:
+    """Each distinct word's WordKind, None for a word of no class."""
+    kinds = dict.fromkeys(words)
+    for word in kinds:
+        try:
+            kinds[word] = classify_word(word)
+        except Unclassifiable:
+            pass
+    return kinds
 
 
 _ACCESS_RE = re.compile(r"(?:[1-9][0-9]*,)+")
@@ -347,7 +381,7 @@ def item_spans(items) -> dict:
             stack.append((ordinal, i))
         elif cls is Close:
             opened, start = stack.pop()
-            spans[opened] = Span(opened, start, i, ordinal - opened)
+            spans[opened] = _span((opened, start, i, ordinal - opened))
         elif cls is OpaqueRun:
             _copy_spans(item, ordinal + 1, i, spans)
             ordinal += 1 + item.opens_inside
@@ -366,8 +400,8 @@ def _copy_spans(run: OpaqueRun, ordinal: int, start: int, spans: dict) -> None:
     shift, move = ordinal - first, start - source[first].start
     for o in range(first, first + run.opens_inside + 1):
         span = source[o]
-        spans[o + shift] = Span(o + shift, span.start + move, span.end + move,
-                                span.opens_inside)
+        spans[o + shift] = _span((o + shift, span.start + move, span.end + move,
+                                  span.opens_inside))
 
 
 def _one_owner(st, tat, ctx):
@@ -546,6 +580,12 @@ class Session:
     def key_text(self) -> str:
         """The serialized key, which prefixes every digest under it."""
         return serialize_key(self.key)
+
+    @cached_property
+    def key_hashes(self) -> dict:
+        """Digest algorithm -> a hash that has read ``key_text`` alone, which
+        every digest under this key copies (``composition._digest``)."""
+        return {}
 
     def encrypt(self, stream, mode: str = "st", access=()) -> EncryptedMessage:
         encrypt = tatbe if _short_codes(mode) else stbe

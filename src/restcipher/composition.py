@@ -21,6 +21,17 @@ tag's Span, laid out from the tokens it encoded (``codec.item_spans``), by
 which ``attach_digests`` and ``refresh_digests`` sign it.  A sender reads a
 recipient's reply by ``reply_owners``, its own rule cut down to the subtrees
 it granted and the tags around them, from the spans of the Body it sent.
+
+``attach_digests`` returns the signed words as a ``Signed`` record of what
+it signed: the body, its spans, and each digest word with the rule and
+algorithm it was made under.  A sender that checks a reply against that
+record takes an ACCEPT with no hash for each subtree whose digest word and
+words are the ones it signed, under the same owner: the hash would give that
+same word, so the verdict is the one a hash gives.  A recipient copies back
+the subtrees it cannot read, so about half of a reply is such words.  The
+same record lets the sender check that the subtrees ``reply_owners`` keeps
+came back unchanged (``changed_kept``).  Each key's text is hashed once per
+algorithm, on its Session, and each digest copies that hash.
 """
 
 import bisect
@@ -81,9 +92,12 @@ class CompositionPolicy:
 class Owners(dict):
     """One message's ownership rule: tag ordinal -> the ring Session that
     owns it, or None for a tag under a key not held; an ordinal with no
-    entry falls to ``default``, the group key under a policy."""
+    entry falls to ``default``, the group key under a policy.  A rule
+    ``reply_owners`` cuts also names the subtrees the reply must carry back
+    as they were sent (``kept``)."""
 
     default = None
+    kept = ()
 
     def __missing__(self, ordinal: int):
         return self.default
@@ -125,13 +139,27 @@ def reply_owners(rule: Owners, spans: dict, access) -> Owners:
     sender's own ``rule`` and the ``spans`` of the body it sent, it gives
     the root, every tag of each subtree ``access`` grants and every tag that
     encloses a granted one the owner ``rule`` gives it.  Every other tag is
-    foreign, so its subtree is copied as an OpaqueRun and never read."""
+    foreign, so its subtree is copied as an OpaqueRun and never read.
+
+    Its ``kept`` lists, outermost first, each subtree inside a granted one
+    whose tag another key than the granted tag's owns: the recipient's
+    rule made it foreign, so an honest reply copies its words back as they
+    were sent (``changed_kept`` checks), and the sender keeps its own copy
+    of it.  Only the group key signs some of those tags, and every
+    recipient holds that key."""
     granted = sorted(access)
     read = Owners()
+    kept = []
     for ordinal in granted:
-        if ordinal not in read:         # else inside a granted subtree already read
-            for inner in range(ordinal, ordinal + 1 + spans[ordinal].opens_inside):
-                read[inner] = rule[inner]
+        if ordinal in read:
+            continue            # inside a granted subtree already read
+        owner = rule[ordinal]
+        last_kept = 0           # the last ordinal inside the kept subtree last met
+        for inner in range(ordinal, ordinal + 1 + spans[ordinal].opens_inside):
+            who = read[inner] = rule[inner]
+            if who is not owner and inner > last_kept:
+                kept.append(inner)
+                last_kept = inner + spans[inner].opens_inside
     for ordinal, span in spans.items():
         if span.opens_inside and ordinal not in read:
             # the first granted tag after this one, if it lies inside it
@@ -139,7 +167,20 @@ def reply_owners(rule: Owners, spans: dict, access) -> Owners:
             if k < len(granted) and granted[k] <= ordinal + span.opens_inside:
                 read[ordinal] = rule[ordinal]
     read[1] = rule[1]
+    read.kept = tuple(kept)
     return read
+
+
+def changed_kept(kept, sent: "Signed", layout) -> list:
+    """The ordinals of ``kept`` (see ``reply_owners``) whose words in a
+    reply's ``layout`` differ from the words ``sent`` signed under them, a
+    tag the reply lacks included."""
+    changed = []
+    for ordinal in kept:
+        span = layout.spans.get(ordinal)
+        if span is None or layout.body[span.start:span.end + 1] != sent.segment(ordinal):
+            changed.append(ordinal)
+    return changed
 
 
 class Body(list):
@@ -196,12 +237,21 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
 def sign_segment(segment_words, key: TenElementKey,
                  algorithm: str = DEFAULT_DIGEST) -> str:
     """Hash of the serialized key followed by the space-joined segment."""
-    return _digest(serialize_key(key), segment_words, algorithm)
-
-
-def _digest(key_text: str, segment_words, algorithm: str) -> str:
-    payload = key_text + " ".join(segment_words)
+    payload = serialize_key(key) + " ".join(segment_words)
     return hashlib.new(algorithm, payload.encode("ascii")).hexdigest()
+
+
+def _digest(who: Session, segment_words, algorithm: str) -> str:
+    """``sign_segment`` under the key of ``who``, whose ``key_text`` is
+    hashed once per algorithm; each digest copies that hash and reads the
+    segment on."""
+    prefix = who.key_hashes.get(algorithm)
+    if prefix is None:
+        prefix = who.key_hashes[algorithm] = hashlib.new(algorithm,
+                                                         who.key_text.encode("ascii"))
+    digest = prefix.copy()
+    digest.update(" ".join(segment_words).encode("ascii"))
+    return digest.hexdigest()
 
 
 def _body_spans(body_words) -> dict:
@@ -215,8 +265,31 @@ def _body_spans(body_words) -> dict:
     return spans
 
 
+class Signed(list):
+    """Signed words as ``attach_digests`` made them, with what it signed:
+    ``body``, the digest-free words, as a tuple; ``spans``, each tag's Span
+    in them; ``digests``, each signed ordinal's digest word, made under
+    ``rule``, the ownership rule it signed by, and ``algorithm``.  A sender passes
+    it to ``verify_digests`` to check a reply without hashing again the
+    subtrees the reply sends back unchanged."""
+
+    def __init__(self, words, body, spans: dict, digests: dict, rule: Owners,
+                 algorithm: str):
+        super().__init__(words)
+        self.body = tuple(body)
+        self.spans = spans
+        self.digests = digests
+        self.rule = rule
+        self.algorithm = algorithm
+
+    def segment(self, ordinal: int) -> tuple:
+        """The signed words of the subtree of ``ordinal``, closer included."""
+        span = self.spans[ordinal]
+        return self.body[span.start:span.end + 1]
+
+
 def attach_digests(body_words, policy, ring: KeyRing,
-                   algorithm: str = DEFAULT_DIGEST) -> list:
+                   algorithm: str = DEFAULT_DIGEST) -> Signed:
     """Sign the whole body and every subtree the policy gives a key other
     than the group's.
 
@@ -224,15 +297,16 @@ def attach_digests(body_words, policy, ring: KeyRing,
     digest (group key) closes the message.  Input must be digest-free.
     """
     rule = owners(ring, policy)
-    by_closer = {}
-    for ordinal, span in _body_spans(body_words).items():
+    spans = _body_spans(body_words)
+    digests = {}
+    for ordinal, span in spans.items():
         who = rule[ordinal]
         if ordinal == 1 or who is not rule[1]:
             if who is None:
                 raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
-            segment = body_words[span.start:span.end + 1]
-            by_closer[span.end] = _digest(who.key_text, segment, algorithm)
-    return _spliced(body_words, by_closer)
+            digests[ordinal] = _digest(who, body_words[span.start:span.end + 1], algorithm)
+    words = _spliced(body_words, {spans[o].end: word for o, word in digests.items()})
+    return Signed(words, body_words, spans, digests, rule, algorithm)
 
 
 def _spliced(body_words, by_closer: dict) -> list:
@@ -269,11 +343,19 @@ class Verdict:
 
 
 def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
-                   algorithm: str = DEFAULT_DIGEST) -> list:
+                   algorithm: str = DEFAULT_DIGEST, sent: Signed = None) -> list:
     """One verdict per digest word, in word order, and a Reject for each
     missing digest: the root's always, under a policy also each one
     attach_digests makes.  A structurally broken message is a single
-    whole-message Reject rather than an exception."""
+    whole-message Reject rather than an exception.
+
+    ``sent``, the Signed record of a message this end signed, spares the
+    hash of each subtree a reply carries back unchanged: where the reply's
+    digest word for a subtree equals the one ``sent`` holds, made under the
+    same owner and algorithm, and the subtree's words equal the words
+    ``sent`` signed, the verdict is ACCEPT with no hash, for the hash of
+    those words under that key is that very word.  Every other subtree is
+    hashed, so the verdicts are the ones a hash of every subtree gives."""
     try:
         body, spans, digests = msg.layout
         rule = owners(ring, policy, msg.access)
@@ -285,6 +367,7 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
     # default, so it knows each subtree attach_digests signs; a recipient's
     # rule (default None) knows only the root's
     group = rule.default
+    ours = sent.digests if sent is not None and sent.algorithm == algorithm else {}
     verdicts = []
     # spans come in closer order, the order of the digests after them
     for ordinal, span in spans.items():
@@ -293,10 +376,16 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
         if word is None:
             if ordinal == 1 or group is not None and who is not group:
                 verdicts.append(Verdict(ordinal, Status.REJECT, "missing digest"))
-        elif who is None:
+            continue
+        if who is None:
             verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
-        elif hmac.compare_digest(
-                _digest(who.key_text, body[span.start:span.end + 1], algorithm), word):
+            continue
+        segment = body[span.start:span.end + 1]
+        mine = ours.get(ordinal)
+        if (mine is not None and hmac.compare_digest(mine, word)
+                and sent.rule[ordinal] is who and segment == sent.segment(ordinal)):
+            verdicts.append(Verdict(ordinal, Status.ACCEPT))    # the hash would give ``mine``
+        elif hmac.compare_digest(_digest(who, segment, algorithm), word):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
@@ -320,5 +409,5 @@ def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
             by_closer[span.end] = old
         else:
             segment = body_words[span.start:span.end + 1]
-            by_closer[span.end] = _digest(who.key_text, segment, algorithm)
+            by_closer[span.end] = _digest(who, segment, algorithm)
     return _spliced(body_words, by_closer)

@@ -147,3 +147,9 @@ class EditNotApplied(RestCipherError):
 
 class AccessNotGranted(RestCipherError):
     """A provider's reply names other tags than the ones it was granted."""
+
+
+class KeptWordsChanged(RestCipherError):
+    """A provider's reply changes the words of a subtree it was to send back
+    as it received it: one inside its granted subtree that its key does not
+    own."""

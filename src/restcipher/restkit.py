@@ -6,9 +6,10 @@ a three-party composition pipeline in which a main server S fans a multi-key
 signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
 S checks every digest of each reply, but decodes and splices in only the
-subtrees it granted that provider, and refuses a reply whose access list is
-not the one it sent: nothing signs that list, and every provider holds the
-group key that signs the root.
+subtrees it granted that provider, less the ones inside them that another
+key owns, which must come back as S sent them; it refuses a reply whose
+access list is not the one it sent: nothing signs that list, and every
+provider holds the group key that signs the root.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
 in front.  Bodies are text/plain and no custom header is used.  Every service
@@ -31,6 +32,7 @@ its own that blocks until a connection arrives, so closing one does not
 wait on a poll: ``close`` wakes it with a connection.
 """
 
+import bisect
 import contextlib
 import functools
 import signal
@@ -48,6 +50,7 @@ from .composition import (
     Status,
     access_header,
     attach_digests,
+    changed_kept,
     compose_decrypt,
     compose_encrypt,
     compose_reencrypt,
@@ -58,8 +61,8 @@ from .composition import (
 )
 from .docmodel import (Close, Open, Variable, emit_xml, parse_json, parse_xml,
                        validate_stream)
-from .errors import (AccessNotGranted, BadRequest, Bind, EditNotApplied, Malformed,
-                     MalformedMessage, RestCipherError, VerificationFailed)
+from .errors import (AccessNotGranted, BadRequest, Bind, EditNotApplied, KeptWordsChanged,
+                     Malformed, MalformedMessage, RestCipherError, VerificationFailed)
 from .keycore import TenElementKey, generate_key, serialize_key, validate_key
 from .keyxchg import (GET_KEY_COMMAND, MAX_LINE, Connection, http_get, http_post, read_body,
                       read_fields, request_key)
@@ -128,6 +131,9 @@ class _Handler(StreamRequestHandler):
         """Read one request and write its reply; False once the connection
         is to close."""
         line = self.rfile.readline(MAX_LINE + 1)
+        if line == b"\r\n" or line == b"\n":
+            # one blank line before a request line is skipped (RFC 9112 §2.2)
+            line = self.rfile.readline(MAX_LINE + 1)
         if not line:
             return False
         started = time.perf_counter()
@@ -170,9 +176,9 @@ class _Handler(StreamRequestHandler):
         """Read the rest of the request whose first line is ``line``: set
         ``command`` and ``path``, and return whether the connection is kept
         alive after it and its body.  None for no whole request: a blank
-        line, or a request cut short by end of file.  A refusal raises
-        BadRequest, after which the connection closes, since the rest of the
-        request may be unread."""
+        line (a second one: ``_answer`` skips the first), or a request cut
+        short by end of file.  A refusal raises BadRequest, after which the
+        connection closes, since the rest of the request may be unread."""
         self.command = self.path = None
         if len(line) > MAX_LINE:
             raise BadRequest("Request-URI Too Long")
@@ -198,6 +204,14 @@ class _Handler(StreamRequestHandler):
             fields = read_fields(self.rfile)
             if fields is None:
                 return None
+            # RFC 9112 §3.2: exactly one Host line in an HTTP/1.1 request; a
+            # second one's value is joined to the first's by ", ", which no
+            # host holds
+            host = fields.get("host")
+            if host is None and version >= (1, 1):
+                raise ValueError("an HTTP/1.1 request needs a Host line")
+            if host is not None and ", " in host:
+                raise ValueError(f"more than one Host line ({host!r})")
             if self.command not in ("GET", "POST"):
                 # refused before respond, which reads a body of None as a GET
                 raise ValueError(f"method {self.command!r} is not supported; use GET or POST")
@@ -514,20 +528,24 @@ class ScenarioResult:
     reject_ordinals: tuple = ()
 
 
-def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
+def _splice_subtrees(final, spans: dict, decoded, ordinals, kept=()) -> tuple:
     """``final``, a token stream whose ``item_spans`` are ``spans``, with the
     subtrees of ``ordinals`` copied in from ``decoded``, a reply's items:
     each listed subtree decoded whole, any other subtree that holds no
-    listed tag an OpaqueRun or decoded.
+    listed tag an OpaqueRun or decoded.  A subtree of ``kept`` (see
+    ``composition.reply_owners``) inside a copied one is not taken from the
+    reply: ``final``'s own items stay there.
 
     Only the outermost listed subtrees are copied, in stream order; a listed
     tag nested in one of them comes along with it.  This equals replacing the
     listed subtrees one by one as long as each copied subtree holds as many
     tags as the one it replaces, so a reply that changes that, or the number
-    of tags in all, is refused, and so is one with a listed tag left opaque.
+    of tags in all, is refused, and so is one with a listed or kept tag left
+    opaque.
     """
     wanted = set(ordinals)
-    src = {}            # listed ordinal -> (first item, last item, tags inside)
+    marked = wanted.union(kept)
+    src = {}            # listed or kept ordinal -> (first item, last item, tags inside)
     stack = []          # per open tag, (its ordinal, its item index)
     ordinal = 0
     for i, item in enumerate(decoded):
@@ -537,12 +555,13 @@ def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
             stack.append((ordinal, i))
         elif cls is Close:
             opened, start = stack.pop()
-            if opened in wanted:
+            if opened in marked:
                 src[opened] = start, i, ordinal - opened
         elif cls is OpaqueRun:
             ordinal += 1 + item.opens_inside
     if ordinal != len(spans):
         raise MalformedMessage(f"the reply holds {ordinal} tags, the document {len(spans)}")
+    kept = sorted(kept)
     out = []
     pos = 0
     for ordinal in sorted(wanted):
@@ -551,11 +570,21 @@ def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
         _, start, end, inside = spans[ordinal]
         if start < pos:
             continue            # copied with an enclosing subtree
-        first, last, opens_inside = src[ordinal]
+        at, last, opens_inside = src[ordinal]
         if opens_inside != inside:
             raise MalformedMessage(f"reply changes the tags inside tag {ordinal}")
         out += final[pos:start]
-        out += decoded[first:last + 1]
+        k = bisect.bisect_right(kept, ordinal)
+        while k < len(kept) and kept[k] <= ordinal + inside:
+            inner = kept[k]
+            span = spans[inner]
+            if inner not in src or src[inner][2] != span.opens_inside:
+                raise MalformedMessage(f"reply changes kept tag {inner}")
+            out += decoded[at:src[inner][0]]
+            out += final[span.start:span.end + 1]
+            at = src[inner][1] + 1
+            k += 1
+        out += decoded[at:last + 1]
         pos = end + 1
     out += final[pos:]
     return tuple(out)
@@ -648,7 +677,13 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     S reads a reply under ``reply_owners``: the root, the granted subtrees
     and the tags that enclose them.  Every other subtree is checked against
     its digests only, and S's own copy of it stays in the final document,
-    so a word S cannot read there is not decoded at all.
+    so a word S cannot read there is not decoded at all.  S checks each
+    reply against the ``Signed`` record of the body it sent, which spares
+    the hash of every subtree the reply sends back unchanged.  A subtree
+    inside a granted one that another key owns must come back word for word
+    as S sent it, else S refuses the reply with KeptWordsChanged before it
+    splices anything, and S keeps its own copy of it: the group key, which
+    every provider holds, may be the only key that signs such a tag.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -689,12 +724,16 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             if reply_msg.access != access:
                 raise AccessNotGranted(f"{name} replies for tags {reply_msg.access}, "
                                        f"but was granted {access}")
-            stage = verify_digests(reply_msg, ring, rule)
+            stage = verify_digests(reply_msg, ring, rule, sent=signed)
             verdicts[f"S<-{name}"] = stage
             rejected = tuple(v.ordinal for v in stage if v.status is Status.REJECT)
             if rejected:
                 return ScenarioResult(transcript, verdicts, halted=True,
                                       reject_ordinals=rejected)
+            changed = changed_kept(reads.kept, signed, reply_msg.layout)
+            if changed:
+                tags = ("tag " if len(changed) == 1 else "tags ") + ", ".join(map(str, changed))
+                raise KeptWordsChanged(f"{name} changes {tags}, which its key does not own")
             replies[name] = reply_msg, reads
 
         # assemble: take each provider's granted subtrees, everything else from S's copy
@@ -703,7 +742,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             decoded = compose_decrypt(reply.unsigned(), ring, reads)
             # the body's words are the stream's items, so it has the stream's spans
             spans = body.spans if final is stream else item_spans(final)
-            final = _splice_subtrees(final, spans, decoded, reply.access)
+            final = _splice_subtrees(final, spans, decoded, reply.access, reads.kept)
         document = emit_xml(final)
         transcript.append(TranscriptEntry("S", "final", document, kind="document"))
         return ScenarioResult(transcript, verdicts, final_document=document,

@@ -26,7 +26,8 @@ The digest oracles keep the index-based structural scan and the verifier
 the library had before a message's Layout was scanned once: the scan marks
 digest words by their index in the signed words, and the verifier slices
 each subtree's segment out of a rebuilt digest-free body by bisecting the
-digest indexes.  They reuse the package's word classes and keyed digest.
+digest indexes.  They reuse the package's word classes and the paper's
+keyed digest, ``sign_segment``, which hashes key and segment in one call.
 
 The document-model oracles keep the recursive ElementTree parser, the
 recursive stream validator and the emitters built on them, as the library
@@ -45,7 +46,7 @@ from bisect import bisect_left
 from itertools import combinations, permutations
 
 from restcipher import codec, docmodel
-from restcipher.composition import Status, Verdict, _digest
+from restcipher.composition import Status, Verdict, sign_segment
 from restcipher.docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from restcipher.errors import (
     MalformedMessage,
@@ -511,7 +512,7 @@ def oracle_verify_digests(msg, ring, policy=None, algorithm="md5") -> list:
             continue
         _, start, end, _ = spans[ordinal]
         segment = body[start - bisect_left(cuts, start):end + 1 - bisect_left(cuts, end)]
-        expected = _digest(ring[key_id].key_text, segment, algorithm)
+        expected = sign_segment(segment, ring[key_id].key, algorithm)
         if hmac.compare_digest(expected, words[index]):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:

@@ -343,7 +343,8 @@ def test_the_body_of_a_get_is_read_and_not_answered_as_a_request():
     try:
         raw = _raw_exchange(f"{server.url}/nobody",
                             f"GET {{path}} HTTP/1.1\r\nContent-Length: {len(SMUGGLED)}\r\n",
-                            SMUGGLED + b"GET /nobody HTTP/1.1\r\nConnection: close\r\n\r\n")
+                            SMUGGLED + b"GET /nobody HTTP/1.1\r\nHost: x\r\n"
+                            b"Connection: close\r\n\r\n")
         assert [status for status, _, _ in _replies(raw)] == ["HTTP/1.1 409 Conflict"] * 2
     finally:
         server.close()

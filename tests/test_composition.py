@@ -35,7 +35,7 @@ from restcipher import (
     verify_digests,
 )
 from restcipher import composition
-from restcipher.codec import subtree_spans
+from restcipher.codec import item_spans, subtree_spans
 from restcipher.composition import owners
 from restcipher.errors import (
     MalformedMessage,
@@ -48,7 +48,9 @@ from restcipher.errors import (
     UnsupportedCharacter,
 )
 
-from conftest import COMPOSE_ST_BODY, D1, D2, K3_TEXT, XML2, make_ring
+from conftest import COMPOSE_ST_BODY, D1, D2, K1_TEXT, K2_TEXT, K3_TEXT, XML2, make_ring
+from docgen import nested_catalog
+from oracle import oracle_subtree_spans, oracle_verify_digests
 
 TAT_SEGMENT = ["05", "122122104122", "0"]
 TAT_BODY = "01 009 0002 003 0004 05 122122104122 0 07 313 0 08 356290 0 0".split(" ")
@@ -571,8 +573,8 @@ def test_a_digest_is_recognised_by_its_position():
 def test_all_decimal_digests_verify(monkeypatch, stream, ring, policy, marker):
     real = composition._digest
 
-    def decimal(key_text, segment, algorithm):
-        return (marker + str(int(real(key_text, segment, algorithm), 16)))[:32]
+    def decimal(who, segment, algorithm):
+        return (marker + str(int(real(who, segment, algorithm), 16)))[:32]
 
     monkeypatch.setattr(composition, "_digest", decimal)
     body = compose_encrypt(stream, policy, ring, "st")
@@ -617,6 +619,80 @@ def test_tamper_fuzz_over_every_position(stream, ring, policy):
             rejects += 1
         trials += 1
     assert rejects == trials
+
+
+KEYS = {"K1": parse_key(K1_TEXT), "K2": parse_key(K2_TEXT), "K3": parse_key(K3_TEXT)}
+
+
+def _provider_reply(rng, signed, policy, sender, held, count, mode) -> EncryptedMessage:
+    """The reply of an honest provider holding ``held`` and the group key:
+    it decodes what it can read, edits one variable word it read, if any,
+    re-encodes and re-signs."""
+    ring = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], held, "K3")
+    access = access_header(policy, sender, [held], count)
+    msg = EncryptedMessage.parse(EncryptedMessage(access, tuple(signed)).serialize())
+    rule = owners(ring, access=access)
+    items = compose_decrypt(msg.unsigned(), ring, rule)
+    texts = [i for i, item in enumerate(items) if isinstance(item, Variable)]
+    if texts and rng.random() < 0.7:
+        items[rng.choice(texts)] = Variable(f"e{rng.randrange(100)}")
+    words = compose_reencrypt(items, rule, ring, mode)
+    return EncryptedMessage(access, tuple(refresh_digests(words, ring, rule, msg.layout.digests)))
+
+
+def _reply_mutated(rng, words, signed, how) -> list:
+    """A reply's words with one change: a digit of a word that is no digest,
+    two digest words swapped, one digest word replaced by the sender's digest
+    of another tag, or one leaf tag left out with its digest."""
+    out = list(words)
+    spans, digests = oracle_subtree_spans(out, allow_digests=True)
+    if how == "word":
+        i = rng.choice([i for i in range(len(out)) if i not in digests.values()])
+        p = rng.randrange(len(out[i]))
+        out[i] = out[i][:p] + rng.choice([d for d in "0123456789" if d != out[i][p]]) \
+            + out[i][p + 1:]
+    elif how == "swap" and len(digests) > 1:
+        a, b = rng.sample(sorted(digests.values()), 2)
+        out[a], out[b] = out[b], out[a]
+    elif how == "other-digest" and len(signed.digests) > 1:
+        ordinal = rng.choice(sorted(digests))
+        out[digests[ordinal]] = signed.digests[rng.choice(
+            [o for o in signed.digests if o != ordinal])]
+    elif how == "tag-fewer":
+        leaves = [o for o, (_, _, _, inside) in spans.items() if o > 1 and not inside]
+        if leaves:
+            _, start, end, _ = spans[rng.choice(leaves)]
+            if end + 1 in digests.values():
+                end += 1
+            del out[start:end + 1]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(hs.integers(0, 2**32), hs.sampled_from(["st", "tat"]),
+       hs.sampled_from(["none", "word", "swap", "other-digest", "tag-fewer"]))
+def test_a_signed_record_spares_hashes_but_no_verdict_changes(seed, mode, how):
+    """S's verdicts on a reply with its Signed record equal the oracle's,
+    which hashes every subtree, and the verdicts without the record."""
+    rng = random.Random(seed)
+    sender = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], "K1", "K2", "K3")
+    stream = parse_xml(nested_catalog(rng, rng.randint(1, 8)))
+    count = len(item_spans(stream))
+    policy = CompositionPolicy({o: rng.choice(["K1", "K2", "K3"])
+                                for o in range(2, count + 1) if rng.random() < 0.6})
+    body = compose_encrypt(stream, policy, sender, mode)
+    signed = attach_digests(body, policy, sender)
+    for held in ("K1", "K2"):
+        reply = _provider_reply(rng, signed, policy, sender, held, count, mode)
+        words = _reply_mutated(rng, reply.words, signed, how)
+        reply = EncryptedMessage(reply.access, tuple(words))
+        checked = verify_digests(reply, sender, policy, sent=signed)
+        assert checked == verify_digests(EncryptedMessage(reply.access, reply.words),
+                                         sender, policy)
+        assert [v for v in checked if v.detail != "missing digest"] \
+            == oracle_verify_digests(reply, sender, policy)
+        if how == "none":
+            assert all(v.status is Status.ACCEPT for v in checked)
 
 
 @pytest.mark.parametrize("mode", ["st", "tat"])

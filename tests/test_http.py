@@ -87,12 +87,14 @@ def _replies(raw: bytes) -> list:
 # for the cases marked "RFC 9112", where that server answered the request
 # and a 400 is now given: a field line with whitespace before its colon
 # (§5.1), an obs-fold (§5.2), a line that is no field line (§5), two
-# Content-Length lines (§6.3), and a request line with no HTTP version,
-# which that server answered as HTTP/0.9 with a body and no status line.
+# Content-Length lines (§6.3), an HTTP/1.1 request with no Host line or two
+# (§3.2), and a request line with no HTTP version, which that server
+# answered as HTTP/0.9 with a body and no status line.  One blank line
+# before a request line is now skipped (§2.2), where that server closed the
+# connection with no reply.
 # That server also answered a Content-Length too large to allocate with a
 # 500 MemoryError; a body cut short by end of file now gets no reply.
 HEADS = {
-    "empty-line": (b"\r\n", []),
     "http-1.1": (b"GET /nobody HTTP/1.1\r\nHost: x\r\n\r\n", [NO_SESSION, NO_SESSION]),
     "http-1.0": (b"GET /nobody HTTP/1.0\r\nHost: x\r\n\r\n", [NO_SESSION]),
     "http-1.0-keep-alive": (b"GET /nobody HTTP/1.0\r\nHost: x\r\nConnection: keep-alive\r\n\r\n",
@@ -126,6 +128,15 @@ HEADS = {
     "two-content-lengths": (b"POST /nobody HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
                             b"Content-Length: 3\r\n\r\nabc", [_bad("bad Content-Length '2, 3'")]),
     "http-0.9-get": (b"GET /nobody\r\n\r\n", [_bad("Bad request syntax ('GET /nobody')")]),
+    "no-host": (b"GET /nobody HTTP/1.1\r\n\r\n", [_bad("an HTTP/1.1 request needs a Host line")]),
+    "two-hosts": (b"GET /nobody HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
+                  [_bad("more than one Host line ('a, b')")]),
+    "http-1.0-no-host": (b"GET /nobody HTTP/1.0\r\n\r\n", [NO_SESSION]),
+    "empty-line": (b"\r\n", [NO_SESSION]),
+    "bare-lf-empty-line": (b"\n", [NO_SESSION]),
+    "two-empty-lines": (b"\r\n\r\n", []),
+    "empty-line-between-requests": (b"GET /nobody HTTP/1.1\r\nHost: x\r\n\r\n\r\n",
+                                    [NO_SESSION, NO_SESSION]),
     "huge-content-length": (b"POST /nobody HTTP/1.1\r\nHost: x\r\n"
                             b"Content-Length: 99999999999999\r\n\r\nab", []),
 }

@@ -32,9 +32,9 @@ from restcipher import (
 from restcipher import codec, composition, restkit
 from restcipher.codec import item_spans, subtree_spans
 from restcipher.composition import owners
-from restcipher.errors import RestCipherError
+from restcipher.errors import MalformedMessage, RestCipherError, Unclassifiable
 
-from conftest import K1_TEXT, K2_TEXT, K3_TEXT, make_ring
+from conftest import D1, D2, K1_TEXT, K2_TEXT, K3_TEXT, make_ring
 from docgen import nested_catalog
 from oracle import oracle_subtree_spans, oracle_verify_digests
 
@@ -143,6 +143,45 @@ def test_the_layout_equals_the_index_based_scan(seed, mode, how):
         due = {o for o in got.spans if o == 1 or view is not None
                and view.assignments.get(o, group) != group}
         assert missing == due - set(got.digests)
+
+
+#: (body, the first fault in word order): its error class and text
+FIRST_FAULTS = {
+    "no-class-then-closer": (["04", "x", "0", "0"],
+                             Unclassifiable, "word 'x' matches no word class"),
+    "second-root-then-no-class": (["04", "0", "05", "x", "0"],
+                                  MalformedMessage, "multiple roots in one message"),
+    "closer-then-no-class": (["04", "0", "0", "x"],
+                             MalformedMessage, "closer at word 2 with no open tag"),
+    "outside-then-no-class": (["04", "05", "0", "0", "7", "x"],
+                              MalformedMessage, "word 4 outside any tag"),
+    "misplaced-digest-then-closer": (["04", D1, "0", "0"], MalformedMessage,
+                                     "digest at word 1 does not follow a closer"),
+    "second-digest-then-open": (["04", "05", "0", D1, D2, "0"],
+                                MalformedMessage, "second digest for tag 2"),
+}
+
+
+@pytest.mark.parametrize("words, error, text", FIRST_FAULTS.values(), ids=FIRST_FAULTS.keys())
+def test_the_layout_scan_raises_the_first_fault_in_word_order(words, error, text):
+    """Classes read through a map and a scan that works only at tags,
+    closers and the word after a closer still meet the faults in word
+    order, as the oracle's word-by-word scan does."""
+    scans = {
+        "subtree_spans": lambda: subtree_spans(words),
+        "layout": lambda: EncryptedMessage((), tuple(words)).layout,
+        "oracle": lambda: oracle_subtree_spans(words, allow_digests=True),
+    }
+    for name, scan in scans.items():
+        with pytest.raises(error) as raised:
+            scan()
+        assert type(raised.value) is error and str(raised.value) == text, name
+    # a parse classifies every word before the layout scans them, so a word
+    # of no class is its refusal wherever it stands
+    message = " ".join(words)
+    with pytest.raises(MalformedMessage) as raised:
+        EncryptedMessage.parse(message).layout
+    assert str(raised.value) == ("word 'x' matches no word class" if "x" in words else text)
 
 
 @settings(max_examples=100, deadline=None)

@@ -37,7 +37,8 @@ from restcipher.codec import OpaqueRun, item_spans
 from restcipher.composition import (Owners, compose_decrypt, compose_encrypt, owners,
                                     refresh_digests, reply_owners)
 from restcipher.docmodel import Close, Open, Variable
-from restcipher.errors import EditNotApplied, MalformedMessage, RestCipherError, Transport
+from restcipher.errors import (EditNotApplied, KeptWordsChanged, MalformedMessage,
+                               RestCipherError, Transport)
 from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
 from restcipher import restkit
 from restcipher.restkit import _HttpService, _Provider, _apply_edits, _splice_subtrees
@@ -553,6 +554,47 @@ def test_a_reply_claiming_a_tag_it_was_not_granted_is_refused(monkeypatch, mode)
         run_composition_scenario(config)
     assert refused.value.name == "AccessNotGranted"
     assert str(refused.value) == "SP1 replies for tags (2, 4), but was granted (2,)"
+
+
+#: tag 4 (nv) is the group key's and lies inside SP1's tag 2 (item)
+NESTED_DOCUMENT = '<root a="v"><item><name>n</name><nv>x</nv></item><q>y</q></root>'
+NESTED_POLICY = {2: "K1", 3: "K1", 5: "K2"}
+NESTED_EDITS = {"SP1": {3: "m"}, "SP2": {5: "z"}}
+
+
+class _NestedForger(_Provider):
+    """A provider that reads the group's tag 4, nested in its own tag 2,
+    with the group key, which every provider holds: it sets that tag's text
+    to FORGED and re-signs tag 2 and the root under the access list it was
+    sent."""
+
+    def process(self, body: str) -> str:
+        msg = EncryptedMessage.parse(body)
+        rule = owners(self.ring, access=msg.access)
+        rule[4] = self.ring[self.ring.group_id]
+        items = compose_decrypt(msg.unsigned(), self.ring, rule)
+        words = compose_encrypt(_apply_edits(items, {4: "FORGED"}, self.name),
+                                rule, self.ring, self.mode)
+        signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
+        return EncryptedMessage(msg.access, tuple(signed)).serialize()
+
+
+@pytest.mark.parametrize("mode", ["tat", "st"])
+def test_a_reply_that_changes_a_group_tag_inside_its_own_is_refused(monkeypatch, mode):
+    # every digest of the forged reply verifies: SP1 holds K1, which signs
+    # tag 2, and the group key, which signs the root; but an honest SP1
+    # cannot read tag 4 and sends its words back as S sent them
+    honest = run_composition_scenario(ScenarioConfig(
+        document=NESTED_DOCUMENT, policy=NESTED_POLICY, edits=NESTED_EDITS, mode=mode))
+    assert honest.final_document == \
+        '<root a="v"><item><name>m</name><nv>x</nv></item><q>z</q></root>'
+    monkeypatch.setattr(restkit, "_Provider", lambda name, *args: (
+        _NestedForger if name == "SP1" else _Provider)(name, *args))
+    config = ScenarioConfig(document=NESTED_DOCUMENT, policy=NESTED_POLICY,
+                            edits=NESTED_EDITS, mode=mode)
+    with pytest.raises(KeptWordsChanged) as refused:
+        run_composition_scenario(config)
+    assert str(refused.value) == "SP1 changes tag 4, which its key does not own"
 
 
 def test_a_provider_refuses_an_edit_of_a_tag_it_cannot_read():
