@@ -10,7 +10,7 @@ import random
 import sys
 import time
 
-from .codec import EncryptedMessage, Session
+from .codec import EncryptedMessage, Session, WordKind
 from .composition import (
     CompositionPolicy,
     KeyRing,
@@ -115,6 +115,10 @@ def _save_state(path: str, session: Session) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+#: the kind of each word a tag table holds, as ``_save_state`` writes it
+_TABLE_KINDS = {kind.value for kind in (WordKind.TAG, WordKind.ATTR_NAME, WordKind.ATTR_VALUE)}
+
+
 def _load_state(path: str) -> Session:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -129,6 +133,8 @@ def _load_state(path: str) -> Session:
             continue
         try:
             kind, word, code = line.split("\t")
+            if kind not in _TABLE_KINDS:
+                raise ValueError(f"unknown tag-table kind {kind!r}")
             session.tat.insert(word, int(code), kind)
         except ValueError as exc:
             raise Malformed(f"state file {path} line {number}: {exc}") from None

@@ -39,6 +39,7 @@ import enum
 import hashlib
 import hmac
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .codec import (EncryptedMessage, Session, _decode, _encode, _short_codes, item_spans,
                     subtree_spans)
@@ -144,9 +145,9 @@ def reply_owners(rule: Owners, spans: dict, access) -> Owners:
     Its ``kept`` lists, outermost first, each subtree inside a granted one
     whose tag another key than the granted tag's owns: the recipient's
     rule made it foreign, so an honest reply copies its words back as they
-    were sent (``changed_kept`` checks), and the sender keeps its own copy
-    of it.  Only the group key signs some of those tags, and every
-    recipient holds that key."""
+    were sent.  ``changed_kept`` refuses a reply that does not, so the
+    sender's decode there equals its own items.  Only the group key signs
+    some of those tags, and every recipient holds that key."""
     granted = sorted(access)
     read = Owners()
     kept = []
@@ -335,8 +336,7 @@ class Status(enum.Enum):
     NOT_CHECKABLE = "not-checkable"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ordinal: int
     status: Status
     detail: str = ""

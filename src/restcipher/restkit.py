@@ -6,14 +6,16 @@ a three-party composition pipeline in which a main server S fans a multi-key
 signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
 S checks every digest of each reply, but decodes and splices in only the
-subtrees it granted that provider, less the ones inside them that another
-key owns, which must come back as S sent them; it refuses a reply whose
-access list is not the one it sent: nothing signs that list, and every
-provider holds the group key that signs the root.
+subtrees it granted that provider.  A subtree inside one of them that
+another key owns must come back as S sent it (``changed_kept``), so S's
+decode of it equals S's own items.  S refuses a reply whose access list is
+not the one it sent: nothing signs that list, and every provider holds the
+group key that signs the root.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
-in front.  Bodies are text/plain and no custom header is used.  Every service
-shares one request handler (``_Handler``), which reads each request itself,
+in front.  Bodies are text/plain and no custom header is used.  Each service
+is one threading TCP server (``_HttpService``), and every service shares
+one request handler (``_Handler``), which reads each request itself,
 hands the path and body to the service's ``respond`` and writes the status
 and text it returns; a ``RestCipherError`` raised while reading the request
 or responding becomes a 400 ``error: <Name>: <detail>``, and any other
@@ -32,7 +34,6 @@ its own that blocks until a connection arrives, so closing one does not
 wait on a poll: ``close`` wakes it with a connection.
 """
 
-import bisect
 import contextlib
 import functools
 import signal
@@ -137,7 +138,6 @@ class _Handler(StreamRequestHandler):
         if not line:
             return False
         started = time.perf_counter()
-        service = self.server.service
         keep = False
         text = error = None
         try:
@@ -149,7 +149,8 @@ class _Handler(StreamRequestHandler):
                 text = data.decode("ascii")     # a GET's body is read and dropped
             except UnicodeDecodeError:
                 raise BadRequest("request body is not ASCII text") from None
-            status, reply = service.respond(self.path, text if self.command == "POST" else None)
+            status, reply = self.server.respond(self.path,
+                                                text if self.command == "POST" else None)
         except RestCipherError as exc:
             status, reply, error = 400, f"error: {exc.name}: {exc}", exc.name
         except Exception as exc:        # noqa: BLE001 - any fault gets a reply
@@ -228,70 +229,46 @@ class _Handler(StreamRequestHandler):
         return connection == "keep-alive" or (version >= (1, 1) and connection != "close"), body
 
 
-class _Server(ThreadingMixIn, TCPServer):
-    """A TCP server with the one request handler: each connection is served
-    on a thread of its own for its whole life; ``close`` bounds its own
-    wait.  The service tracks a connection from its accept, on the
-    accepting thread, so ``close`` waits for every connection accepted
-    before it."""
+class _HttpService(ThreadingMixIn, TCPServer):
+    """A threading TCP server with the one request handler, which accepts on
+    a thread of its own.
+
+    Each connection is served on a thread of its own for its whole life,
+    which reads its requests one after another.  For each it reads a POST
+    body as ASCII text (a GET's body is read and dropped: ``None``), calls
+    ``respond(path, body)`` and writes the ``(status, text)`` it returns as
+    text/plain, with a Date.  A ``RestCipherError`` raised while reading the
+    body or responding is written as ``400 error: <Name>: <detail>``, and so
+    is any method but GET and POST (a HEAD gets the headers only) and any
+    request line or header block the handler refuses (``BadRequest``): one
+    over the stdlib's limits, a Transfer-Encoding, a Content-Length that is
+    not one plain decimal, an obs-fold or whitespace before a colon.  A
+    refusal of the request's head closes the connection.  Any other
+    exception is written as ``500 error: <Name>: <detail>``, and the
+    connection closes.  A reply after which the connection closes says
+    ``Connection: close``.  Each request is one debug line on the
+    ``restcipher.http`` logger, built only when that logger is at DEBUG; a
+    connection that ends in a fault (its peer left before the reply, or it
+    got no thread) is one warning line there.
+
+    A connection is tracked from its accept, on the accepting thread, so
+    ``close`` waits for every connection accepted before it, and bounds its
+    own wait.  A subclass adds no attribute that ``socketserver.BaseServer``
+    uses, such as ``timeout``, ``socket`` or ``server_address``.
+    """
 
     allow_reuse_address = True          # a service restarted on its port binds at once
     daemon_threads = True
     block_on_close = False
 
-    def __init__(self, address, service):
-        self.service = service
-        super().__init__(address, _Handler)
-
-    def get_request(self):
-        request, client_address = super().get_request()
-        self.service._track(request)
-        return request, client_address
-
-    def shutdown_request(self, request):
-        self.service._untrack(request)
-        super().shutdown_request(request)
-
-    def handle_error(self, request, client_address):
-        # a peer gone before its reply was written, or a connection that got
-        # no thread: one line, not socketserver's traceback
-        import logging
-
-        exc = sys.exc_info()[1]
-        logging.getLogger("restcipher.http").warning(
-            "%s:%s dropped: %s: %s", *client_address[:2], type(exc).__name__, exc)
-
-
-class _HttpService:
-    """A TCP server on a thread of its own, with the one request handler.
-
-    Each connection is served on a thread of its own, which reads its
-    requests one after another.  For each it reads a POST body as ASCII text
-    (a GET's body is read and dropped: ``None``), calls ``respond(path,
-    body)`` and writes the ``(status, text)`` it returns as text/plain, with
-    a Date.  A ``RestCipherError`` raised while reading the body or
-    responding is written as ``400 error: <Name>: <detail>``, and so is any
-    method but GET and POST (a HEAD gets the headers only) and any request
-    line or header block the handler refuses (``BadRequest``): one over the
-    stdlib's limits, a Transfer-Encoding, a Content-Length that is not one
-    plain decimal, an obs-fold or whitespace before a colon.  A refusal of
-    the request's head closes the connection.  Any other exception is
-    written as ``500 error: <Name>: <detail>``, and the connection closes.
-    A reply after which the connection closes says ``Connection: close``.
-    Each request is one debug line on the ``restcipher.http`` logger, built
-    only when that logger is at DEBUG; a connection that ends in a fault
-    (its peer left before the reply, or it got no thread) is one warning
-    line there.
-    """
-
     def __init__(self, host: str, port: int):
-        try:
-            self._httpd = _Server((host, port), self)
-        except OSError as exc:
-            raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._closing = False
         self._connections = set()       # every open connection, guarded by _lock
         self._lock = threading.Condition()      # notified as each one is untracked
+        try:
+            super().__init__((host, port), _Handler)
+        except OSError as exc:
+            raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._thread = threading.Thread(target=self._serve, daemon=True)
 
     def _serve(self) -> None:
@@ -303,19 +280,31 @@ class _HttpService:
         # handle_request blocks in select with no timeout until a connection
         # arrives; close() sends one after setting the flag
         while not self._closing:
-            self._httpd.handle_request()
+            self.handle_request()
 
-    def _track(self, connection) -> None:
+    def get_request(self):
+        connection, client_address = super().get_request()
         with self._lock:
             self._connections.add(connection)
             if self._closing:
                 self._stop_reading(connection)
+        return connection, client_address
 
-    def _untrack(self, connection) -> None:
+    def shutdown_request(self, request):
         # under the lock, so close() never shuts down a socket being closed
         with self._lock:
-            self._connections.discard(connection)
+            self._connections.discard(request)
             self._lock.notify_all()
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # a peer gone before its reply was written, or a connection that got
+        # no thread: one line, not socketserver's traceback
+        import logging
+
+        exc = sys.exc_info()[1]
+        logging.getLogger("restcipher.http").warning(
+            "%s:%s dropped: %s: %s", *client_address[:2], type(exc).__name__, exc)
 
     @staticmethod
     def _stop_reading(connection) -> None:
@@ -326,7 +315,7 @@ class _HttpService:
 
     @property
     def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
+        host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
     def start(self):
@@ -342,12 +331,12 @@ class _HttpService:
                 self._closing = True
                 for connection in self._connections:
                     self._stop_reading(connection)
-            with socket.create_connection(self._httpd.server_address[:2]):
+            with socket.create_connection(self.server_address[:2]):
                 pass
             self._thread.join()
             with self._lock:
                 self._lock.wait_for(lambda: not self._connections, timeout=10)
-        self._httpd.server_close()
+        self.server_close()
 
 
 @dataclass
@@ -528,24 +517,24 @@ class ScenarioResult:
     reject_ordinals: tuple = ()
 
 
-def _splice_subtrees(final, spans: dict, decoded, ordinals, kept=()) -> tuple:
+def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
     """``final``, a token stream whose ``item_spans`` are ``spans``, with the
     subtrees of ``ordinals`` copied in from ``decoded``, a reply's items:
     each listed subtree decoded whole, any other subtree that holds no
-    listed tag an OpaqueRun or decoded.  A subtree of ``kept`` (see
-    ``composition.reply_owners``) inside a copied one is not taken from the
-    reply: ``final``'s own items stay there.
+    listed tag an OpaqueRun or decoded.  A subtree inside a copied one that
+    another key owns (``composition.reply_owners``'s ``kept``) is copied
+    from the reply too: ``changed_kept`` has refused a reply whose words
+    there differ from the ones ``final``'s sender signed, so the decode
+    there equals ``final``'s own items.
 
     Only the outermost listed subtrees are copied, in stream order; a listed
     tag nested in one of them comes along with it.  This equals replacing the
     listed subtrees one by one as long as each copied subtree holds as many
     tags as the one it replaces, so a reply that changes that, or the number
-    of tags in all, is refused, and so is one with a listed or kept tag left
-    opaque.
+    of tags in all, is refused, and so is one with a listed tag left opaque.
     """
     wanted = set(ordinals)
-    marked = wanted.union(kept)
-    src = {}            # listed or kept ordinal -> (first item, last item, tags inside)
+    src = {}            # listed ordinal -> (first item, last item, tags inside)
     stack = []          # per open tag, (its ordinal, its item index)
     ordinal = 0
     for i, item in enumerate(decoded):
@@ -555,13 +544,12 @@ def _splice_subtrees(final, spans: dict, decoded, ordinals, kept=()) -> tuple:
             stack.append((ordinal, i))
         elif cls is Close:
             opened, start = stack.pop()
-            if opened in marked:
+            if opened in wanted:
                 src[opened] = start, i, ordinal - opened
         elif cls is OpaqueRun:
             ordinal += 1 + item.opens_inside
     if ordinal != len(spans):
         raise MalformedMessage(f"the reply holds {ordinal} tags, the document {len(spans)}")
-    kept = sorted(kept)
     out = []
     pos = 0
     for ordinal in sorted(wanted):
@@ -570,21 +558,11 @@ def _splice_subtrees(final, spans: dict, decoded, ordinals, kept=()) -> tuple:
         _, start, end, inside = spans[ordinal]
         if start < pos:
             continue            # copied with an enclosing subtree
-        at, last, opens_inside = src[ordinal]
+        first, last, opens_inside = src[ordinal]
         if opens_inside != inside:
             raise MalformedMessage(f"reply changes the tags inside tag {ordinal}")
         out += final[pos:start]
-        k = bisect.bisect_right(kept, ordinal)
-        while k < len(kept) and kept[k] <= ordinal + inside:
-            inner = kept[k]
-            span = spans[inner]
-            if inner not in src or src[inner][2] != span.opens_inside:
-                raise MalformedMessage(f"reply changes kept tag {inner}")
-            out += decoded[at:src[inner][0]]
-            out += final[span.start:span.end + 1]
-            at = src[inner][1] + 1
-            k += 1
-        out += decoded[at:last + 1]
+        out += decoded[first:last + 1]
         pos = end + 1
     out += final[pos:]
     return tuple(out)
@@ -681,9 +659,10 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     reply against the ``Signed`` record of the body it sent, which spares
     the hash of every subtree the reply sends back unchanged.  A subtree
     inside a granted one that another key owns must come back word for word
-    as S sent it, else S refuses the reply with KeptWordsChanged before it
-    splices anything, and S keeps its own copy of it: the group key, which
-    every provider holds, may be the only key that signs such a tag.
+    as S sent it, for the group key, which every provider holds, may be the
+    only key that signs such a tag; else S refuses the reply with
+    KeptWordsChanged before it splices anything.  So S's decode of such a
+    subtree equals S's own items.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -742,7 +721,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             decoded = compose_decrypt(reply.unsigned(), ring, reads)
             # the body's words are the stream's items, so it has the stream's spans
             spans = body.spans if final is stream else item_spans(final)
-            final = _splice_subtrees(final, spans, decoded, reply.access, reads.kept)
+            final = _splice_subtrees(final, spans, decoded, reply.access)
         document = emit_xml(final)
         transcript.append(TranscriptEntry("S", "final", document, kind="document"))
         return ScenarioResult(transcript, verdicts, final_document=document,

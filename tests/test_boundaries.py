@@ -1,6 +1,7 @@
 """The HTTP and CLI boundaries: bad input gives a named error, and CLI state
 files carry a session from one run to the next."""
 
+import gc
 import os
 import random
 import signal
@@ -11,6 +12,7 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import pytest
 from restcipher import (
     EncryptedMessage,
     ResourceClient,
+    ResourceServer,
     ScenarioConfig,
     Session,
     emit_xml,
@@ -30,7 +33,7 @@ from restcipher import (
 )
 from restcipher.cli import main
 from restcipher.docmodel import CLOSE, AttrName, Open, Variable
-from restcipher.errors import Corrupt, Malformed, MalformedStream, Transport
+from restcipher.errors import Bind, Corrupt, Malformed, MalformedStream, Transport
 from restcipher.keyxchg import KeyStore, http_get, http_post, load_store, save_store
 from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider
 
@@ -417,6 +420,18 @@ def test_malformed_state_line_is_a_named_error(tmp_path, capsys, rows):
     assert capsys.readouterr().err.startswith("error: Malformed: ")
 
 
+def test_a_state_row_of_an_unknown_kind_is_refused_by_file_and_line(tmp_path, capsys):
+    state, plain = tmp_path / "session.state", tmp_path / "plain.xml"
+    state.write_text(f"{K1_TEXT}\ntag\tname\t4\nbogus\troot\t5\n", encoding="utf-8")
+    plain.write_text('<root a="v1">one</root>', encoding="utf-8")
+    for argv in (["tables"], ["encrypt", "--mode", "tat", "--in", str(plain)]):
+        assert main([*argv, "--state", str(state)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: Malformed: state file {state} line 3: "
+                       "unknown tag-table kind 'bogus'\n")
+
+
 def test_well_formed_state_file_loads(tmp_path, capsys):
     state = tmp_path / "session.state"
     state.write_text(f"{K1_TEXT}\ntag\troot\t4\n", encoding="utf-8")
@@ -604,14 +619,19 @@ def test_a_keystore_that_forms_no_ring_is_malformed(tmp_path, capsys, command, r
     assert not out.exists()
 
 
-def test_serve_and_fetch_through_the_cli(tmp_path, capsys):
-    resource = tmp_path / "resource.xml"
-    resource.write_text(XML1, encoding="utf-8")
+def _serve_command(resource, port: int) -> tuple:
+    """(argv, environment) of ``restcipher serve`` run from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-u", "-m", "restcipher.cli", "serve",
-               "--resource", str(resource), "--port", "0"]
+    return [sys.executable, "-u", "-m", "restcipher.cli", "serve",
+            "--resource", str(resource), "--port", str(port)], env
+
+
+def test_serve_and_fetch_through_the_cli(tmp_path, capsys):
+    resource = tmp_path / "resource.xml"
+    resource.write_text(XML1, encoding="utf-8")
+    command, env = _serve_command(resource, 0)
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, env=env) as proc:
         try:
@@ -628,6 +648,28 @@ def test_serve_and_fetch_through_the_cli(tmp_path, capsys):
                 proc.communicate()
     assert proc.returncode == 0
     assert err == f"warning: {PLAIN_HTTP_WARNING}\n"
+
+
+def test_a_port_in_use_is_a_bind_error_and_leaves_no_socket_open(tmp_path):
+    server = serve(XML1)
+    try:
+        host, port = server.server_address[:2]
+        gc.collect()                # only the second server's garbage is looked at below
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(Bind, match=f"cannot bind {host}:{port}: "):
+                ResourceServer(XML1, host=host, port=port)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        resource = tmp_path / "resource.xml"
+        resource.write_text(XML1, encoding="utf-8")
+        command, env = _serve_command(resource, port)
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1 and done.stdout == ""
+        error = done.stderr.splitlines()[-1]
+        assert error.startswith(f"error: Bind: cannot bind {host}:{port}: ")
+    finally:
+        server.close()
 
 
 def test_bench_prints_one_row_per_document(tmp_path, capsys):

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from restcipher import (CompositionPolicy, EncryptedMessage, KeyRing, OpaqueRun, Open,
+from restcipher import (Close, CompositionPolicy, EncryptedMessage, KeyRing, OpaqueRun, Open,
                         ScenarioConfig, compose_decrypt, compose_encrypt, emit_xml,
                         parse_xml, run_composition_scenario)
 from restcipher import composition, restkit
@@ -134,6 +134,23 @@ def _read_ordinals(items) -> tuple:
     return opened, opaque
 
 
+def _subtrees(items, ordinals) -> dict:
+    """Ordinal -> the items of its subtree, for each decoded tag of
+    ``ordinals``."""
+    subtrees, stack, ordinal = {}, [], 0
+    for i, item in enumerate(items):
+        if isinstance(item, Open):
+            ordinal += 1
+            stack.append((ordinal, i))
+        elif isinstance(item, Close):
+            opened, start = stack.pop()
+            if opened in ordinals:
+                subtrees[opened] = tuple(items[start:i + 1])
+        elif isinstance(item, OpaqueRun):
+            ordinal += 1 + item.opens_inside
+    return subtrees
+
+
 def test_s_reads_only_the_root_and_the_granted_items_of_a_reply(monkeypatch):
     """A 100-item catalog shaped like the three-party benchmark's: item j's
     four tags go to K1 when j % 3 == 0 and to K2 when j % 3 == 1; the rest
@@ -208,6 +225,14 @@ def test_a_nested_policy_splices_as_the_full_decode_does(monkeypatch, mode):
 
     monkeypatch.setattr(restkit, "http_post", recorded)
     decodes = _record_main_decodes(monkeypatch)
+    cuts = []
+    cut = restkit.reply_owners
+
+    def kept_recorded(rule, spans, access):
+        cuts.append(cut(rule, spans, access))
+        return cuts[-1]
+
+    monkeypatch.setattr(restkit, "reply_owners", kept_recorded)
     try:
         outcome = f"final\t{run_composition_scenario(config).final_document}"
     except RestCipherError as exc:
@@ -225,3 +250,11 @@ def test_a_nested_policy_splices_as_the_full_decode_does(monkeypatch, mode):
     opened, opaque = _read_ordinals(sp2)
     assert k1_items <= opened                           # around SP2's price
     assert {item + 1 for item in k1_items} <= opaque    # SP1's name beside it
+    # S splices each kept subtree from the reply: changed_kept has refused a
+    # reply whose words there are not the ones S signed, so S decodes its
+    # own items there
+    own = parse_xml(config.document)
+    for (_, read), reads in zip(decodes, cuts):
+        expected = _subtrees(own, reads.kept)
+        assert reads.kept and len(expected) == len(reads.kept)
+        assert _subtrees(read, reads.kept) == expected

@@ -131,7 +131,7 @@ def _tables_equal(client, server, peer_id) -> bool:
 
 def test_after_a_push_to_a_closed_server_the_next_exchange_uses_a_new_key():
     server = _served()
-    address = server._httpd.server_address[:2]
+    address = server.server_address[:2]
     try:
         with ResourceClient(server.url, "peer") as client:
             client.exchange_key()
@@ -241,7 +241,7 @@ def test_an_unexpected_exception_is_a_500_and_the_next_request_reconnects(caplog
             client.exchange_key()
             server.respond = faulty
             with contextlib.closing(http.client.HTTPConnection(
-                    *server._httpd.server_address[:2], timeout=10)) as raw:
+                    *server.server_address[:2], timeout=10)) as raw:
                 raw.request("GET", "/peer")
                 response = raw.getresponse()
                 assert response.status == 500
@@ -374,7 +374,7 @@ def test_close_returns_once_every_connection_is_closed():
             client.exchange_key()
             client.fetch()
         sock = stack.enter_context(socket.create_connection(
-            service._httpd.server_address[:2], timeout=10))
+            service.server_address[:2], timeout=10))
         sock.sendall(b"GET /x HTTP/1.1\r\nHost: x\r\n\r\n")
         assert service.responding.wait(10)
         # no thread joined: each close() itself waits for its handlers, the
@@ -390,7 +390,7 @@ def test_close_returns_once_every_connection_is_closed():
 
 def test_close_waits_for_a_connection_accepted_before_it(monkeypatch):
     entered, release = threading.Event(), threading.Event()
-    finish_request = restkit._Server.finish_request
+    finish_request = restkit._HttpService.finish_request
 
     def held(self, request, client_address):
         # on the connection's thread, before its handler reads anything
@@ -398,9 +398,9 @@ def test_close_waits_for_a_connection_accepted_before_it(monkeypatch):
         release.wait(10)
         finish_request(self, request, client_address)
 
-    monkeypatch.setattr(restkit._Server, "finish_request", held)
+    monkeypatch.setattr(restkit._HttpService, "finish_request", held)
     service = _HttpService("127.0.0.1", 0).start()
-    with socket.create_connection(service._httpd.server_address[:2], timeout=10) as sock:
+    with socket.create_connection(service.server_address[:2], timeout=10) as sock:
         assert entered.wait(10)
         closing = threading.Thread(target=service.close)
         closing.start()
@@ -416,7 +416,7 @@ def test_close_waits_for_a_connection_accepted_before_it(monkeypatch):
 def test_a_request_on_a_closed_connection_fails_once_and_is_not_resent(caplog):
     caplog.set_level(logging.DEBUG, logger="restcipher.http")
     server = serve(XML1, rng=random.Random(5), bounds={"symbol_type": (63, 63)})
-    port = server._httpd.server_address[1]
+    port = server.server_address[1]
     with ResourceClient(server.url, "peer") as client:
         try:
             client.exchange_key()
@@ -776,7 +776,7 @@ def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused():
 
 
 def _assert_closes_promptly(service) -> None:
-    address = service._httpd.server_address[:2]
+    address = service.server_address[:2]
     started = time.perf_counter()
     service.close()
     assert time.perf_counter() - started < 0.1

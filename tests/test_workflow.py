@@ -50,6 +50,10 @@ def test_the_benchmark_tests_step_runs_the_benchmark_tests():
 
 
 def test_tier_one_also_runs_with_unclosed_resources_as_errors():
-    # a kept-alive socket that a client or a service leaks shows only here
+    # a kept-alive socket that a client or a service leaks shows only here;
+    # pytest reports a ResourceWarning raised in __del__, or an exception
+    # raised in a thread, as a warning of its own, so those are errors too
     runs = [s["run"].strip() for s in _steps() if "run" in s]
-    assert "PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -q" in runs
+    assert ("PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -q"
+            " -W error::pytest.PytestUnraisableExceptionWarning"
+            " -W error::pytest.PytestUnhandledThreadExceptionWarning") in runs
