@@ -69,6 +69,8 @@ def _parse_bounds(spec: str) -> dict:
         name, _, span = part.partition("=")
         if name not in DEFAULT_BOUNDS:
             raise Malformed(f"unknown key element {name!r}")
+        if name in bounds:
+            raise Malformed(f"bad bounds {spec!r}: {name} given twice")
         lo, sep, hi = span.partition("..")
         try:
             bounds[name] = (int(lo), int(hi) if sep else int(lo))
@@ -86,6 +88,9 @@ def _parse_access(spec: str) -> tuple:
         raise Malformed(f"bad access list {spec!r}") from None
     if min(access) < 1:
         raise Malformed(f"bad access list {spec!r}: tag ordinals start at 1")
+    repeats = [o for i, o in enumerate(access) if o in access[:i]]
+    if repeats:
+        raise Malformed(f"bad access list {spec!r}: tag {repeats[0]} given twice")
     return access
 
 
@@ -95,9 +100,12 @@ def _parse_policy(spec: str) -> dict:
     for part in filter(None, spec.split(",")):
         ordinal, _, key_id = part.partition("=")
         try:
-            policy[int(ordinal)] = key_id
+            ordinal = int(ordinal)
         except ValueError:
             raise Malformed(f"bad policy entry {part!r}") from None
+        if ordinal in policy:
+            raise Malformed(f"bad policy {spec!r}: tag {ordinal} given twice")
+        policy[ordinal] = key_id
     if policy and min(policy) < 2:
         # the outermost tag always uses the group key, so it is never a policy choice
         raise Malformed(f"bad policy {spec!r}: policy ordinals start at 2")

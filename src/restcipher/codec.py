@@ -126,11 +126,16 @@ _span = partial(tuple.__new__, Span)
 
 class Layout(NamedTuple):
     """A body's words less its digest words, each tag ordinal's Span in
-    them, and each ordinal's digest word, in word order."""
+    them, and each ordinal's digest word, in word order from a scan."""
 
     body: tuple
     spans: dict
     digests: dict
+
+    def segment(self, ordinal: int) -> tuple:
+        """The words of the subtree of ``ordinal``, closer included."""
+        span = self.spans[ordinal]
+        return self.body[span.start:span.end + 1]
 
 
 def subtree_spans(words, kinds=None) -> Layout:

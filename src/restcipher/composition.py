@@ -22,16 +22,18 @@ which ``attach_digests`` and ``refresh_digests`` sign it.  A sender reads a
 recipient's reply by ``reply_owners``, its own rule cut down to the subtrees
 it granted and the tags around them, from the spans of the Body it sent.
 
-``attach_digests`` returns the signed words as a ``Signed`` record of what
-it signed: the body, its spans, and each digest word with the rule and
-algorithm it was made under.  A sender that checks a reply against that
-record takes an ACCEPT with no hash for each subtree whose digest word and
-words are the ones it signed, under the same owner: the hash would give that
-same word, so the verdict is the one a hash gives.  A recipient copies back
-the subtrees it cannot read, so about half of a reply is such words.  The
-same record lets the sender check that the subtrees ``reply_owners`` keeps
-came back unchanged (``changed_kept``).  Each key's text is hashed once per
-algorithm, on its Session, and each digest copies that hash.
+Both signers, ``attach_digests`` and ``refresh_digests``, return the signed
+words as a ``Signed`` record of what they signed: a ``codec.Layout`` of the
+body, its spans and each digest word, with the rule and algorithm the digests
+were made under.  A sender that checks a reply against its record takes an
+ACCEPT with no hash for each subtree whose digest word and words are the ones
+it signed, under the same owner: the hash would give that same word, so the
+verdict is the one a hash gives.  A recipient copies back the subtrees it
+cannot read, so about half of a reply is such words.  The same record lets
+the sender check that the subtrees ``reply_owners`` keeps came back
+unchanged (``changed_kept``), and a provider's record tells where each word
+of its reply lies.  Each key's text is hashed once per algorithm, on its
+Session, and each digest copies that hash.
 """
 
 import bisect
@@ -41,8 +43,8 @@ import hmac
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .codec import (EncryptedMessage, Session, _decode, _encode, _short_codes, item_spans,
-                    subtree_spans)
+from .codec import (EncryptedMessage, Layout, Session, _decode, _encode, _short_codes,
+                    item_spans, subtree_spans)
 from .errors import MalformedMessage, MissingKey, RestCipherError
 from .keycore import TenElementKey, serialize_key
 # unused here, but kept bound: perfbench's tests check that its tracer
@@ -176,12 +178,8 @@ def changed_kept(kept, sent: "Signed", layout) -> list:
     """The ordinals of ``kept`` (see ``reply_owners``) whose words in a
     reply's ``layout`` differ from the words ``sent`` signed under them, a
     tag the reply lacks included."""
-    changed = []
-    for ordinal in kept:
-        span = layout.spans.get(ordinal)
-        if span is None or layout.body[span.start:span.end + 1] != sent.segment(ordinal):
-            changed.append(ordinal)
-    return changed
+    return [o for o in kept
+            if o not in layout.spans or layout.segment(o) != sent.layout.segment(o)]
 
 
 class Body(list):
@@ -267,26 +265,26 @@ def _body_spans(body_words) -> dict:
 
 
 class Signed(list):
-    """Signed words as ``attach_digests`` made them, with what it signed:
-    ``body``, the digest-free words, as a tuple; ``spans``, each tag's Span
-    in them; ``digests``, each signed ordinal's digest word, made under
-    ``rule``, the ownership rule it signed by, and ``algorithm``.  A sender passes
-    it to ``verify_digests`` to check a reply without hashing again the
-    subtrees the reply sends back unchanged."""
+    """Signed words, each digest word of ``layout`` directly after its
+    subtree's closer, with the record of what was signed: ``layout``, the
+    digest-free body, each tag's Span in it and each signed ordinal's digest
+    word; ``rule``, the ownership rule the digests were made by; and
+    ``algorithm``.  A sender passes it to ``verify_digests`` to check a reply
+    without hashing again the subtrees the reply sends back unchanged."""
 
-    def __init__(self, words, body, spans: dict, digests: dict, rule: Owners,
-                 algorithm: str):
-        super().__init__(words)
-        self.body = tuple(body)
-        self.spans = spans
-        self.digests = digests
+    def __init__(self, layout: Layout, rule: Owners, algorithm: str):
+        body, spans, digests = layout
+        pos = 0
+        # a Body's spans inside an OpaqueRun come in ordinal order, not
+        # closer order, so the digests are spliced in by their closers
+        for end, ordinal in sorted((spans[o].end, o) for o in digests):
+            self += body[pos:end + 1]   # the words since the last closer, as one slice
+            self.append(digests[ordinal])
+            pos = end + 1
+        self += body[pos:]
+        self.layout = layout
         self.rule = rule
         self.algorithm = algorithm
-
-    def segment(self, ordinal: int) -> tuple:
-        """The signed words of the subtree of ``ordinal``, closer included."""
-        span = self.spans[ordinal]
-        return self.body[span.start:span.end + 1]
 
 
 def attach_digests(body_words, policy, ring: KeyRing,
@@ -298,30 +296,14 @@ def attach_digests(body_words, policy, ring: KeyRing,
     digest (group key) closes the message.  Input must be digest-free.
     """
     rule = owners(ring, policy)
-    spans = _body_spans(body_words)
-    digests = {}
-    for ordinal, span in spans.items():
+    layout = Layout(tuple(body_words), _body_spans(body_words), {})
+    for ordinal in layout.spans:
         who = rule[ordinal]
         if ordinal == 1 or who is not rule[1]:
             if who is None:
                 raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
-            digests[ordinal] = _digest(who, body_words[span.start:span.end + 1], algorithm)
-    words = _spliced(body_words, {spans[o].end: word for o, word in digests.items()})
-    return Signed(words, body_words, spans, digests, rule, algorithm)
-
-
-def _spliced(body_words, by_closer: dict) -> list:
-    """The body with each digest of ``by_closer`` (closer index -> digest
-    word) after its closer; the root's closer is the last word.  The words
-    between two closers are copied as one slice."""
-    out = []
-    pos = 0
-    for end in sorted(by_closer):
-        out += body_words[pos:end + 1]
-        out.append(by_closer[end])
-        pos = end + 1
-    out += body_words[pos:]
-    return out
+            layout.digests[ordinal] = _digest(who, layout.segment(ordinal), algorithm)
+    return Signed(layout, rule, algorithm)
 
 
 def strip_digests(words):
@@ -367,7 +349,7 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
     # default, so it knows each subtree attach_digests signs; a recipient's
     # rule (default None) knows only the root's
     group = rule.default
-    ours = sent.digests if sent is not None and sent.algorithm == algorithm else {}
+    ours = sent.layout.digests if sent is not None and sent.algorithm == algorithm else {}
     verdicts = []
     # spans come in closer order, the order of the digests after them
     for ordinal, span in spans.items():
@@ -380,10 +362,11 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
         if who is None:
             verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
             continue
+        # cut inline, not by Layout.segment: a call per digest slowed this loop ~5 %
         segment = body[span.start:span.end + 1]
         mine = ours.get(ordinal)
         if (mine is not None and hmac.compare_digest(mine, word)
-                and sent.rule[ordinal] is who and segment == sent.segment(ordinal)):
+                and sent.rule[ordinal] is who and segment == sent.layout.segment(ordinal)):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))    # the hash would give ``mine``
         elif hmac.compare_digest(_digest(who, segment, algorithm), word):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
@@ -393,21 +376,17 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
 
 
 def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
-                    algorithm: str = DEFAULT_DIGEST) -> list:
-    """Re-sign held subtrees, splice preserved digests for foreign ones.
+                    algorithm: str = DEFAULT_DIGEST) -> Signed:
+    """Re-sign held subtrees, keep preserved digests for foreign ones, and
+    return the Signed record of it, as ``attach_digests`` does.
 
     ``resolve`` is the rule the body was decoded under (see ``owners``);
     ``preserved`` maps subtree ordinals to the digest words of the incoming
     message, so the set of signed subtrees is kept shape-identical."""
     rule = owners(ring, resolve)
-    spans = _body_spans(body_words)
-    by_closer = {}
+    layout = Layout(tuple(body_words), _body_spans(body_words), {})
     for ordinal, old in preserved.items():
-        span = spans[ordinal]
         who = rule[ordinal]
-        if who is None:
-            by_closer[span.end] = old
-        else:
-            segment = body_words[span.start:span.end + 1]
-            by_closer[span.end] = _digest(who, segment, algorithm)
-    return _spliced(body_words, by_closer)
+        layout.digests[ordinal] = old if who is None else _digest(
+            who, layout.segment(ordinal), algorithm)
+    return Signed(layout, rule, algorithm)

@@ -216,8 +216,8 @@ class Connection:
     ``https`` URL), for one request at a time; ``close`` it when done."""
 
     def __init__(self, url: str):
-        parts = urllib.parse.urlsplit(url)
         try:
+            parts = urllib.parse.urlsplit(url)
             port = parts.port
         except ValueError as exc:
             raise Transport(f"bad URL {url!r}: {exc}") from None

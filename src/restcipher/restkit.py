@@ -44,10 +44,11 @@ import time
 from dataclasses import dataclass, field
 from socketserver import StreamRequestHandler, TCPServer, ThreadingMixIn
 
-from .codec import EncryptedMessage, OpaqueRun, Session, item_spans, subtree_spans
+from .codec import EncryptedMessage, OpaqueRun, Session, item_spans
 from .composition import (
     CompositionPolicy,
     KeyRing,
+    Signed,
     Status,
     access_header,
     attach_digests,
@@ -267,7 +268,7 @@ class _HttpService(ThreadingMixIn, TCPServer):
         self._lock = threading.Condition()      # notified as each one is untracked
         try:
             super().__init__((host, port), _Handler)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:     # OverflowError: a port past 0-65535
             raise Bind(f"cannot bind {host}:{port}: {exc}") from None
         self._thread = threading.Thread(target=self._serve, daemon=True)
 
@@ -596,12 +597,12 @@ def _apply_edits(items: list, edits: dict, name: str) -> list:
     return out
 
 
-def _tamper_words(words: list, spans_ordinal: int) -> list:
-    """Flip the last digit of the given subtree's tag word."""
-    _, spans, digests = subtree_spans(words)
-    tag = spans[spans_ordinal].start    # in the body; each digest before it shifts it
+def _tamper_words(signed: Signed, ordinal: int) -> list:
+    """Flip the last digit of ``ordinal``'s tag word, found by ``signed``'s record."""
+    _, spans, digests = signed.layout
+    tag = spans[ordinal].start      # in the body; each digest before it shifts it
     start = tag + sum(spans[o].end < tag for o in digests)
-    out = list(words)
+    out = list(signed)
     out[start] = out[start][:-1] + str((int(out[start][-1]) + 1) % 10)
     return out
 

@@ -521,6 +521,7 @@ def test_keygen_prints_a_key_within_the_bounds(capsys):
     ("rows=9..4", "NoValidKeyInBounds"),    # an empty range
     ("rows=x", "Malformed"),
     ("size=4", "Malformed"),                # no such element
+    ("rows=4..4,rows=9..9", "Malformed"),   # an element given twice
 ])
 def test_keygen_bad_bounds_are_named_errors(capsys, bounds, error):
     assert main(["keygen", "--bounds", bounds]) == 1
@@ -570,7 +571,8 @@ def test_verify_rejects_a_message_stripped_of_its_digests(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["encrypt", "sign"])
-@pytest.mark.parametrize("access", ["--access=0", "--access=-1", "--access=2,0"])
+@pytest.mark.parametrize("access", ["--access=0", "--access=-1", "--access=2,0",
+                                    "--access=2,2"])
 def test_access_ordinals_below_one_are_malformed(tmp_path, capsys, command, access):
     plain, out = tmp_path / "plain.xml", tmp_path / "out"
     plain.write_text(XML2, encoding="utf-8")
@@ -596,6 +598,18 @@ def test_policy_ordinals_below_two_are_malformed(tmp_path, capsys, command, poli
     captured = capsys.readouterr()
     assert captured.err == f"error: Malformed: bad policy {policy!r}: policy ordinals start at 2\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sign", "verify"])
+def test_a_policy_naming_a_tag_twice_is_malformed(tmp_path, capsys, command):
+    ring, plain, signed = _keyring(tmp_path), tmp_path / "plain.xml", tmp_path / "signed"
+    plain.write_text(XML2, encoding="utf-8")
+    files = ["--in", str(plain), "--out", str(signed)] if command == "sign" \
+        else ["--in", str(plain)]
+    assert main([command, "--keyring", str(ring), "--policy", "2=K1,2=K2", *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Malformed: bad policy '2=K1,2=K2': tag 2 given twice\n"
+    assert captured.out == "" and not signed.exists()
 
 
 @pytest.mark.parametrize("command", ["sign", "verify"])
@@ -670,6 +684,17 @@ def test_a_port_in_use_is_a_bind_error_and_leaves_no_socket_open(tmp_path):
         assert error.startswith(f"error: Bind: cannot bind {host}:{port}: ")
     finally:
         server.close()
+
+
+@pytest.mark.parametrize("port", [70000, -1])
+def test_a_port_outside_the_port_range_is_a_bind_error(tmp_path, capsys, port):
+    with pytest.raises(Bind, match=f"cannot bind 127.0.0.1:{port}: "):
+        ResourceServer(XML1, port=port)
+    resource = tmp_path / "resource.xml"
+    resource.write_text(XML1, encoding="utf-8")
+    assert main(["serve", "--resource", str(resource), "--port", str(port)]) == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith(f"error: Bind: cannot bind 127.0.0.1:{port}: ")
 
 
 def test_bench_prints_one_row_per_document(tmp_path, capsys):
@@ -763,7 +788,8 @@ def not_ascii_url():
 
 
 @pytest.mark.parametrize("url", ["localhost:8080/peer", "http:///peer",
-                                 "http://127.0.0.1:port/peer", "ftp://127.0.0.1/peer"])
+                                 "http://127.0.0.1:port/peer", "ftp://127.0.0.1/peer",
+                                 "http://[::1/peer"])
 def test_a_url_no_connection_can_be_opened_to_is_a_named_error(url):
     with pytest.raises(Transport, match="bad URL"):
         http_get(url)

@@ -654,10 +654,10 @@ def _reply_mutated(rng, words, signed, how) -> list:
     elif how == "swap" and len(digests) > 1:
         a, b = rng.sample(sorted(digests.values()), 2)
         out[a], out[b] = out[b], out[a]
-    elif how == "other-digest" and len(signed.digests) > 1:
+    elif how == "other-digest" and len(signed.layout.digests) > 1:
         ordinal = rng.choice(sorted(digests))
-        out[digests[ordinal]] = signed.digests[rng.choice(
-            [o for o in signed.digests if o != ordinal])]
+        out[digests[ordinal]] = signed.layout.digests[rng.choice(
+            [o for o in signed.layout.digests if o != ordinal])]
     elif how == "tag-fewer":
         leaves = [o for o, (_, _, _, inside) in spans.items() if o > 1 and not inside]
         if leaves:

@@ -29,7 +29,7 @@ from restcipher import (
     run_composition_scenario,
     verify_digests,
 )
-from restcipher import codec, composition, restkit
+from restcipher import codec, composition
 from restcipher.codec import item_spans, subtree_spans
 from restcipher.composition import owners
 from restcipher.errors import MalformedMessage, RestCipherError, Unclassifiable
@@ -194,6 +194,7 @@ def test_each_step_hands_on_the_structure_a_scan_finds(seed, mode):
     assert body.spans == subtree_spans(body).spans
     signed = attach_digests(body, policy, sender)
     assert signed == attach_digests(list(body), policy, sender)     # placed by a scan
+    assert signed.layout == subtree_spans(signed)
     for held in ("K1", "K2"):
         access = access_header(policy, sender, [held], count)
         msg = EncryptedMessage.parse(EncryptedMessage(access, tuple(signed)).serialize())
@@ -209,8 +210,9 @@ def test_each_step_hands_on_the_structure_a_scan_finds(seed, mode):
             words = compose_reencrypt(items, rule, ring, mode)
             assert words.spans == subtree_spans(words).spans
             preserved = msg.layout.digests
-            assert refresh_digests(words, ring, rule, preserved) \
-                == refresh_digests(list(words), ring, rule, preserved)
+            refreshed = refresh_digests(words, ring, rule, preserved)
+            assert refreshed == refresh_digests(list(words), ring, rule, preserved)
+            assert refreshed.layout == subtree_spans(refreshed)
 
 
 def _scans(monkeypatch):
@@ -230,7 +232,7 @@ def _scans(monkeypatch):
             classified.append(word)
         return classify(word)
 
-    for module in (codec, composition, restkit):
+    for module in (codec, composition):
         monkeypatch.setattr(module, "subtree_spans", counted)
     monkeypatch.setattr(codec, "classify_word", counted_classify)
     return calls, classified

@@ -1,14 +1,20 @@
 """The CI workflow file: no mapping holds a key twice, each step does one
-thing, the benchmark's own tests still run, and tier-1 also runs with
-unclosed resources as errors."""
+thing, the benchmark's own tests still run, tier-1 also runs with unclosed
+resources as errors, and every benchmark run fails its step when an op
+fails."""
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+GITHUB = Path(__file__).resolve().parent.parent / ".github"
+WORKFLOW = GITHUB / "workflows" / "tests.yml"
+CHECKER = "python .github/check_run.py"
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -57,3 +63,30 @@ def test_tier_one_also_runs_with_unclosed_resources_as_errors():
     assert ("PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -q"
             " -W error::pytest.PytestUnraisableExceptionWarning"
             " -W error::pytest.PytestUnhandledThreadExceptionWarning") in runs
+
+
+def test_every_benchmark_run_goes_through_the_checker():
+    steps = [s for s in _steps() if "perfbench/run.py" in s.get("run", "")]
+    assert len(steps) == 7
+    for step in steps:
+        # GitHub runs a bash step with -eo pipefail, so a failed run.py fails it
+        assert step.get("shell") == "bash", step["name"]
+        run, check = (" ".join(part.split()) for part in step["run"].split("|"))
+        assert run.startswith("python perfbench/run.py "), step["name"]
+        assert check == CHECKER or check.startswith(CHECKER + " "), step["name"]
+
+
+def _check(summary: dict, *counters) -> int:
+    output = "# a comment line\n" + json.dumps(summary) + "\n"
+    return subprocess.run([sys.executable, str(GITHUB / "check_run.py"), *counters],
+                          input=output, capture_output=True, text=True, timeout=60).returncode
+
+
+@pytest.mark.parametrize("summary,counters,code", [
+    ({"correct": True, "metrics": {"a.calls": {"value": 2.0}}}, ["a.calls"], 0),
+    ({"correct": False, "attempted": 3, "failed": 1, "metrics": {}}, [], 1),
+    ({"correct": True, "metrics": {"a.calls": {"value": 0.0}}}, ["a.calls"], 1),
+    ({"correct": True, "metrics": {}}, ["a.calls"], 1),     # a counter the run lacks
+])
+def test_the_checker_fails_a_run_with_a_failed_op_or_an_idle_counter(summary, counters, code):
+    assert _check(summary, *counters) == code
