@@ -43,6 +43,7 @@ without a scan of its words.
 """
 
 import enum
+import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -82,8 +83,8 @@ _MARKED = (WordKind.VARIABLE, WordKind.TAG, WordKind.ATTR_NAME, WordKind.ATTR_VA
 # hot paths test kinds by identity: an enum member's hash is a Python call
 _VARIABLE, _TAG, _ATTR_NAME, _ATTR_VALUE = _MARKED
 _CLOSER, _DIGEST = WordKind.CLOSER, WordKind.DIGEST
-# md5 by default; sha1/sha256 lengths admitted for the configurable digest
-_DIGEST_RE = re.compile(r"[0-9a-f]{32}|[0-9a-f]{40}|[0-9a-f]{64}")
+# an md5 hex digest, the one digest the signing pipeline makes
+_DIGEST_RE = re.compile(r"[0-9a-f]{32}")
 
 
 def classify_word(word: str) -> WordKind:
@@ -587,10 +588,10 @@ class Session:
         return serialize_key(self.key)
 
     @cached_property
-    def key_hashes(self) -> dict:
-        """Digest algorithm -> a hash that has read ``key_text`` alone, which
-        every digest under this key copies (``composition._digest``)."""
-        return {}
+    def key_hash(self):
+        """An md5 hash that has read ``key_text`` alone, which every digest
+        under this key copies (``composition._digest``)."""
+        return hashlib.md5(self.key_text.encode("ascii"))
 
     def encrypt(self, stream, mode: str = "st", access=()) -> EncryptedMessage:
         encrypt = tatbe if _short_codes(mode) else stbe

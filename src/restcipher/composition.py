@@ -24,16 +24,17 @@ it granted and the tags around them, from the spans of the Body it sent.
 
 Both signers, ``attach_digests`` and ``refresh_digests``, return the signed
 words as a ``Signed`` record of what they signed: a ``codec.Layout`` of the
-body, its spans and each digest word, with the rule and algorithm the digests
-were made under.  A sender that checks a reply against its record takes an
-ACCEPT with no hash for each subtree whose digest word and words are the ones
-it signed, under the same owner: the hash would give that same word, so the
+body, its spans and each digest word, with the rule the digests were made
+under.  A sender that checks a reply against its record takes an ACCEPT
+with no hash for each subtree whose digest word and words are the ones it
+signed, under the same owner: the hash would give that same word, so the
 verdict is the one a hash gives.  A recipient copies back the subtrees it
 cannot read, so about half of a reply is such words.  The same record lets
 the sender check that the subtrees ``reply_owners`` keeps came back
 unchanged (``changed_kept``), and a provider's record tells where each word
-of its reply lies.  Each key's text is hashed once per algorithm, on its
-Session, and each digest copies that hash.
+of its reply lies.  Every digest is an md5: the algorithm never travels
+with a message, so both ends agree on it in advance.  Each key's text is
+hashed once, on its Session, and each digest copies that hash.
 """
 
 import bisect
@@ -50,8 +51,6 @@ from .keycore import TenElementKey, serialize_key
 # unused here, but kept bound: perfbench's tests check that its tracer
 # wraps composition.tat_upsert
 from .tables import tat_upsert  # noqa: F401
-
-DEFAULT_DIGEST = "md5"
 
 
 class KeyRing:
@@ -233,22 +232,16 @@ def compose_decrypt(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
 # keyed digests
 
 
-def sign_segment(segment_words, key: TenElementKey,
-                 algorithm: str = DEFAULT_DIGEST) -> str:
-    """Hash of the serialized key followed by the space-joined segment."""
+def sign_segment(segment_words, key: TenElementKey) -> str:
+    """md5 of the serialized key followed by the space-joined segment."""
     payload = serialize_key(key) + " ".join(segment_words)
-    return hashlib.new(algorithm, payload.encode("ascii")).hexdigest()
+    return hashlib.md5(payload.encode("ascii")).hexdigest()
 
 
-def _digest(who: Session, segment_words, algorithm: str) -> str:
-    """``sign_segment`` under the key of ``who``, whose ``key_text`` is
-    hashed once per algorithm; each digest copies that hash and reads the
-    segment on."""
-    prefix = who.key_hashes.get(algorithm)
-    if prefix is None:
-        prefix = who.key_hashes[algorithm] = hashlib.new(algorithm,
-                                                         who.key_text.encode("ascii"))
-    digest = prefix.copy()
+def _digest(who: Session, segment_words) -> str:
+    """``sign_segment`` under the key of ``who``: a copy of its
+    ``key_hash`` reads the segment on."""
+    digest = who.key_hash.copy()
     digest.update(" ".join(segment_words).encode("ascii"))
     return digest.hexdigest()
 
@@ -268,11 +261,11 @@ class Signed(list):
     """Signed words, each digest word of ``layout`` directly after its
     subtree's closer, with the record of what was signed: ``layout``, the
     digest-free body, each tag's Span in it and each signed ordinal's digest
-    word; ``rule``, the ownership rule the digests were made by; and
-    ``algorithm``.  A sender passes it to ``verify_digests`` to check a reply
-    without hashing again the subtrees the reply sends back unchanged."""
+    word; and ``rule``, the ownership rule the digests were made by.  A
+    sender passes it to ``verify_digests`` to check a reply without hashing
+    again the subtrees the reply sends back unchanged."""
 
-    def __init__(self, layout: Layout, rule: Owners, algorithm: str):
+    def __init__(self, layout: Layout, rule: Owners):
         body, spans, digests = layout
         pos = 0
         # a Body's spans inside an OpaqueRun come in ordinal order, not
@@ -284,11 +277,9 @@ class Signed(list):
         self += body[pos:]
         self.layout = layout
         self.rule = rule
-        self.algorithm = algorithm
 
 
-def attach_digests(body_words, policy, ring: KeyRing,
-                   algorithm: str = DEFAULT_DIGEST) -> Signed:
+def attach_digests(body_words, policy, ring: KeyRing) -> Signed:
     """Sign the whole body and every subtree the policy gives a key other
     than the group's.
 
@@ -302,8 +293,8 @@ def attach_digests(body_words, policy, ring: KeyRing,
         if ordinal == 1 or who is not rule[1]:
             if who is None:
                 raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
-            layout.digests[ordinal] = _digest(who, layout.segment(ordinal), algorithm)
-    return Signed(layout, rule, algorithm)
+            layout.digests[ordinal] = _digest(who, layout.segment(ordinal))
+    return Signed(layout, rule)
 
 
 def strip_digests(words):
@@ -325,19 +316,20 @@ class Verdict(NamedTuple):
 
 
 def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
-                   algorithm: str = DEFAULT_DIGEST, sent: Signed = None) -> list:
+                   sent: Signed = None) -> list:
     """One verdict per digest word, in word order, and a Reject for each
     missing digest: the root's always, under a policy also each one
-    attach_digests makes.  A structurally broken message is a single
-    whole-message Reject rather than an exception.
+    attach_digests makes.  A structurally broken message, one holding a hex
+    word that is no md5 digest among them, is a single whole-message Reject
+    rather than an exception.
 
     ``sent``, the Signed record of a message this end signed, spares the
     hash of each subtree a reply carries back unchanged: where the reply's
     digest word for a subtree equals the one ``sent`` holds, made under the
-    same owner and algorithm, and the subtree's words equal the words
-    ``sent`` signed, the verdict is ACCEPT with no hash, for the hash of
-    those words under that key is that very word.  Every other subtree is
-    hashed, so the verdicts are the ones a hash of every subtree gives."""
+    same owner, and the subtree's words equal the words ``sent`` signed, the
+    verdict is ACCEPT with no hash, for the hash of those words under that
+    key is that very word.  Every other subtree is hashed, so the verdicts
+    are the ones a hash of every subtree gives."""
     try:
         body, spans, digests = msg.layout
         rule = owners(ring, policy, msg.access)
@@ -349,7 +341,7 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
     # default, so it knows each subtree attach_digests signs; a recipient's
     # rule (default None) knows only the root's
     group = rule.default
-    ours = sent.layout.digests if sent is not None and sent.algorithm == algorithm else {}
+    ours = sent.layout.digests if sent is not None else {}
     verdicts = []
     # spans come in closer order, the order of the digests after them
     for ordinal, span in spans.items():
@@ -368,25 +360,27 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
         if (mine is not None and hmac.compare_digest(mine, word)
                 and sent.rule[ordinal] is who and segment == sent.layout.segment(ordinal)):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))    # the hash would give ``mine``
-        elif hmac.compare_digest(_digest(who, segment, algorithm), word):
+        elif hmac.compare_digest(_digest(who, segment), word):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
     return verdicts
 
 
-def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict,
-                    algorithm: str = DEFAULT_DIGEST) -> Signed:
+def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict) -> Signed:
     """Re-sign held subtrees, keep preserved digests for foreign ones, and
     return the Signed record of it, as ``attach_digests`` does.
 
     ``resolve`` is the rule the body was decoded under (see ``owners``);
     ``preserved`` maps subtree ordinals to the digest words of the incoming
-    message, so the set of signed subtrees is kept shape-identical."""
+    message, so the set of signed subtrees is kept shape-identical; an
+    ordinal the body has no tag for is MalformedMessage, before any hash."""
     rule = owners(ring, resolve)
     layout = Layout(tuple(body_words), _body_spans(body_words), {})
+    absent = preserved.keys() - layout.spans.keys()
+    if absent:
+        raise MalformedMessage(f"body has no tag {min(absent)} to sign")
     for ordinal, old in preserved.items():
         who = rule[ordinal]
-        layout.digests[ordinal] = old if who is None else _digest(
-            who, layout.segment(ordinal), algorithm)
-    return Signed(layout, rule, algorithm)
+        layout.digests[ordinal] = old if who is None else _digest(who, layout.segment(ordinal))
+    return Signed(layout, rule)

@@ -205,10 +205,12 @@ def parse_json(text: str) -> tuple:
     """Tokenize a JSON document (XML-mapping convention) into the stream.
 
     Names are tags, names prefixed "-" are attributes, scalars are variable
-    words, and an array repeats its tag once per element.
+    words, and an array repeats its tag once per element.  A number keeps
+    its literal text, as its XML twin does; NaN and the infinities, which
+    are not JSON, are MalformedJson.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=str, parse_float=str, parse_constant=_not_json)
     except (ValueError, RecursionError) as exc:
         raise MalformedJson(str(exc)) from None
     if not isinstance(data, dict):
@@ -277,15 +279,18 @@ def parse_json(text: str) -> tuple:
     return tuple(tokens)
 
 
+def _not_json(name: str):
+    raise MalformedJson(f"{name} is not a JSON number")
+
+
 def _scalar_text(value) -> str:
+    """The literal text of a scalar; ``parse_json`` reads numbers as text."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, float)):
-        return json.dumps(value)
     raise UnsupportedShape(f"expected a scalar, got {type(value).__name__}")
 
 

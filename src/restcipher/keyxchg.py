@@ -295,8 +295,13 @@ def _request(method: str, url: str, data, timeout: float, connection) -> str:
 
 
 def http_post(url: str, body: str, timeout: float = 10.0, *, connection=None) -> str:
-    """POST text/plain, return the response body; transport faults wrapped."""
-    return _request("POST", url, body.encode("ascii"), timeout, connection)
+    """POST text/plain, return the response body; transport faults wrapped.
+    A body that is not ASCII text is refused before any connection."""
+    try:
+        data = body.encode("ascii")
+    except UnicodeEncodeError:
+        raise Transport(f"POST {url} failed: body is not ASCII text") from None
+    return _request("POST", url, data, timeout, connection)
 
 
 def http_get(url: str, timeout: float = 10.0, *, connection=None) -> str:

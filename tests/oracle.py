@@ -487,7 +487,7 @@ def oracle_subtree_spans(words, allow_digests: bool = False):
     return spans, digests
 
 
-def oracle_verify_digests(msg, ring, policy=None, algorithm="md5") -> list:
+def oracle_verify_digests(msg, ring, policy=None) -> list:
     """One verdict per digest word present, in word order."""
     try:
         spans, digests = oracle_subtree_spans(msg.words, allow_digests=True)
@@ -512,7 +512,7 @@ def oracle_verify_digests(msg, ring, policy=None, algorithm="md5") -> list:
             continue
         _, start, end, _ = spans[ordinal]
         segment = body[start - bisect_left(cuts, start):end + 1 - bisect_left(cuts, end)]
-        expected = sign_segment(segment, ring[key_id].key, algorithm)
+        expected = sign_segment(segment, ring[key_id].key)
         if hmac.compare_digest(expected, words[index]):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:

@@ -812,6 +812,17 @@ def test_a_get_reply_that_is_not_ascii_is_a_named_error(not_ascii_url):
         http_get(not_ascii_url)
 
 
+def test_a_post_body_that_is_not_ascii_is_a_named_error(monkeypatch):
+    def no_connection(*args, **kwargs):
+        raise AssertionError("a connection was opened")
+
+    monkeypatch.setattr(socket, "create_connection", no_connection)
+    url = "http://127.0.0.1:9/peer"
+    with pytest.raises(Transport) as info:
+        http_post(url, "\u00e9")
+    assert str(info.value) == f"POST {url} failed: body is not ASCII text"
+
+
 def test_a_refusal_quotes_its_first_line_with_non_ascii_escaped(not_ascii_url):
     url = not_ascii_url.replace("/peer", "/refused")
     with pytest.raises(Transport) as info:

@@ -80,7 +80,8 @@ def test_classify_word(word, kind):
     assert classify_word(word) is kind
 
 
-@pytest.mark.parametrize("word", ["", "00", "000", "0000", "00001", "12a", "ADC1" + "0" * 28])
+@pytest.mark.parametrize("word", ["", "00", "000", "0000", "00001", "12a", "ADC1" + "0" * 28,
+                                  "a" * 40, "a" * 64])
 def test_unclassifiable_words(word):
     with pytest.raises(Unclassifiable):
         classify_word(word)

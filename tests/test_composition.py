@@ -444,11 +444,6 @@ def test_sign_segment_vectors(k1, k3):
     assert sign_segment(TAT_SEGMENT, k1) == sign_segment(TAT_SEGMENT, k1)
 
 
-def test_sign_segment_algorithms(k1):
-    assert len(sign_segment(TAT_SEGMENT, k1, "sha1")) == 40
-    assert len(sign_segment(TAT_SEGMENT, k1, "sha256")) == 64
-
-
 def test_attach_places_digests_after_closers(stream, ring, policy):
     body = compose_encrypt(stream, policy, ring, "st")
     signed = attach_digests(body, policy, ring)
@@ -550,6 +545,18 @@ def test_refresh_recomputes_held_and_preserves_foreign(stream, ring, policy, k1,
     assert refreshed == signed  # nothing edited: identical bytes throughout
 
 
+@pytest.mark.parametrize("ids", [("K1", "K3"), ("K3",)])
+def test_refresh_refuses_a_preserved_tag_the_body_lacks(monkeypatch, k1, k2, k3, ids):
+    # with or without the key for the missing tag, refused before any hash
+    holder = make_ring(k1, k2, k3, *ids)
+    hashed = []
+    monkeypatch.setattr(composition, "_digest", lambda *args: hashed.append(args))
+    with pytest.raises(MalformedMessage, match="no tag 9"):
+        refresh_digests(["04", "05", "1", "0", "0"], holder,
+                        owners(holder, CompositionPolicy({9: "K1"})), {1: "b" * 32, 9: "a" * 32})
+    assert hashed == []
+
+
 def test_digest_grammar_rejects_misplaced_digests():
     with pytest.raises(MalformedMessage):
         subtree_spans(["04", D1, "0"])
@@ -563,18 +570,29 @@ def test_a_digest_is_recognised_by_its_position():
     assert subtree_spans(["04", "0", "00" + "1" * 30]).digests == {1: "00" + "1" * 30}
     # after the root's closer no tag may follow, so even a tag-shaped one
     assert subtree_spans(["04", "0", "01" + "2" * 30]).digests == {1: "01" + "2" * 30}
-    # inside the root a tag-shaped word opens a sibling: a 13-letter name
-    # spelled out at width 3 is 40 decimal characters, a sha1's length
-    layout = subtree_spans(["04", "05", "0", "0" + "1" * 39, "0", "0"])
+    # inside the root a tag-shaped word of an md5's length opens a sibling
+    layout = subtree_spans(["04", "05", "0", "0" + "1" * 31, "0", "0"])
     assert sorted(layout.spans) == [1, 2, 3] and layout.digests == {}
+
+
+@pytest.mark.parametrize("length", [40, 64])
+def test_a_hex_word_of_another_digest_length_is_refused_whole(stream, ring, policy, length):
+    body = compose_encrypt(stream, policy, ring, "st")
+    signed = attach_digests(body, policy, ring)
+    words = tuple(signed[:-1]) + (signed[-1] + "a" * (length - 32),)
+    with pytest.raises(MalformedMessage, match="matches no word class"):
+        EncryptedMessage.parse(EncryptedMessage((2,), words).serialize())
+    [verdict] = verify_digests(EncryptedMessage((2,), words), ring, policy)
+    assert verdict.ordinal == 0 and verdict.status is Status.REJECT
+    assert "matches no word class" in verdict.detail
 
 
 @pytest.mark.parametrize("marker", ["", "00", "000"])
 def test_all_decimal_digests_verify(monkeypatch, stream, ring, policy, marker):
     real = composition._digest
 
-    def decimal(who, segment, algorithm):
-        return (marker + str(int(real(who, segment, algorithm), 16)))[:32]
+    def decimal(who, segment):
+        return (marker + str(int(real(who, segment), 16)))[:32]
 
     monkeypatch.setattr(composition, "_digest", decimal)
     body = compose_encrypt(stream, policy, ring, "st")

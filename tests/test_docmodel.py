@@ -162,12 +162,19 @@ def test_unsupported_json_shapes(text):
 def test_malformed_json():
     with pytest.raises(MalformedJson):
         parse_json("{nope")
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(MalformedJson, match=f"{constant} is not a JSON number"):
+            parse_json(f'{{"r": {{"v": {constant}}}}}')
 
 
 def test_json_scalars_become_literal_text():
     stream = parse_json('{"a": {"b": 2, "c": true, "d": null, "e": 2.5}}')
     texts = [t.text for t in stream if isinstance(t, Variable)]
     assert texts == ["2", "true", "null", "2.5"]
+    # a number is its literal text, as in the equivalent XML, in text and attributes
+    for number in ("1.50", "1e2", "-0", "1e999", "12345678901234567890.5"):
+        assert parse_json(f'{{"r": {{"v": {number}}}}}') == parse_xml(f"<r><v>{number}</v></r>")
+        assert parse_json(f'{{"r": {{"-a": {number}}}}}') == parse_xml(f'<r a="{number}"></r>')
 
 
 def test_emit_xml_canonical_form():
@@ -421,6 +428,6 @@ def test_deep_json_is_a_named_error(monkeypatch):
     tree = "x"
     for _ in range(5000):
         tree = {"a": tree}
-    monkeypatch.setattr(docmodel.json, "loads", lambda text: tree)
+    monkeypatch.setattr(docmodel.json, "loads", lambda text, **options: tree)
     with pytest.raises(UnsupportedShape):
         parse_json("")
