@@ -30,16 +30,16 @@ decoded once.
 A signed message also carries digest words (see ``composition``), each
 right after the closer of the subtree it covers.  A received message is
 classified and scanned once: ``EncryptedMessage.parse`` keeps each distinct
-word's class, ``layout`` scans the body into its ``Layout`` from those, and
-``unsigned`` hands classes and spans to ``_decode``, which copies a foreign
-subtree by its Span.  The layout scan (``subtree_spans``) reads the classes
-through one ``map`` and does work only at a tag, a closer and the word after
-a closer, where a digest may stand; it notes each digest word's place and
-cuts the body out of the words with slices.  It runs on first use only, so
-a message no step asks the layout of, as on the two-party path, never
-pays for it.  ``item_spans`` lays out a body to be encoded from its
-tokens, an OpaqueRun bringing the spans inside it, so that body is signed
-without a scan of its words.
+word's class, ``layout`` scans the words into a digest-free body and its
+spans from those, and ``_decode`` reads that body with the classes and
+copies a foreign subtree by its Span.  The layout scan (``subtree_spans``)
+reads the classes through one ``map`` and does work only at a tag, a closer
+and the word after a closer, where a digest may stand; it notes each digest
+word's place and cuts the body out of the words with slices.  It runs on
+first use only, so a message no step asks the layout of, as on the
+two-party path, never pays for it.  ``item_spans`` lays out a body to be
+encoded from its tokens, an OpaqueRun bringing the spans inside it, so that
+body is signed without a scan of its words.
 """
 
 import enum
@@ -227,14 +227,13 @@ _ACCESS_RE = re.compile(r"(?:[1-9][0-9]*,)+")
 
 @dataclass(frozen=True)
 class EncryptedMessage:
-    """Access-list header plus the ordered ciphertext words, and, not
-    compared, what a parse or scan found: each distinct word's WordKind
-    (``kinds``) and, for a digest-free body, each tag's Span (``spans``)."""
+    """Access-list header plus the ordered ciphertext words, signed or not,
+    and, not compared, each distinct word's WordKind as a parse found it
+    (``kinds``); ``layout`` is the body's structure, scanned on first use."""
 
     access: tuple = ()
     words: tuple = ()
     kinds: dict = field(default=None, compare=False, repr=False)
-    spans: dict = field(default=None, compare=False, repr=False)
 
     def serialize(self) -> str:
         parts = []
@@ -270,12 +269,6 @@ class EncryptedMessage:
         """The body's Layout, scanned on first use; raises as subtree_spans."""
         return subtree_spans(self.words, self.kinds)
 
-    def unsigned(self) -> "EncryptedMessage":
-        """This message less its digest words: the Layout's body, with this
-        message's word classes and the Layout's spans."""
-        body, spans, _ = self.layout
-        return EncryptedMessage(self.access, body, self.kinds, spans)
-
 
 #: token class -> (marker, tag-table kind) of a non-variable word
 _TOKEN_WIRE = {cls: (_MARKER[kind], kind.value) for cls, kind in (
@@ -300,7 +293,8 @@ def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
 @dataclass(frozen=True)
 class OpaqueRun:
     """A contiguous subtree under a key not held, preserved byte for byte;
-    ``spans``, not compared, are those of the Layout it was cut from."""
+    ``spans``, not compared, are those of the Layout ``_decode`` cut it
+    from, which ``item_spans`` copies its tags' Spans out of."""
 
     words: tuple
     ordinal: int
@@ -401,8 +395,6 @@ def _copy_spans(run: OpaqueRun, ordinal: int, start: int, spans: dict) -> None:
     """Put in ``spans`` the Span of each tag of ``run``, copied with its own
     tag at ``ordinal`` and its first word at index ``start``."""
     source, first = run.spans, run.ordinal
-    if source is None:          # a run no Layout came with
-        source, first = subtree_spans(run.words).spans, 1
     shift, move = ordinal - first, start - source[first].start
     for o in range(first, first + run.opens_inside + 1):
         span = source[o]
@@ -468,9 +460,9 @@ def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
     tag tables as they stood before the message: variable text by its
     owner's ``SymbolTable.decode_chars``, a marked word by ``_decode_word``.
     ``kinds`` holds the class of every word (``EncryptedMessage.kinds``),
-    else each is classified as it is decoded; ``spans``, those of a
-    digest-free body's Layout, let a foreign subtree be copied whole, else
-    it is walked word by word.
+    else each is classified as it is decoded.  ``spans``, those of the
+    body's Layout, give where a foreign subtree ends, so it is copied whole
+    by its Span: an ``owner_for`` that gives None for some tag needs them.
     """
     items = []
     frames = {}         # owner -> ({word: token}, {new text: kind})
@@ -506,10 +498,7 @@ def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
             ordinal += 1
             who = owner_for(ordinal)
             if who is None:
-                if spans is None:
-                    end, inside = _subtree_end(words, i, ordinal, classify)
-                else:
-                    end, inside = spans[ordinal].end, spans[ordinal].opens_inside
+                _, _, end, inside = spans[ordinal]
                 items.append(OpaqueRun(tuple(words[i:end + 1]), ordinal, inside, spans))
                 next(islice(rest, end - i, end - i), None)      # on past its closer
                 ordinal += inside
@@ -534,24 +523,6 @@ def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
     for who, (_, added) in frames.items():
         _commit(added, who.st, who.tat, who.ctx)
     return items
-
-
-def _subtree_end(words, start: int, ordinal: int, classify) -> tuple:
-    """(index of the closer, tags inside) of the subtree whose tag is
-    ``words[start]``, found by classifying each word of it."""
-    depth, inside = 0, -1
-    for i in range(start, len(words)):
-        kind = classify(words[i])
-        if kind is _TAG:
-            depth += 1
-            inside += 1
-        elif kind is _DIGEST:
-            raise MalformedWord(f"digest word at {i} outside a signed message")
-        elif kind is _CLOSER:
-            depth -= 1
-            if not depth:
-                return i, inside
-    raise UnbalancedClosers(f"tag {ordinal} left open at end of message")
 
 
 def tatbd(msg: EncryptedMessage, st: SymbolTable, tat: TagTable,

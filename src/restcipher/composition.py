@@ -15,12 +15,13 @@ The codec's two walkers, ``codec._encode`` and ``codec._decode``, do the
 rest with the rule as their ``owner_for``; the decoder keeps a subtree under
 a key not held as an OpaqueRun.  Each step takes a body's structure from the
 one before: a received message's ``layout``, scanned once from the classes
-its parse kept, serves ``verify_digests``, and its ``unsigned`` body serves
-``compose_decrypt``; ``compose_encrypt`` returns a ``Body`` holding each
-tag's Span, laid out from the tokens it encoded (``codec.item_spans``), by
-which ``attach_digests`` and ``refresh_digests`` sign it.  A sender reads a
-recipient's reply by ``reply_owners``, its own rule cut down to the subtrees
-it granted and the tags around them, from the spans of the Body it sent.
+its parse kept, serves both ``verify_digests`` and ``compose_decrypt``,
+which decodes its digest-free body; ``compose_encrypt`` returns a ``Body``
+holding each tag's Span, laid out from the tokens it encoded
+(``codec.item_spans``), by which ``attach_digests`` and ``refresh_digests``
+sign it.  A sender reads a recipient's reply by ``reply_owners``, its own
+rule cut down to the subtrees it granted and the tags around them, from the
+spans of the Body it sent.
 
 Both signers, ``attach_digests`` and ``refresh_digests``, return the signed
 words as a ``Signed`` record of what they signed: a ``codec.Layout`` of the
@@ -219,14 +220,16 @@ def access_header(policy, ring: KeyRing, held_ids, tag_count: int) -> tuple:
 def compose_decrypt(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
     """Decode held segments to tokens; foreign subtrees become OpaqueRuns.
 
-    Digest words must be stripped first: pass a signed message's
-    ``unsigned()``, whose word classes and spans the decoder reads.  Without
-    a policy the recipient rule of ``owners`` applies to the message's
-    access list.  Each key's new words enter its tag table only once the
-    whole message has decoded.
+    ``msg``, signed or not, is read by its ``layout``: the decoder takes the
+    digest-free body with the message's word classes and copies a foreign
+    subtree by its Span.  A body that is not one tag tree is refused by the
+    scan, as MalformedMessage or Unclassifiable.  Without a policy the
+    recipient rule of ``owners`` applies to the message's access list.  Each
+    key's new words enter its tag table only once the whole message has
+    decoded.
     """
-    return _decode(msg.words, owners(ring, policy, msg.access).__getitem__,
-                   msg.kinds, msg.spans)
+    body, spans, _ = msg.layout
+    return _decode(body, owners(ring, policy, msg.access).__getitem__, msg.kinds, spans)
 
 
 # keyed digests

@@ -635,7 +635,7 @@ class _Provider(_HttpService):
         self.verdicts = verdicts
         if any(v.status is Status.REJECT for v in verdicts):
             raise VerificationFailed(f"{self.name} rejects the incoming message")
-        items = compose_decrypt(msg.unsigned(), self.ring, rule)
+        items = compose_decrypt(msg, self.ring, rule)
         items = _apply_edits(items, self.edits, self.name)
         words = compose_reencrypt(items, rule, self.ring, self.mode)
         signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
@@ -719,7 +719,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
         # assemble: take each provider's granted subtrees, everything else from S's copy
         final = stream
         for reply, reads in replies.values():
-            decoded = compose_decrypt(reply.unsigned(), ring, reads)
+            decoded = compose_decrypt(reply, ring, reads)
             # the body's words are the stream's items, so it has the stream's spans
             spans = body.spans if final is stream else item_spans(final)
             final = _splice_subtrees(final, spans, decoded, reply.access)

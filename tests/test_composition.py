@@ -367,16 +367,20 @@ def test_an_unbalanced_stream_is_a_named_error(ring, encode, mode, items):
 
 def _decoders(k1, k3):
     """Every decoder of a body under the group key K3, with the state it
-    commits to: a single-key session, a one-key ring, a provider's view."""
+    commits to and the error class a body that is not one tag tree gets: a
+    single-key session's walker, then a one-key ring and a provider's view,
+    which the layout scan refuses first."""
     session = Session.for_key(k3)
     one_key = make_ring(None, None, k3, "K3")
     provider = make_ring(k1, None, k3, "K1", "K3")
     return [
-        (lambda words: session.decrypt(EncryptedMessage((), words)), session),
+        (lambda words: session.decrypt(EncryptedMessage((), words)), session,
+         UnbalancedClosers),
         (lambda words: compose_decrypt(EncryptedMessage((), words), one_key,
-                                       CompositionPolicy({})), one_key["K3"]),
+                                       CompositionPolicy({})), one_key["K3"],
+         MalformedMessage),
         (lambda words: compose_decrypt(EncryptedMessage((2,), words), provider),
-         provider["K3"]),
+         provider["K3"], MalformedMessage),
     ]
 
 
@@ -388,8 +392,8 @@ def test_every_decoder_refuses_a_body_that_is_not_one_tag_tree(k1, k3, shape):
     body = {"second root": one + one, "no root": one[1:2],
             "text after the root": one + one[1:2], "closer after the root": one + ("0",),
             "left open": one[:-1], "empty": ()}[shape]
-    for decode, session in _decoders(k1, k3):
-        with pytest.raises(UnbalancedClosers):
+    for decode, session, error in _decoders(k1, k3):
+        with pytest.raises(error):
             decode(body)
         assert (session.tat.items(), session.ctx) == ([], TatContext())
 
@@ -397,19 +401,21 @@ def test_every_decoder_refuses_a_body_that_is_not_one_tag_tree(k1, k3, shape):
 BAD_WORD = "12a"        # of no word class
 
 
-@pytest.mark.parametrize("shape, error", [
-    ("a closer with no open tag, then a bad word", UnbalancedClosers),
-    ("a bad word after the root", UnbalancedClosers),
-    ("the root closed early, then a bad word", UnbalancedClosers),
-    ("a bad word in the last subtree", Unclassifiable),
-    ("a digest in the last subtree", MalformedWord),
-    ("the last subtree left open", UnbalancedClosers),
+@pytest.mark.parametrize("shape, error, scan_error", [
+    ("a closer with no open tag, then a bad word", UnbalancedClosers, MalformedMessage),
+    ("a bad word after the root", UnbalancedClosers, Unclassifiable),
+    ("the root closed early, then a bad word", UnbalancedClosers, Unclassifiable),
+    ("a bad word in the last subtree", Unclassifiable, Unclassifiable),
+    ("a digest in the last subtree", MalformedWord, MalformedMessage),
+    ("the last subtree left open", UnbalancedClosers, MalformedMessage),
 ])
-def test_a_decoder_reports_the_first_fault_in_word_order(k3, shape, error):
+def test_a_decoder_reports_the_first_fault_in_word_order(k3, shape, error, scan_error):
     """The fault first in word order names the error: in a body built
     directly, which no parse classified, also when a word of no class comes
     after it; and also where the provider copies the last subtree as
-    foreign."""
+    foreign.  A session's walker raises ``error``; both composition views
+    get the layout scan's ``scan_error`` and leave every tag table as it
+    was."""
     sender = make_ring(None, None, k3, "K3")
     words = tuple(compose_encrypt(parse_xml("<a><b>c</b><d>e</d></a>"),
                                   CompositionPolicy({}), sender))
@@ -428,11 +434,14 @@ def test_a_decoder_reports_the_first_fault_in_word_order(k3, shape, error):
     if BAD_WORD not in body:        # a parsed one keeps its word classes
         messages.append(EncryptedMessage.parse(" ".join(body)))
     for msg in messages:
-        for decode in (lambda: session.decrypt(msg),
-                       lambda: compose_decrypt(msg, one_key, CompositionPolicy({})),
-                       lambda: compose_decrypt(msg, provider)):
-            with pytest.raises(error):
+        for decode, want in ((lambda: session.decrypt(msg), error),
+                             (lambda: compose_decrypt(msg, one_key, CompositionPolicy({})),
+                              scan_error),
+                             (lambda: compose_decrypt(msg, provider), scan_error)):
+            with pytest.raises(want):
                 decode()
+    for owner in (session, *one_key, *provider):
+        assert (owner.tat.items(), owner.ctx) == ([], TatContext())
 
 
 # digests
@@ -650,7 +659,7 @@ def _provider_reply(rng, signed, policy, sender, held, count, mode) -> Encrypted
     access = access_header(policy, sender, [held], count)
     msg = EncryptedMessage.parse(EncryptedMessage(access, tuple(signed)).serialize())
     rule = owners(ring, access=access)
-    items = compose_decrypt(msg.unsigned(), ring, rule)
+    items = compose_decrypt(msg, ring, rule)
     texts = [i for i, item in enumerate(items) if isinstance(item, Variable)]
     if texts and rng.random() < 0.7:
         items[rng.choice(texts)] = Variable(f"e{rng.randrange(100)}")

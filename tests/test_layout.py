@@ -199,20 +199,23 @@ def test_each_step_hands_on_the_structure_a_scan_finds(seed, mode):
         access = access_header(policy, sender, [held], count)
         msg = EncryptedMessage.parse(EncryptedMessage(access, tuple(signed)).serialize())
         assert msg.kinds == {word: classify_word(word) for word in msg.words}
-        # the laid-out body, whose runs bring their spans, and the same body
-        # built directly, whose runs the encoder scans, to twin providers
-        for unsigned in (msg.unsigned(), EncryptedMessage(access, msg.layout.body)):
+        # the parsed signed message and its digest-free twin built directly,
+        # to twin providers: each decodes by its own Layout
+        decoded = []
+        for received in (msg, EncryptedMessage(access, msg.layout.body)):
             ring = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], held, "K3")
             rule = owners(ring, access=access)
-            items = compose_decrypt(unsigned, ring, rule)
-            runs = [item for item in items if isinstance(item, OpaqueRun)]
-            assert all(run.spans is unsigned.spans for run in runs)
+            items = compose_decrypt(received, ring, rule)
+            decoded.append((items, [session.tat.items() for session in ring]))
             words = compose_reencrypt(items, rule, ring, mode)
             assert words.spans == subtree_spans(words).spans
             preserved = msg.layout.digests
             refreshed = refresh_digests(words, ring, rule, preserved)
             assert refreshed == refresh_digests(list(words), ring, rule, preserved)
             assert refreshed.layout == subtree_spans(refreshed)
+        assert decoded[0] == decoded[1]
+        runs = [item for item in decoded[0][0] if isinstance(item, OpaqueRun)]
+        assert all(run.spans is msg.layout.spans for run in runs)
 
 
 def _scans(monkeypatch):

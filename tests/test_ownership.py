@@ -201,7 +201,7 @@ def _full_decode_outcome(config, lines) -> str:
     try:
         for line in lines:
             reply = EncryptedMessage.parse(line)
-            decoded = compose_decrypt(reply.unsigned(), ring, rule)
+            decoded = compose_decrypt(reply, ring, rule)
             assert not any(isinstance(t, OpaqueRun) for t in decoded)
             final = restkit._splice_subtrees(final, item_spans(final), decoded, reply.access)
         return f"final\t{emit_xml(final)}"

@@ -535,7 +535,7 @@ class _Forger(_Provider):
         msg = EncryptedMessage.parse(body)
         rule = owners(self.ring, access=msg.access)
         rule[4] = self.ring[self.ring.group_id]
-        items = compose_decrypt(msg.unsigned(), self.ring, rule)
+        items = compose_decrypt(msg, self.ring, rule)
         words = compose_encrypt(_apply_edits(items, {4: "FORGED"}, self.name),
                                 rule, self.ring, self.mode)
         signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
@@ -572,7 +572,7 @@ class _NestedForger(_Provider):
         msg = EncryptedMessage.parse(body)
         rule = owners(self.ring, access=msg.access)
         rule[4] = self.ring[self.ring.group_id]
-        items = compose_decrypt(msg.unsigned(), self.ring, rule)
+        items = compose_decrypt(msg, self.ring, rule)
         words = compose_encrypt(_apply_edits(items, {4: "FORGED"}, self.name),
                                 rule, self.ring, self.mode)
         signed = refresh_digests(words, self.ring, rule, msg.layout.digests)

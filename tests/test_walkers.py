@@ -30,10 +30,7 @@ from restcipher import (
 )
 from restcipher.composition import owners
 from restcipher.errors import (
-    MalformedMessage,
-    MalformedWord,
     RestCipherError,
-    UnbalancedClosers,
     UnsupportedCharacter,
 )
 
@@ -89,29 +86,18 @@ class World:
         return [(s.tat.items(), replace(s.ctx)) for s in sessions]
 
 
-def _outcome(call, compose_oracle=False):
-    """('ok', result) or ('error', class); the oracle's structural
-    MalformedMessage maps to the walker's class for the same fault."""
+def _outcome(call):
+    """('ok', result) or ('error', class)."""
     try:
         return "ok", call()
     except RestCipherError as exc:
-        cls = type(exc)
-        if compose_oracle and cls is MalformedMessage:
-            cls = MalformedWord if "digest" in str(exc) else UnbalancedClosers
-        return "error", cls
+        return "error", type(exc)
 
 
-def _same(new, old, library_call, oracle_call, compose=False, clean_call=None):
-    """The library's outcome, asserted equal to the oracle's.  With several
-    faults in one body the walker reports the first in word order, where the
-    oracle's pre-pass reports the structural one: then the library must
-    raise the same on ``clean_call``, the body without its structural fault."""
+def _same(new, old, library_call, oracle_call):
+    """The library's outcome, asserted equal to the oracle's."""
     got = _outcome(library_call)
-    want = _outcome(oracle_call, compose_oracle=compose)
-    if got != want and clean_call is not None:
-        assert want[1] in (UnbalancedClosers, MalformedWord) and got == _outcome(clean_call)
-    else:
-        assert got == want
+    assert got == _outcome(oracle_call)
     assert new.state() == old.state()
     return got
 
@@ -128,22 +114,15 @@ def _encrypt(new, old, stream, policy, mode):
 
 def _decrypt(new, old, single, body, policy, access, mode, damage=None):
     """The three views' outcomes, of the bodies damaged if ``damage``."""
-    def views(single, body):
-        return (lambda: new.receiver.decrypt(EncryptedMessage((), single)),
-                lambda: compose_decrypt(EncryptedMessage((), body), new.full, policy),
-                lambda: compose_decrypt(EncryptedMessage(access, body), new.provider))
-
-    cleans = views(single, body) if damage else (None, None, None)
     if damage:
         single, body = damage(single), damage(body)
-    one, full, view = views(single, body)
     return (
-        _same(new, old, one, lambda: oracle_decrypt(single, old.receiver),
-              clean_call=cleans[0]),
-        _same(new, old, full, lambda: oracle_compose_decrypt(
-            EncryptedMessage((), body), old.full, policy), True, cleans[1]),
-        _same(new, old, view, lambda: oracle_compose_decrypt(
-            EncryptedMessage(access, body), old.provider), True, cleans[2]),
+        _same(new, old, lambda: new.receiver.decrypt(EncryptedMessage((), single)),
+              lambda: oracle_decrypt(single, old.receiver)),
+        _same(new, old, lambda: compose_decrypt(EncryptedMessage((), body), new.full, policy),
+              lambda: oracle_compose_decrypt(EncryptedMessage((), body), old.full, policy)),
+        _same(new, old, lambda: compose_decrypt(EncryptedMessage(access, body), new.provider),
+              lambda: oracle_compose_decrypt(EncryptedMessage(access, body), old.provider)),
     )
 
 
