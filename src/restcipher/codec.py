@@ -38,8 +38,9 @@ and the word after a closer, where a digest may stand; it notes each digest
 word's place and cuts the body out of the words with slices.  It runs on
 first use only, so a message no step asks the layout of, as on the
 two-party path, never pays for it.  ``item_spans`` lays out a body to be
-encoded from its tokens, an OpaqueRun bringing the spans inside it, so that
-body is signed without a scan of its words.
+encoded from its tokens, so that body is signed without a scan of its
+words; it refuses an OpaqueRun, which only the message it was cut from lays
+out.
 """
 
 import enum
@@ -53,11 +54,13 @@ from typing import NamedTuple
 from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from .errors import (
     MalformedMessage,
+    MalformedStream,
     MalformedWord,
     MissingKey,
     UnbalancedClosers,
     Unclassifiable,
     UnknownTatCode,
+    UnsupportedShape,
 )
 from .keycore import TenElementKey, serialize_key
 from .tables import SymbolTable, TagTable, TatContext, build_st, tat_upsert
@@ -292,14 +295,13 @@ def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
 
 @dataclass(frozen=True)
 class OpaqueRun:
-    """A contiguous subtree under a key not held, preserved byte for byte;
-    ``spans``, not compared, are those of the Layout ``_decode`` cut it
-    from, which ``item_spans`` copies its tags' Spans out of."""
+    """A contiguous subtree under a key not held, preserved byte for byte:
+    its words, its own tag's ordinal and the number of tags inside it.  Its
+    tags' Spans are those of the Layout of the message it was cut from."""
 
     words: tuple
     ordinal: int
     opens_inside: int
-    spans: dict = field(default=None, compare=False, repr=False)
 
 
 def _encode(items, owner_for, short_codes: bool) -> list:
@@ -310,8 +312,9 @@ def _encode(items, owner_for, short_codes: bool) -> list:
     Words absent from their owner's tag table at the start of the message
     are spelled out at every occurrence; with ``short_codes`` a word already
     in the table is sent as its code, whose text is one lookup in
-    ``TagTable.codes``.  The words hold one word per token and an
-    OpaqueRun's own words for it, the indexes ``item_spans`` gives.
+    ``TagTable.codes``.  A new word or variable text that is empty would
+    spell no payload, so it raises UnsupportedShape.  The words hold one
+    word per token and an OpaqueRun's own words for it.
     """
     words = []
     pending = {}        # owner -> {new text: kind}
@@ -333,6 +336,8 @@ def _encode(items, owner_for, short_codes: bool) -> list:
         if owner is None and (ordinal or cls is not Open and cls is not OpaqueRun):
             raise UnbalancedClosers(f"{cls.__name__} at word {len(words)} outside the root")
         if cls is Variable:
+            if not item.text:
+                raise UnsupportedShape(f"empty variable text at word {len(words)}")
             words.append(item.text.translate(codes))
             continue
         if cls is OpaqueRun:
@@ -353,6 +358,8 @@ def _encode(items, owner_for, short_codes: bool) -> list:
         text = item.text if cls is AttrValue else item.name
         code = held.get(text)
         if code is None:
+            if not text:
+                raise UnsupportedShape(f"empty {kind} at word {len(words)}")
             new.setdefault(text, kind)
         elif short_codes:
             words.append(marker + code)
@@ -369,8 +376,8 @@ def _encode(items, owner_for, short_codes: bool) -> list:
 
 def item_spans(items) -> dict:
     """Ordinal -> Span of each tag of a one-tree token stream, indexed by the
-    words it encodes to: one word per token, and an OpaqueRun's own words
-    for it, whose tags' spans come from the run."""
+    words it encodes to, one word per token, in closer order; an OpaqueRun
+    raises MalformedStream."""
     spans = {}
     stack = []          # per open tag, (its ordinal, its word index)
     ordinal = i = 0
@@ -383,23 +390,10 @@ def item_spans(items) -> dict:
             opened, start = stack.pop()
             spans[opened] = _span((opened, start, i, ordinal - opened))
         elif cls is OpaqueRun:
-            _copy_spans(item, ordinal + 1, i, spans)
-            ordinal += 1 + item.opens_inside
-            i += len(item.words)
-            continue
+            raise MalformedStream(f"tag {ordinal + 1} is an opaque run, which only "
+                                  "the message it was cut from lays out")
         i += 1
     return spans
-
-
-def _copy_spans(run: OpaqueRun, ordinal: int, start: int, spans: dict) -> None:
-    """Put in ``spans`` the Span of each tag of ``run``, copied with its own
-    tag at ``ordinal`` and its first word at index ``start``."""
-    source, first = run.spans, run.ordinal
-    shift, move = ordinal - first, start - source[first].start
-    for o in range(first, first + run.opens_inside + 1):
-        span = source[o]
-        spans[o + shift] = _span((o + shift, span.start + move, span.end + move,
-                                  span.opens_inside))
 
 
 def _one_owner(st, tat, ctx):
@@ -499,7 +493,7 @@ def _decode(words, owner_for, kinds: dict = None, spans: dict = None) -> list:
             who = owner_for(ordinal)
             if who is None:
                 _, _, end, inside = spans[ordinal]
-                items.append(OpaqueRun(tuple(words[i:end + 1]), ordinal, inside, spans))
+                items.append(OpaqueRun(tuple(words[i:end + 1]), ordinal, inside))
                 next(islice(rest, end - i, end - i), None)      # on past its closer
                 ordinal += inside
                 continue

@@ -17,25 +17,23 @@ a key not held as an OpaqueRun.  Each step takes a body's structure from the
 one before: a received message's ``layout``, scanned once from the classes
 its parse kept, serves both ``verify_digests`` and ``compose_decrypt``,
 which decodes its digest-free body; ``compose_encrypt`` returns a ``Body``
-holding each tag's Span, laid out from the tokens it encoded
-(``codec.item_spans``), by which ``attach_digests`` and ``refresh_digests``
-sign it.  A sender reads a recipient's reply by ``reply_owners``, its own
-rule cut down to the subtrees it granted and the tags around them, from the
-spans of the Body it sent.
+that lays out the tokens it encoded on first use (``codec.item_spans``),
+by which ``attach_digests`` signs it.  A provider's re-encoded body lies
+word for word where the body it received did, for every decoded word is
+one token and every token one word again, so ``refresh_digests`` signs it
+by the received message's Layout.  A sender reads a recipient's reply by
+``reply_owners``, its own rule cut down to the subtrees it granted and the
+tags around them, from the spans of the Body it sent.
 
 Both signers, ``attach_digests`` and ``refresh_digests``, return the signed
 words as a ``Signed`` record of what they signed: a ``codec.Layout`` of the
-body, its spans and each digest word, with the rule the digests were made
-under.  A sender that checks a reply against its record takes an ACCEPT
-with no hash for each subtree whose digest word and words are the ones it
-signed, under the same owner: the hash would give that same word, so the
-verdict is the one a hash gives.  A recipient copies back the subtrees it
-cannot read, so about half of a reply is such words.  The same record lets
-the sender check that the subtrees ``reply_owners`` keeps came back
-unchanged (``changed_kept``), and a provider's record tells where each word
-of its reply lies.  Every digest is an md5: the algorithm never travels
-with a message, so both ends agree on it in advance.  Each key's text is
-hashed once, on its Session, and each digest copies that hash.
+body, its spans and each digest word.  The sender's record lets it check
+that the subtrees ``reply_owners`` keeps came back unchanged
+(``changed_kept``), and a provider's record tells where each word of its
+reply lies.  ``verify_digests`` hashes every digest it checks.  Every
+digest is an md5: the algorithm never travels with a message, so both ends
+agree on it in advance.  Each key's text is hashed once, on its Session,
+and each digest copies that hash.
 """
 
 import bisect
@@ -43,6 +41,7 @@ import enum
 import hashlib
 import hmac
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .codec import (EncryptedMessage, Layout, Session, _decode, _encode, _short_codes,
@@ -183,21 +182,28 @@ def changed_kept(kept, sent: "Signed", layout) -> list:
 
 
 class Body(list):
-    """Body words as ``compose_encrypt`` emitted them, with ``spans``: each
-    tag ordinal's Span in them."""
+    """Body words as ``compose_encrypt`` emitted them from ``items``, with
+    ``spans``: each tag ordinal's Span in them, laid out from the items on
+    first use."""
 
-    def __init__(self, words, spans: dict):
+    def __init__(self, words, items):
         super().__init__(words)
-        self.spans = spans
+        self.items = items
+
+    @cached_property
+    def spans(self) -> dict:
+        """``codec.item_spans`` of the items; raises MalformedStream for
+        items holding an OpaqueRun."""
+        return item_spans(self.items)
 
 
 def compose_encrypt(items, policy, ring: KeyRing, mode: str = "st") -> Body:
     """Body words of a stream, or of a partial stream whose opaque runs are
     spliced back verbatim; each word goes under its owner's tables.
-    ``items`` is read twice, to encode and to lay out, so it is a sequence.
+    ``items`` is read again if the Body's spans are, so it is a sequence.
     ``policy`` is a CompositionPolicy or a rule ``owners`` built."""
     words = _encode(items, owners(ring, policy).__getitem__, _short_codes(mode))
-    return Body(words, item_spans(items))
+    return Body(words, items)
 
 
 compose_reencrypt = compose_encrypt
@@ -262,24 +268,20 @@ def _body_spans(body_words) -> dict:
 
 class Signed(list):
     """Signed words, each digest word of ``layout`` directly after its
-    subtree's closer, with the record of what was signed: ``layout``, the
+    subtree's closer, with ``layout``, the record of what was signed: the
     digest-free body, each tag's Span in it and each signed ordinal's digest
-    word; and ``rule``, the ownership rule the digests were made by.  A
-    sender passes it to ``verify_digests`` to check a reply without hashing
-    again the subtrees the reply sends back unchanged."""
+    word, both in closer order."""
 
-    def __init__(self, layout: Layout, rule: Owners):
+    def __init__(self, layout: Layout):
         body, spans, digests = layout
         pos = 0
-        # a Body's spans inside an OpaqueRun come in ordinal order, not
-        # closer order, so the digests are spliced in by their closers
-        for end, ordinal in sorted((spans[o].end, o) for o in digests):
+        for ordinal, digest in digests.items():
+            end = spans[ordinal].end
             self += body[pos:end + 1]   # the words since the last closer, as one slice
-            self.append(digests[ordinal])
+            self.append(digest)
             pos = end + 1
         self += body[pos:]
         self.layout = layout
-        self.rule = rule
 
 
 def attach_digests(body_words, policy, ring: KeyRing) -> Signed:
@@ -297,7 +299,7 @@ def attach_digests(body_words, policy, ring: KeyRing) -> Signed:
             if who is None:
                 raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
             layout.digests[ordinal] = _digest(who, layout.segment(ordinal))
-    return Signed(layout, rule)
+    return Signed(layout)
 
 
 def strip_digests(words):
@@ -318,21 +320,13 @@ class Verdict(NamedTuple):
     detail: str = ""
 
 
-def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
-                   sent: Signed = None) -> list:
+def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
     """One verdict per digest word, in word order, and a Reject for each
     missing digest: the root's always, under a policy also each one
     attach_digests makes.  A structurally broken message, one holding a hex
     word that is no md5 digest among them, is a single whole-message Reject
-    rather than an exception.
-
-    ``sent``, the Signed record of a message this end signed, spares the
-    hash of each subtree a reply carries back unchanged: where the reply's
-    digest word for a subtree equals the one ``sent`` holds, made under the
-    same owner, and the subtree's words equal the words ``sent`` signed, the
-    verdict is ACCEPT with no hash, for the hash of those words under that
-    key is that very word.  Every other subtree is hashed, so the verdicts
-    are the ones a hash of every subtree gives."""
+    rather than an exception.  Each digest under a key held is checked by a
+    hash of its subtree's words."""
     try:
         body, spans, digests = msg.layout
         rule = owners(ring, policy, msg.access)
@@ -344,7 +338,6 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
     # default, so it knows each subtree attach_digests signs; a recipient's
     # rule (default None) knows only the root's
     group = rule.default
-    ours = sent.layout.digests if sent is not None else {}
     verdicts = []
     # spans come in closer order, the order of the digests after them
     for ordinal, span in spans.items():
@@ -358,32 +351,28 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None,
             verdicts.append(Verdict(ordinal, Status.NOT_CHECKABLE, "key not held"))
             continue
         # cut inline, not by Layout.segment: a call per digest slowed this loop ~5 %
-        segment = body[span.start:span.end + 1]
-        mine = ours.get(ordinal)
-        if (mine is not None and hmac.compare_digest(mine, word)
-                and sent.rule[ordinal] is who and segment == sent.layout.segment(ordinal)):
-            verdicts.append(Verdict(ordinal, Status.ACCEPT))    # the hash would give ``mine``
-        elif hmac.compare_digest(_digest(who, segment), word):
+        if hmac.compare_digest(_digest(who, body[span.start:span.end + 1]), word):
             verdicts.append(Verdict(ordinal, Status.ACCEPT))
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
     return verdicts
 
 
-def refresh_digests(body_words, ring: KeyRing, resolve, preserved: dict) -> Signed:
-    """Re-sign held subtrees, keep preserved digests for foreign ones, and
-    return the Signed record of it, as ``attach_digests`` does.
+def refresh_digests(body_words, ring: KeyRing, resolve, received: Layout) -> Signed:
+    """Re-sign held subtrees, keep the received digests for foreign ones,
+    and return the Signed record of it, as ``attach_digests`` does.
 
     ``resolve`` is the rule the body was decoded under (see ``owners``);
-    ``preserved`` maps subtree ordinals to the digest words of the incoming
-    message, so the set of signed subtrees is kept shape-identical; an
-    ordinal the body has no tag for is MalformedMessage, before any hash."""
+    ``received`` is the Layout of the message decoded, whose body the
+    re-encoded one replaces word for word: the body is signed by its spans,
+    and exactly its signed ordinals are signed again.  A body of another
+    word count is MalformedMessage, before any hash."""
     rule = owners(ring, resolve)
-    layout = Layout(tuple(body_words), _body_spans(body_words), {})
-    absent = preserved.keys() - layout.spans.keys()
-    if absent:
-        raise MalformedMessage(f"body has no tag {min(absent)} to sign")
-    for ordinal, old in preserved.items():
+    layout = Layout(tuple(body_words), received.spans, {})
+    if len(layout.body) != len(received.body):
+        raise MalformedMessage(f"a body of {len(layout.body)} words cannot replace "
+                               f"one of {len(received.body)}")
+    for ordinal, old in received.digests.items():
         who = rule[ordinal]
         layout.digests[ordinal] = old if who is None else _digest(who, layout.segment(ordinal))
-    return Signed(layout, rule)
+    return Signed(layout)

@@ -638,7 +638,7 @@ class _Provider(_HttpService):
         items = compose_decrypt(msg, self.ring, rule)
         items = _apply_edits(items, self.edits, self.name)
         words = compose_reencrypt(items, rule, self.ring, self.mode)
-        signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
+        signed = refresh_digests(words, self.ring, rule, msg.layout)
         if self.tamper:
             signed = _tamper_words(signed, self.tamper[1])
         return EncryptedMessage(msg.access, tuple(signed)).serialize()
@@ -656,14 +656,12 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     S reads a reply under ``reply_owners``: the root, the granted subtrees
     and the tags that enclose them.  Every other subtree is checked against
     its digests only, and S's own copy of it stays in the final document,
-    so a word S cannot read there is not decoded at all.  S checks each
-    reply against the ``Signed`` record of the body it sent, which spares
-    the hash of every subtree the reply sends back unchanged.  A subtree
-    inside a granted one that another key owns must come back word for word
-    as S sent it, for the group key, which every provider holds, may be the
-    only key that signs such a tag; else S refuses the reply with
-    KeptWordsChanged before it splices anything.  So S's decode of such a
-    subtree equals S's own items.
+    so a word S cannot read there is not decoded at all.  A subtree inside
+    a granted one that another key owns must come back word for word as S
+    sent it, by the ``Signed`` record of the body S sent, for the group
+    key, which every provider holds, may be the only key that signs such a
+    tag; else S refuses the reply with KeptWordsChanged before it splices
+    anything.  So S's decode of such a subtree equals S's own items.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -704,7 +702,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             if reply_msg.access != access:
                 raise AccessNotGranted(f"{name} replies for tags {reply_msg.access}, "
                                        f"but was granted {access}")
-            stage = verify_digests(reply_msg, ring, rule, sent=signed)
+            stage = verify_digests(reply_msg, ring, rule)
             verdicts[f"S<-{name}"] = stage
             rejected = tuple(v.ordinal for v in stage if v.status is Status.REJECT)
             if rejected:

@@ -39,6 +39,7 @@ from restcipher.codec import item_spans, subtree_spans
 from restcipher.composition import owners
 from restcipher.errors import (
     MalformedMessage,
+    MalformedStream,
     MalformedWord,
     MissingKey,
     UnbalancedClosers,
@@ -46,6 +47,7 @@ from restcipher.errors import (
     UnknownCode,
     UnknownTatCode,
     UnsupportedCharacter,
+    UnsupportedShape,
 )
 
 from conftest import COMPOSE_ST_BODY, D1, D2, K1_TEXT, K2_TEXT, K3_TEXT, XML2, make_ring
@@ -365,6 +367,33 @@ def test_an_unbalanced_stream_is_a_named_error(ring, encode, mode, items):
     assert _ring_state(ring) == before
 
 
+@pytest.mark.parametrize("encode", [compose_encrypt, compose_reencrypt,
+                                    _single_key_encrypt],
+                         ids=["compose_encrypt", "compose_reencrypt",
+                              "_single_key_encrypt"])
+@pytest.mark.parametrize("mode", ["st", "tat"])
+@pytest.mark.parametrize("items", [
+    [Open("a"), Open(""), Close(), Close()],
+    [Open("a"), AttrName(""), AttrValue("v"), Close()],
+    [Open("a"), AttrName("n"), AttrValue(""), Close()],
+    [Open("a"), Variable(""), Close()],
+], ids=["Open", "AttrName", "AttrValue", "Variable"])
+def test_an_empty_text_token_is_refused_before_any_commit(ring, encode, mode, items):
+    # the empty word would spell no payload: a lone marker or nothing at all
+    before = _ring_state(ring)
+    with pytest.raises(UnsupportedShape):
+        encode(items, CompositionPolicy({}), ring, mode)
+    assert _ring_state(ring) == before
+
+
+def test_a_hand_built_run_encodes_but_only_its_own_message_lays_it_out(ring):
+    items = [Open("a"), OpaqueRun(("0123", "0"), 2, 0), Close()]
+    body = compose_encrypt(items, CompositionPolicy({}), ring)
+    assert body[1:] == ["0123", "0", "0"]
+    with pytest.raises(MalformedStream, match="tag 2 "):
+        attach_digests(body, CompositionPolicy({}), ring)
+
+
 def _decoders(k1, k3):
     """Every decoder of a body under the group key K3, with the state it
     commits to and the error class a body that is not one tag tree gets: a
@@ -534,7 +563,7 @@ def test_a_body_that_holds_a_digest_is_not_signed_again(stream, ring, policy, k1
         attach_digests(signed, policy, ring)
     sp1 = make_ring(k1, None, k3, "K1", "K3")
     with pytest.raises(MalformedMessage):
-        refresh_digests(signed, sp1, owners(sp1, access=(2,)), {})
+        refresh_digests(signed, sp1, owners(sp1, access=(2,)), subtree_spans(signed))
 
 
 def test_strip_digests_round_trip(stream, ring, policy):
@@ -548,21 +577,26 @@ def test_strip_digests_round_trip(stream, ring, policy):
 def test_refresh_recomputes_held_and_preserves_foreign(stream, ring, policy, k1, k3):
     body = compose_encrypt(stream, policy, ring, "st")
     signed = attach_digests(body, policy, ring)
-    stripped, preserved = strip_digests(signed)
+    stripped, _ = strip_digests(signed)
     sp1 = make_ring(k1, None, k3, "K1", "K3")
-    refreshed = refresh_digests(stripped, sp1, owners(sp1, access=(2,)), preserved)
+    refreshed = refresh_digests(stripped, sp1, owners(sp1, access=(2,)),
+                                subtree_spans(signed))
     assert refreshed == signed  # nothing edited: identical bytes throughout
 
 
 @pytest.mark.parametrize("ids", [("K1", "K3"), ("K3",)])
-def test_refresh_refuses_a_preserved_tag_the_body_lacks(monkeypatch, k1, k2, k3, ids):
-    # with or without the key for the missing tag, refused before any hash
+def test_refresh_refuses_a_body_of_another_length(monkeypatch, stream, ring, policy,
+                                                  k1, k2, k3, ids):
+    # a word short or a word over, with or without the key of tag 2,
+    # refused before any hash
+    signed = attach_digests(compose_encrypt(stream, policy, ring, "st"), policy, ring)
+    received = subtree_spans(signed)
     holder = make_ring(k1, k2, k3, *ids)
     hashed = []
     monkeypatch.setattr(composition, "_digest", lambda *args: hashed.append(args))
-    with pytest.raises(MalformedMessage, match="no tag 9"):
-        refresh_digests(["04", "05", "1", "0", "0"], holder,
-                        owners(holder, CompositionPolicy({9: "K1"})), {1: "b" * 32, 9: "a" * 32})
+    for body in (received.body[:-1], received.body + ("1",)):
+        with pytest.raises(MalformedMessage, match=f"a body of {len(body)} words"):
+            refresh_digests(body, holder, owners(holder, access=(2,)), received)
     assert hashed == []
 
 
@@ -664,7 +698,7 @@ def _provider_reply(rng, signed, policy, sender, held, count, mode) -> Encrypted
     if texts and rng.random() < 0.7:
         items[rng.choice(texts)] = Variable(f"e{rng.randrange(100)}")
     words = compose_reencrypt(items, rule, ring, mode)
-    return EncryptedMessage(access, tuple(refresh_digests(words, ring, rule, msg.layout.digests)))
+    return EncryptedMessage(access, tuple(refresh_digests(words, ring, rule, msg.layout)))
 
 
 def _reply_mutated(rng, words, signed, how) -> list:
@@ -698,9 +732,9 @@ def _reply_mutated(rng, words, signed, how) -> list:
 @settings(max_examples=120, deadline=None)
 @given(hs.integers(0, 2**32), hs.sampled_from(["st", "tat"]),
        hs.sampled_from(["none", "word", "swap", "other-digest", "tag-fewer"]))
-def test_a_signed_record_spares_hashes_but_no_verdict_changes(seed, mode, how):
-    """S's verdicts on a reply with its Signed record equal the oracle's,
-    which hashes every subtree, and the verdicts without the record."""
+def test_s_verdicts_on_a_mutated_reply_equal_the_oracle_s(seed, mode, how):
+    """S's verdicts on a reply, mutated or not, equal the oracle's, which
+    hashes every subtree."""
     rng = random.Random(seed)
     sender = make_ring(KEYS["K1"], KEYS["K2"], KEYS["K3"], "K1", "K2", "K3")
     stream = parse_xml(nested_catalog(rng, rng.randint(1, 8)))
@@ -713,9 +747,7 @@ def test_a_signed_record_spares_hashes_but_no_verdict_changes(seed, mode, how):
         reply = _provider_reply(rng, signed, policy, sender, held, count, mode)
         words = _reply_mutated(rng, reply.words, signed, how)
         reply = EncryptedMessage(reply.access, tuple(words))
-        checked = verify_digests(reply, sender, policy, sent=signed)
-        assert checked == verify_digests(EncryptedMessage(reply.access, reply.words),
-                                         sender, policy)
+        checked = verify_digests(reply, sender, policy)
         assert [v for v in checked if v.detail != "missing digest"] \
             == oracle_verify_digests(reply, sender, policy)
         if how == "none":

@@ -14,7 +14,6 @@ from hypothesis import strategies as hs
 from restcipher import (
     CompositionPolicy,
     EncryptedMessage,
-    OpaqueRun,
     ScenarioConfig,
     Status,
     access_header,
@@ -208,14 +207,12 @@ def test_each_step_hands_on_the_structure_a_scan_finds(seed, mode):
             items = compose_decrypt(received, ring, rule)
             decoded.append((items, [session.tat.items() for session in ring]))
             words = compose_reencrypt(items, rule, ring, mode)
-            assert words.spans == subtree_spans(words).spans
-            preserved = msg.layout.digests
-            refreshed = refresh_digests(words, ring, rule, preserved)
-            assert refreshed == refresh_digests(list(words), ring, rule, preserved)
+            # the re-encoded body lies word for word where the received one did
+            assert subtree_spans(words).spans == msg.layout.spans
+            refreshed = refresh_digests(words, ring, rule, msg.layout)
+            assert refreshed == refresh_digests(list(words), ring, rule, msg.layout)
             assert refreshed.layout == subtree_spans(refreshed)
         assert decoded[0] == decoded[1]
-        runs = [item for item in decoded[0][0] if isinstance(item, OpaqueRun)]
-        assert all(run.spans is msg.layout.spans for run in runs)
 
 
 def _scans(monkeypatch):

@@ -526,6 +526,16 @@ def test_a_tampering_provider_halts_the_scenario():
     assert result.final_document is None
 
 
+@pytest.mark.parametrize("ordinal", [3, 4])
+def test_a_tampering_second_provider_halts_the_scenario(ordinal):
+    # SP2 receives SP1's tag 2 as a run ahead of its own tags, so its tamper
+    # word is placed by the received spans it re-signs by
+    result = run_composition_scenario(ScenarioConfig(tamper=("SP2", ordinal)))
+    assert result.halted
+    assert result.reject_ordinals == (ordinal, 1)
+    assert result.final_document is None
+
+
 class _Forger(_Provider):
     """A provider that also holds the group key, so it can read and re-sign
     the group's tag 4: it sets that tag's text to FORGED and claims access
@@ -538,7 +548,7 @@ class _Forger(_Provider):
         items = compose_decrypt(msg, self.ring, rule)
         words = compose_encrypt(_apply_edits(items, {4: "FORGED"}, self.name),
                                 rule, self.ring, self.mode)
-        signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
+        signed = refresh_digests(words, self.ring, rule, msg.layout)
         return EncryptedMessage((2, 4), tuple(signed)).serialize()
 
 
@@ -575,7 +585,7 @@ class _NestedForger(_Provider):
         items = compose_decrypt(msg, self.ring, rule)
         words = compose_encrypt(_apply_edits(items, {4: "FORGED"}, self.name),
                                 rule, self.ring, self.mode)
-        signed = refresh_digests(words, self.ring, rule, msg.layout.digests)
+        signed = refresh_digests(words, self.ring, rule, msg.layout)
         return EncryptedMessage(msg.access, tuple(signed)).serialize()
 
 
@@ -606,6 +616,16 @@ def test_a_provider_refuses_an_edit_of_a_tag_it_cannot_read():
         mode="st")
     with pytest.raises(Transport, match="/process failed: 400 Bad Request: error: "
                                         "EditNotApplied: SP2 cannot apply its edit of tag 3: "):
+        run_composition_scenario(config)
+
+
+@pytest.mark.parametrize("mode", ["tat", "st"])
+def test_a_provider_refuses_an_empty_edit(mode):
+    # empty variable text spells no word, so SP1 refuses it rather than
+    # send a reply no reader can parse
+    config = ScenarioConfig(edits={"SP1": {2: ""}, "SP2": {3: "7", 4: "b2"}}, mode=mode)
+    with pytest.raises(Transport, match="/process failed: 400 Bad Request: error: "
+                                        "UnsupportedShape: empty variable text at word "):
         run_composition_scenario(config)
 
 
