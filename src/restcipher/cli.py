@@ -143,6 +143,8 @@ def _load_state(path: str) -> Session:
             kind, word, code = line.split("\t")
             if kind not in _TABLE_KINDS:
                 raise ValueError(f"unknown tag-table kind {kind!r}")
+            if not word:
+                raise ValueError("empty tag-table word")
             session.tat.insert(word, int(code), kind)
         except ValueError as exc:
             raise Malformed(f"state file {path} line {number}: {exc}") from None

@@ -37,10 +37,10 @@ reads the classes through one ``map`` and does work only at a tag, a closer
 and the word after a closer, where a digest may stand; it notes each digest
 word's place and cuts the body out of the words with slices.  It runs on
 first use only, so a message no step asks the layout of, as on the
-two-party path, never pays for it.  ``item_spans`` lays out a body to be
-encoded from its tokens, so that body is signed without a scan of its
-words; it refuses an OpaqueRun, which only the message it was cut from lays
-out.
+two-party path, never pays for it.  ``item_spans`` lays out a token stream
+by item, so a body to be encoded is signed without a scan of its words, and
+a decoded stream's tags are found without a walk of its own; an OpaqueRun
+is one item there, whose tags are counted but get no Span.
 """
 
 import enum
@@ -54,7 +54,6 @@ from typing import NamedTuple
 from .docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from .errors import (
     MalformedMessage,
-    MalformedStream,
     MalformedWord,
     MissingKey,
     UnbalancedClosers,
@@ -297,7 +296,8 @@ def _commit(new: dict, st: SymbolTable, tat: TagTable, ctx: TatContext) -> None:
 class OpaqueRun:
     """A contiguous subtree under a key not held, preserved byte for byte:
     its words, its own tag's ordinal and the number of tags inside it.  Its
-    tags' Spans are those of the Layout of the message it was cut from."""
+    tags' Spans are those of the Layout of the message it was cut from;
+    ``item_spans`` counts its tags but gives them none."""
 
     words: tuple
     ordinal: int
@@ -375,13 +375,13 @@ def _encode(items, owner_for, short_codes: bool) -> list:
 
 
 def item_spans(items) -> dict:
-    """Ordinal -> Span of each tag of a one-tree token stream, indexed by the
-    words it encodes to, one word per token, in closer order; an OpaqueRun
-    raises MalformedStream."""
+    """Ordinal -> Span of each tag of a one-tree token stream, by item index,
+    in closer order; an OpaqueRun is one item whose tags are counted but get
+    no Span.  On a stream with no run, item i encodes to word i."""
     spans = {}
-    stack = []          # per open tag, (its ordinal, its word index)
-    ordinal = i = 0
-    for item in items:
+    stack = []          # per open tag, (its ordinal, its item index)
+    ordinal = 0
+    for i, item in enumerate(items):
         cls = type(item)
         if cls is Open:
             ordinal += 1
@@ -390,9 +390,7 @@ def item_spans(items) -> dict:
             opened, start = stack.pop()
             spans[opened] = _span((opened, start, i, ordinal - opened))
         elif cls is OpaqueRun:
-            raise MalformedStream(f"tag {ordinal + 1} is an opaque run, which only "
-                                  "the message it was cut from lays out")
-        i += 1
+            ordinal += 1 + item.opens_inside
     return spans
 
 

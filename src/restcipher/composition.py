@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .codec import (EncryptedMessage, Layout, Session, _decode, _encode, _short_codes,
-                    item_spans, subtree_spans)
-from .errors import MalformedMessage, MissingKey, RestCipherError
+from .codec import (EncryptedMessage, Layout, OpaqueRun, Session, _decode, _encode,
+                    _short_codes, item_spans, subtree_spans)
+from .errors import MalformedMessage, MalformedStream, MissingKey, RestCipherError
 from .keycore import TenElementKey, serialize_key
 # unused here, but kept bound: perfbench's tests check that its tracer
 # wraps composition.tat_upsert
@@ -175,10 +175,9 @@ def reply_owners(rule: Owners, spans: dict, access) -> Owners:
 
 def changed_kept(kept, sent: "Signed", layout) -> list:
     """The ordinals of ``kept`` (see ``reply_owners``) whose words in a
-    reply's ``layout`` differ from the words ``sent`` signed under them, a
-    tag the reply lacks included."""
-    return [o for o in kept
-            if o not in layout.spans or layout.segment(o) != sent.layout.segment(o)]
+    reply's ``layout``, whose tag tree is the one ``sent`` signed, differ
+    from the words ``sent`` signed under them."""
+    return [o for o in kept if layout.segment(o) != sent.layout.segment(o)]
 
 
 class Body(list):
@@ -192,9 +191,15 @@ class Body(list):
 
     @cached_property
     def spans(self) -> dict:
-        """``codec.item_spans`` of the items; raises MalformedStream for
-        items holding an OpaqueRun."""
-        return item_spans(self.items)
+        """``codec.item_spans`` of the items, which index the words only if
+        no item is an OpaqueRun, so a run raises MalformedStream naming its
+        tag: its tags get no Span, so the root or a tag inside it has none."""
+        spans = item_spans(self.items)
+        if 1 not in spans or len(spans) <= spans[1].opens_inside:
+            run = next(item for item in self.items if type(item) is OpaqueRun)
+            raise MalformedStream(f"tag {run.ordinal} is an opaque run, which only "
+                                  "the message it was cut from lays out")
+        return spans
 
 
 def compose_encrypt(items, policy, ring: KeyRing, mode: str = "st") -> Body:

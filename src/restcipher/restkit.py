@@ -5,12 +5,13 @@ Two pieces: a resource server / client pair exercising the two-party flow
 a three-party composition pipeline in which a main server S fans a multi-key
 signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
-S checks every digest of each reply, but decodes and splices in only the
-subtrees it granted that provider.  A subtree inside one of them that
+S checks each reply before it decodes any: its access list must be the one
+S sent, for nothing signs that list and every provider holds the group key
+that signs the root; every digest must verify; its tag tree, read from its
+Layout, must be the one S sent; and a subtree inside a granted one that
 another key owns must come back as S sent it (``changed_kept``), so S's
-decode of it equals S's own items.  S refuses a reply whose access list is
-not the one it sent: nothing signs that list, and every provider holds the
-group key that signs the root.
+decode of it equals S's own items.  S then decodes and splices in only the
+subtrees it granted that provider.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
 in front.  Bodies are text/plain and no custom header is used.  Each service
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from socketserver import StreamRequestHandler, TCPServer, ThreadingMixIn
 
-from .codec import EncryptedMessage, OpaqueRun, Session, item_spans
+from .codec import EncryptedMessage, Session, item_spans
 from .composition import (
     CompositionPolicy,
     KeyRing,
@@ -61,8 +62,7 @@ from .composition import (
     reply_owners,
     verify_digests,
 )
-from .docmodel import (Close, Open, Variable, emit_xml, parse_json, parse_xml,
-                       validate_stream)
+from .docmodel import Variable, emit_xml, parse_json, parse_xml, validate_stream
 from .errors import (AccessNotGranted, BadRequest, Bind, EditNotApplied, KeptWordsChanged,
                      Malformed, MalformedMessage, RestCipherError, VerificationFailed)
 from .keycore import TenElementKey, generate_key, serialize_key, validate_key
@@ -520,48 +520,29 @@ class ScenarioResult:
 
 def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
     """``final``, a token stream whose ``item_spans`` are ``spans``, with the
-    subtrees of ``ordinals`` copied in from ``decoded``, a reply's items:
-    each listed subtree decoded whole, any other subtree that holds no
-    listed tag an OpaqueRun or decoded.  A subtree inside a copied one that
-    another key owns (``composition.reply_owners``'s ``kept``) is copied
-    from the reply too: ``changed_kept`` has refused a reply whose words
-    there differ from the ones ``final``'s sender signed, so the decode
-    there equals ``final``'s own items.
+    subtrees of ``ordinals`` copied in from ``decoded``, a reply's items, by
+    their Spans in ``item_spans(decoded)``; a listed tag the document lacks,
+    or one the reply leaves in an OpaqueRun, is MalformedMessage.
 
     Only the outermost listed subtrees are copied, in stream order; a listed
-    tag nested in one of them comes along with it.  This equals replacing the
-    listed subtrees one by one as long as each copied subtree holds as many
-    tags as the one it replaces, so a reply that changes that, or the number
-    of tags in all, is refused, and so is one with a listed tag left opaque.
+    tag nested in one of them comes along with it.  This equals replacing
+    the listed subtrees one by one, for ``run_composition_scenario`` has
+    refused a reply whose tag tree is not the document's.  A subtree inside
+    a copied one that another key owns (``reply_owners``'s ``kept``) is
+    copied too: ``changed_kept`` has refused a reply whose words there
+    differ from the ones ``final``'s sender signed, so its decode equals
+    ``final``'s own items.
     """
-    wanted = set(ordinals)
-    src = {}            # listed ordinal -> (first item, last item, tags inside)
-    stack = []          # per open tag, (its ordinal, its item index)
-    ordinal = 0
-    for i, item in enumerate(decoded):
-        cls = type(item)
-        if cls is Open:
-            ordinal += 1
-            stack.append((ordinal, i))
-        elif cls is Close:
-            opened, start = stack.pop()
-            if opened in wanted:
-                src[opened] = start, i, ordinal - opened
-        elif cls is OpaqueRun:
-            ordinal += 1 + item.opens_inside
-    if ordinal != len(spans):
-        raise MalformedMessage(f"the reply holds {ordinal} tags, the document {len(spans)}")
+    src = item_spans(decoded)
     out = []
     pos = 0
-    for ordinal in sorted(wanted):
+    for ordinal in sorted(ordinals):
         if ordinal not in spans or ordinal not in src:
             raise MalformedMessage(f"tag {ordinal} is missing from the document or the reply")
-        _, start, end, inside = spans[ordinal]
+        _, start, end, _ = spans[ordinal]
         if start < pos:
             continue            # copied with an enclosing subtree
-        first, last, opens_inside = src[ordinal]
-        if opens_inside != inside:
-            raise MalformedMessage(f"reply changes the tags inside tag {ordinal}")
+        _, first, last, _ = src[ordinal]
         out += final[pos:start]
         out += decoded[first:last + 1]
         pos = end + 1
@@ -571,25 +552,21 @@ def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
 
 def _apply_edits(items: list, edits: dict, name: str) -> list:
     """Replace the variable text directly under the given tag ordinals
-    (token items).  An edit of a tag with no variable text among the items,
-    one inside an OpaqueRun for instance, raises EditNotApplied, which names
-    the provider ``name`` and each such ordinal."""
+    (token items).  The stream rules let a Variable be followed only by its
+    own tag's Close, so a tag's text is the item just before its closer, by
+    the tag's Span in ``item_spans``.  An edit of a tag with no Span, one
+    inside an OpaqueRun for instance, or with no text there raises
+    EditNotApplied, which names the provider ``name`` and each such
+    ordinal."""
     out = list(items)
-    ordinal = 0
-    stack = []          # per open tag, its ordinal: a Variable's innermost tag, no Span's
-    applied = set()
-    for i, item in enumerate(out):
-        if isinstance(item, OpaqueRun):
-            ordinal += 1 + item.opens_inside
-        elif isinstance(item, Open):
-            ordinal += 1
-            stack.append(ordinal)
-        elif isinstance(item, Close):
-            stack.pop()
-        elif isinstance(item, Variable) and stack and stack[-1] in edits:
-            out[i] = Variable(edits[stack[-1]])
-            applied.add(stack[-1])
-    missed = sorted(edits.keys() - applied)
+    spans = item_spans(out)
+    missed = []
+    for ordinal in sorted(edits):
+        span = spans.get(ordinal)
+        if span is None or type(out[span.end - 1]) is not Variable:
+            missed.append(ordinal)
+        else:
+            out[span.end - 1] = Variable(edits[ordinal])
     if missed:
         tags = ("tag " if len(missed) == 1 else "tags ") + ", ".join(map(str, missed))
         raise EditNotApplied(f"{name} cannot apply its edit of {tags}: "
@@ -650,18 +627,20 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     The honest run returns the final edited document; a tampering provider
     halts the pipeline with Reject verdicts on the touched tags.
 
-    S splices in from each reply only the subtrees it granted that
-    provider, and refuses with AccessNotGranted, splicing nothing, a reply
-    whose access list is not the one S sent it: nothing signs that list.
-    S reads a reply under ``reply_owners``: the root, the granted subtrees
-    and the tags that enclose them.  Every other subtree is checked against
-    its digests only, and S's own copy of it stays in the final document,
-    so a word S cannot read there is not decoded at all.  A subtree inside
-    a granted one that another key owns must come back word for word as S
-    sent it, by the ``Signed`` record of the body S sent, for the group
-    key, which every provider holds, may be the only key that signs such a
-    tag; else S refuses the reply with KeptWordsChanged before it splices
-    anything.  So S's decode of such a subtree equals S's own items.
+    S checks each reply before it decodes any.  Its access list must be
+    the one S sent, for nothing signs that list (else AccessNotGranted);
+    every digest must verify (else the run halts with the Reject verdicts);
+    its Layout's ordinals must come in the closer order of the Body's
+    spans, which fixes its tag tree and each tag's count of tags inside
+    (else MalformedMessage naming the provider); and a subtree inside a
+    granted one that another key owns must come back word for word as S
+    sent it, by the ``Signed`` record of the body S sent (else
+    KeptWordsChanged), for the group key, which every provider holds, may
+    be the only key that signs such a tag.  S then reads each reply under
+    ``reply_owners`` (the root, the granted subtrees and the tags that
+    enclose them) and splices in only the granted subtrees.  S's own copy
+    of every other subtree stays in the final document, so a word S cannot
+    read there is not decoded at all.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -686,6 +665,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
         provider.start()
         providers[name] = provider
 
+    tree = list(body.spans)
     transcript = []
     verdicts = {}
     try:
@@ -708,6 +688,10 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             if rejected:
                 return ScenarioResult(transcript, verdicts, halted=True,
                                       reject_ordinals=rejected)
+            # ordinals count tags in document order, so their closer order fixes the tree
+            if list(reply_msg.layout.spans) != tree:
+                raise MalformedMessage(f"{name} replies with a tag tree other than "
+                                       "the one it was sent")
             changed = changed_kept(reads.kept, signed, reply_msg.layout)
             if changed:
                 tags = ("tag " if len(changed) == 1 else "tags ") + ", ".join(map(str, changed))

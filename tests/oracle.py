@@ -36,6 +36,12 @@ stream in one flat loop.  They reuse the package's per-word checks (name,
 printability, escaping) and its JSON tree builder, so a differential test of
 them checks the walks alone.  Being recursive, they raise RecursionError on a
 document nested about a thousand deep.
+
+The edit oracle keeps the provider's edit walk as the library had it before
+an edit found its tag's text by the tag's Span: a stack of open ordinals,
+with each Variable edited under the innermost one.  On a stream that keeps
+the stream rules, each tag holds at most one Variable, just before its
+closer, so the two agree.
 """
 
 import functools
@@ -49,6 +55,7 @@ from restcipher import codec, docmodel
 from restcipher.composition import Status, Verdict, sign_segment
 from restcipher.docmodel import CLOSE, AttrName, AttrValue, Close, Open, Variable
 from restcipher.errors import (
+    EditNotApplied,
     MalformedMessage,
     MalformedStream,
     MalformedXml,
@@ -626,3 +633,30 @@ def oracle_emit_json(stream) -> str:
     oracle_validate_stream(stream)
     root = docmodel._build_tree(stream)
     return json.dumps({root.name: docmodel._node_value(root)})
+
+
+def oracle_apply_edits(items, edits: dict, name: str) -> list:
+    """``items`` with the variable text directly under each ordinal of
+    ``edits`` replaced; EditNotApplied names ``name`` and each ordinal with
+    no variable text among the items, one inside an OpaqueRun for instance."""
+    out = list(items)
+    ordinal = 0
+    stack = []          # per open tag, its ordinal
+    applied = set()
+    for i, item in enumerate(out):
+        if isinstance(item, codec.OpaqueRun):
+            ordinal += 1 + item.opens_inside
+        elif isinstance(item, Open):
+            ordinal += 1
+            stack.append(ordinal)
+        elif isinstance(item, Close):
+            stack.pop()
+        elif isinstance(item, Variable) and stack and stack[-1] in edits:
+            out[i] = Variable(edits[stack[-1]])
+            applied.add(stack[-1])
+    missed = sorted(edits.keys() - applied)
+    if missed:
+        tags = ("tag " if len(missed) == 1 else "tags ") + ", ".join(map(str, missed))
+        raise EditNotApplied(f"{name} cannot apply its edit of {tags}: "
+                             "it reads no variable text there")
+    return out

@@ -432,6 +432,24 @@ def test_a_state_row_of_an_unknown_kind_is_refused_by_file_and_line(tmp_path, ca
                        "unknown tag-table kind 'bogus'\n")
 
 
+def test_a_state_row_with_an_empty_word_is_refused_and_the_file_kept(tmp_path, capsys):
+    # no encoder makes an empty word, so a table holding one differs from the peer's
+    state, plain = tmp_path / "session.state", tmp_path / "plain.xml"
+    plain.write_text('<root a="v1">one</root>', encoding="utf-8")
+    argv = ["encrypt", "--mode", "tat", "--in", str(plain), "--state", str(state)]
+    assert main([*argv, "--key", K1_TEXT]) == 0
+    with open(state, "a", encoding="utf-8") as fh:
+        fh.write("tag\t\t9\n")
+    before = state.read_bytes()
+    row = len(before.splitlines())
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: Malformed: state file {state} line {row}: empty tag-table word\n"
+    assert state.read_bytes() == before
+
+
 def test_well_formed_state_file_loads(tmp_path, capsys):
     state = tmp_path / "session.state"
     state.write_text(f"{K1_TEXT}\ntag\troot\t4\n", encoding="utf-8")

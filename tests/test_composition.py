@@ -392,6 +392,13 @@ def test_a_hand_built_run_encodes_but_only_its_own_message_lays_it_out(ring):
     assert body[1:] == ["0123", "0", "0"]
     with pytest.raises(MalformedStream, match="tag 2 "):
         attach_digests(body, CompositionPolicy({}), ring)
+    # a one-word run is one word as well as one item, and a run at the root
+    # leaves no Span at all; Body.spans refuses both by the run's tag
+    for items, ordinal in (([Open("a"), OpaqueRun(("0123",), 2, 0), Close()], 2),
+                           ([OpaqueRun(("0123", "0"), 1, 0)], 1)):
+        body = compose_encrypt(items, CompositionPolicy({}), ring)
+        with pytest.raises(MalformedStream, match=f"^tag {ordinal} is an opaque run, "):
+            body.spans
 
 
 def _decoders(k1, k3):

@@ -33,7 +33,7 @@ from restcipher import (
     serve,
     tag_names,
 )
-from restcipher.codec import OpaqueRun, item_spans
+from restcipher.codec import Layout, OpaqueRun, Span, item_spans, subtree_spans
 from restcipher.composition import (Owners, compose_decrypt, compose_encrypt, owners,
                                     refresh_digests, reply_owners)
 from restcipher.docmodel import Close, Open, Variable
@@ -45,6 +45,8 @@ from restcipher.restkit import _HttpService, _Provider, _apply_edits, _splice_su
 
 from conftest import XML1, XML2
 from docgen import nested_catalog
+from oracle import oracle_apply_edits
+from test_ownership import _record_main_decodes
 
 DEFAULT_FINAL = ('<root attr1="value1" attr2="value2">'
                  "<name>iitd</name><value>7</value><nv>b2</nv></root>")
@@ -779,17 +781,106 @@ def test_an_sp2_tag_inside_an_sp1_item_keeps_the_sp2_edit():
         "<r><item><name>SP2-a</name><price>SP1-1</price></item><x>b</x></r>")
 
 
-def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused():
+@pytest.mark.parametrize("seed", range(12))
+def test_item_spans_of_a_stream_as_read_are_those_of_the_tags_read(seed):
+    # each tag read keeps its place and its count of tags inside, a run
+    # counting for all of its tags; a tag in a run has no Span
+    rng = random.Random(seed)
+    final = parse_xml(nested_catalog(rng, 12))
+    full = item_spans(final)
+    for ordinals in map(sorted, _policies(final, rng)):
+        read = _as_read(final, ordinals)
+        at, pos = {}, 0         # index in ``final`` -> index in ``read``, of each read item
+        for k, item in enumerate(read):
+            at[pos] = k
+            pos += len(item.words) if type(item) is OpaqueRun else 1
+        want = [Span(o, at[span.start], at[span.end], span.opens_inside)
+                for o, span in full.items()
+                if span.start in at and type(read[at[span.start]]) is Open]
+        assert list(item_spans(read).values()) == want
+
+
+def _edit_outcome(apply, items, edits):
+    """The edited items, or the EditNotApplied text, of ``apply``."""
+    try:
+        return tuple(apply(items, edits, "SP1"))
+    except EditNotApplied as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_edits_equal_the_oracle_s_on_streams_as_read(seed):
+    rng = random.Random(seed)
+    final = parse_xml(nested_catalog(rng, 12))
+    count = len(item_spans(final))
+    for ordinals in map(sorted, _policies(final, rng)):
+        read = _as_read(final, ordinals)
+        # the granted tags the oracle edits, each granted tag, and any tags,
+        # one past the last included
+        each = [o for o in ordinals if type(_edit_outcome(
+            oracle_apply_edits, read, {o: "e"})) is tuple]
+        for edited in (each, ordinals, rng.sample(range(1, count + 2), 6)):
+            edits = {o: f"e{o}" for o in edited}
+            assert _edit_outcome(_apply_edits, read, edits) == \
+                _edit_outcome(oracle_apply_edits, read, edits)
+
+
+#: SP1's item, tag 3, is the last subtree, so a reshape of it moves no
+#: ordinal that a digest after it is checked under
+RESHAPE_DOCUMENT = "<r><a>x</a><item><name>n</name><price>1</price></item></r>"
+RESHAPE_POLICY = {2: "K2", 3: "K1", 4: "K1", 5: "K1"}
+RESHAPE_EDITS = {"SP1": {4: "m"}, "SP2": {2: "y"}}
+
+
+class _Reshaper(_Provider):
+    """A provider that replaces its item by the one of ``document``, reads
+    any tag that adds with its own key, and signs each subtree signed before
+    by its new Span, so every digest of its reply verifies."""
+
+    document = None
+
+    def process(self, body: str) -> str:
+        msg = EncryptedMessage.parse(body)
+        rule = owners(self.ring, access=msg.access)
+        items = compose_decrypt(msg, self.ring, rule)
+        shaped = parse_xml(self.document)
+        items = items[:items.index(Open("item"))] + list(shaped[shaped.index(Open("item")):])
+        encode = Owners(rule)
+        encode.default = rule[3]
+        words = compose_encrypt(items, encode, self.ring, self.mode)
+        spans = subtree_spans(words).spans
+        digests = {o: msg.layout.digests[o] for o in spans if o in msg.layout.digests}
+        signed = refresh_digests(words, self.ring, rule, Layout(tuple(words), spans, digests))
+        return EncryptedMessage(msg.access, tuple(signed)).serialize()
+
+
+def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused(monkeypatch):
     final = parse_xml("<r><item><name>a</name></item></r>")
-    decoded = parse_xml("<r><item><name>a</name><extra>b</extra></item></r>")
-    with pytest.raises(MalformedMessage, match="tags inside tag 2"):    # as many tags in all
-        _splice(final, parse_xml("<r><item>a</item><name>b</name></r>"), (2,))
-    with pytest.raises(MalformedMessage, match="holds 4 tags, the document 3"):
-        _splice(final, decoded, (2,))
     with pytest.raises(MalformedMessage, match="tag 9 is missing"):
         _splice(final, final, (9,))
     with pytest.raises(MalformedMessage, match="tag 3 is missing"):     # left opaque
         _splice(final, (final[0], OpaqueRun(("w",) * 5, 2, 1), final[-1]), (3,))
+    # S checks a reply's tag tree from its Layout before it decodes any reply
+    honest = run_composition_scenario(ScenarioConfig(
+        document=RESHAPE_DOCUMENT, policy=RESHAPE_POLICY, edits=RESHAPE_EDITS))
+    assert honest.final_document == "<r><a>y</a><item><name>m</name><price>1</price></item></r>"
+    decodes = _record_main_decodes(monkeypatch)
+    monkeypatch.setattr(restkit, "_Provider", lambda name, *args: (
+        _Reshaper if name == "SP1" else _Provider)(name, *args))
+    for document in (
+            # one more tag inside the item
+            "<r><a>x</a><item><name>n</name><price>1</price><qty>2</qty></item></r>",
+            # the price moved into the name: as many tags inside the item and in all
+            "<r><a>x</a><item><name><price>1</price></name></item></r>"):
+        monkeypatch.setattr(_Reshaper, "document", document)
+        for mode in ("tat", "st"):
+            config = ScenarioConfig(document=RESHAPE_DOCUMENT, policy=RESHAPE_POLICY,
+                                    edits=RESHAPE_EDITS, mode=mode)
+            with pytest.raises(MalformedMessage) as refused:
+                run_composition_scenario(config)
+            assert str(refused.value) == \
+                "SP1 replies with a tag tree other than the one it was sent"
+            assert decodes == []
 
 
 # closing a service returns at once
