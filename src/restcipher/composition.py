@@ -22,13 +22,13 @@ by which ``attach_digests`` signs it.  A provider's re-encoded body lies
 word for word where the body it received did, for every decoded word is
 one token and every token one word again, so ``refresh_digests`` signs it
 by the received message's Layout.  A sender reads a recipient's reply by
-``reply_owners``, its own rule cut down to the subtrees it granted and the
-tags around them, from the spans of the Body it sent.
+the rule the recipient read the message by (``reply_owners``): the root
+and the granted tags under the sender's keys, every other tag foreign.
 
 Both signers, ``attach_digests`` and ``refresh_digests``, return the signed
 words as a ``Signed`` record of what they signed: a ``codec.Layout`` of the
 body, its spans and each digest word.  The sender's record lets it check
-that the subtrees ``reply_owners`` keeps came back unchanged
+that every subtree the recipient copied whole came back as it was sent
 (``changed_kept``), and a provider's record tells where each word of its
 reply lies.  ``verify_digests`` hashes every digest it checks.  Every
 digest is an md5: the algorithm never travels with a message, so both ends
@@ -36,7 +36,6 @@ agree on it in advance.  Each key's text is hashed once, on its Session,
 and each digest copies that hash.
 """
 
-import bisect
 import enum
 import hashlib
 import hmac
@@ -94,12 +93,9 @@ class CompositionPolicy:
 class Owners(dict):
     """One message's ownership rule: tag ordinal -> the ring Session that
     owns it, or None for a tag under a key not held; an ordinal with no
-    entry falls to ``default``, the group key under a policy.  A rule
-    ``reply_owners`` cuts also names the subtrees the reply must carry back
-    as they were sent (``kept``)."""
+    entry falls to ``default``, the group key under a policy, else None."""
 
     default = None
-    kept = ()
 
     def __missing__(self, ordinal: int):
         return self.default
@@ -113,8 +109,10 @@ def owners(ring: KeyRing, policy=None, access=()) -> Owners:
     key's, None where the ring lacks that key.  With no policy (a recipient)
     the root is the group key's, each ordinal of ``access`` is the ring's
     one pairwise key's and every other tag is foreign, so a recipient never
-    reads a group-owned tag below the root (ROADMAP item 1).  A rule already
-    built is returned as it is, so the steps of one message share it.
+    reads a group-owned tag below the root (ROADMAP item 1).  A sender reads
+    the recipient's reply by the same branch with its own keys
+    (``reply_owners``).  A rule already built is returned as it is, so the
+    steps of one message share it.
     """
     if isinstance(policy, Owners):
         return policy
@@ -136,48 +134,32 @@ def owners(ring: KeyRing, policy=None, access=()) -> Owners:
     return rule
 
 
-def reply_owners(rule: Owners, spans: dict, access) -> Owners:
-    """The rule by which a sender reads a recipient's reply: cut from the
-    sender's own ``rule`` and the ``spans`` of the body it sent, it gives
-    the root, every tag of each subtree ``access`` grants and every tag that
-    encloses a granted one the owner ``rule`` gives it.  Every other tag is
-    foreign, so its subtree is copied as an OpaqueRun and never read.
-
-    Its ``kept`` lists, outermost first, each subtree inside a granted one
-    whose tag another key than the granted tag's owns: the recipient's
-    rule made it foreign, so an honest reply copies its words back as they
-    were sent.  ``changed_kept`` refuses a reply that does not, so the
-    sender's decode there equals its own items.  Only the group key signs
-    some of those tags, and every recipient holds that key."""
-    granted = sorted(access)
-    read = Owners()
-    kept = []
-    for ordinal in granted:
-        if ordinal in read:
-            continue            # inside a granted subtree already read
-        owner = rule[ordinal]
-        last_kept = 0           # the last ordinal inside the kept subtree last met
-        for inner in range(ordinal, ordinal + 1 + spans[ordinal].opens_inside):
-            who = read[inner] = rule[inner]
-            if who is not owner and inner > last_kept:
-                kept.append(inner)
-                last_kept = inner + spans[inner].opens_inside
-    for ordinal, span in spans.items():
-        if span.opens_inside and ordinal not in read:
-            # the first granted tag after this one, if it lies inside it
-            k = bisect.bisect_right(granted, ordinal)
-            if k < len(granted) and granted[k] <= ordinal + span.opens_inside:
-                read[ordinal] = rule[ordinal]
+def reply_owners(rule: Owners, access) -> Owners:
+    """The rule by which a sender reads a recipient's reply: the recipient
+    branch of ``owners`` with the sender's keys.  The root and each ordinal
+    of ``access`` get the owner ``rule`` gives them and every other tag is
+    foreign, so the sender decodes a reply only where the recipient could
+    read the message, and every other subtree, one nested in a granted tag
+    included, stays the OpaqueRun the recipient copied."""
+    read = Owners({o: rule[o] for o in access})
     read[1] = rule[1]
-    read.kept = tuple(kept)
     return read
 
 
-def changed_kept(kept, sent: "Signed", layout) -> list:
-    """The ordinals of ``kept`` (see ``reply_owners``) whose words in a
-    reply's ``layout``, whose tag tree is the one ``sent`` signed, differ
-    from the words ``sent`` signed under them."""
-    return [o for o in kept if layout.segment(o) != sent.layout.segment(o)]
+def changed_kept(read: Owners, sent: "Signed", layout) -> list:
+    """Each outermost tag that ``read`` (see ``reply_owners``) leaves
+    foreign whose words in a reply's ``layout``, whose tag tree is the one
+    ``sent`` signed, differ from the words ``sent`` signed under it: the
+    recipient copied that subtree whole, so an honest reply carries it back
+    as it was sent."""
+    spans, end, changed = sent.layout.spans, 0, []
+    for ordinal in range(1, len(spans) + 1):        # document order
+        # a rule of reply_owners has no default: an ordinal with no entry is foreign
+        if ordinal > end and read.get(ordinal) is None:
+            end = ordinal + spans[ordinal].opens_inside     # its subtree's last tag
+            if layout.segment(ordinal) != sent.layout.segment(ordinal):
+                changed.append(ordinal)
+    return changed
 
 
 class Body(list):
@@ -275,12 +257,18 @@ class Signed(list):
     """Signed words, each digest word of ``layout`` directly after its
     subtree's closer, with ``layout``, the record of what was signed: the
     digest-free body, each tag's Span in it and each signed ordinal's digest
-    word, both in closer order."""
+    word, both in closer order.  A digest word a receiver would misread
+    there is MalformedMessage naming its tag."""
 
     def __init__(self, layout: Layout):
         body, spans, digests = layout
         pos = 0
         for ordinal, digest in digests.items():
+            # a receiver misreads an all-decimal digest with four leading zeros (no
+            # word class) and, inside the root, a tag-shaped one, a zero then 1-9
+            if digest.isdigit() and (digest[:4] == "0000"
+                                     or ordinal != 1 and digest[0] == "0" != digest[1]):
+                raise MalformedMessage(f"the digest of tag {ordinal}, {digest}, would be misread")
             end = spans[ordinal].end
             self += body[pos:end + 1]   # the words since the last closer, as one slice
             self.append(digest)

@@ -151,5 +151,5 @@ class AccessNotGranted(RestCipherError):
 
 class KeptWordsChanged(RestCipherError):
     """A provider's reply changes the words of a subtree it was to send back
-    as it received it: one inside its granted subtree that its key does not
-    own."""
+    as it received it: one its recipient rule leaves foreign, so that it
+    copied it whole."""

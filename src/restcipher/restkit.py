@@ -8,10 +8,11 @@ variables of its own tags and passes everything else through byte-identical.
 S checks each reply before it decodes any: its access list must be the one
 S sent, for nothing signs that list and every provider holds the group key
 that signs the root; every digest must verify; its tag tree, read from its
-Layout, must be the one S sent; and a subtree inside a granted one that
-another key owns must come back as S sent it (``changed_kept``), so S's
-decode of it equals S's own items.  S then decodes and splices in only the
-subtrees it granted that provider.
+Layout, must be the one S sent; and every subtree the provider copied
+whole must come back as S sent it (``changed_kept``).  S then decodes the
+reply by the rule the provider read the message by (``reply_owners``) and
+splices in the subtrees it granted that provider, with its own items for
+each subtree inside them that the provider copied.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
 in front.  Bodies are text/plain and no custom header is used.  Each service
@@ -45,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from socketserver import StreamRequestHandler, TCPServer, ThreadingMixIn
 
-from .codec import EncryptedMessage, Session, item_spans
+from .codec import EncryptedMessage, OpaqueRun, Session, item_spans
 from .composition import (
     CompositionPolicy,
     KeyRing,
@@ -521,30 +522,35 @@ class ScenarioResult:
 def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
     """``final``, a token stream whose ``item_spans`` are ``spans``, with the
     subtrees of ``ordinals`` copied in from ``decoded``, a reply's items, by
-    their Spans in ``item_spans(decoded)``; a listed tag the document lacks,
-    or one the reply leaves in an OpaqueRun, is MalformedMessage.
+    their Spans in ``item_spans(decoded)``; a listed tag the document lacks
+    is MalformedMessage.
 
     Only the outermost listed subtrees are copied, in stream order; a listed
     tag nested in one of them comes along with it.  This equals replacing
     the listed subtrees one by one, for ``run_composition_scenario`` has
-    refused a reply whose tag tree is not the document's.  A subtree inside
-    a copied one that another key owns (``reply_owners``'s ``kept``) is
-    copied too: ``changed_kept`` has refused a reply whose words there
-    differ from the ones ``final``'s sender signed, so its decode equals
-    ``final``'s own items.
+    refused a reply whose tag tree is not the document's.  An OpaqueRun
+    inside a copied subtree, one the provider could not read, becomes
+    ``final``'s own items by its Span in ``spans``, and a listed tag that
+    lies in a run stays as ``final`` has it: its provider could not read
+    it either.
     """
     src = item_spans(decoded)
     out = []
     pos = 0
     for ordinal in sorted(ordinals):
-        if ordinal not in spans or ordinal not in src:
-            raise MalformedMessage(f"tag {ordinal} is missing from the document or the reply")
+        if ordinal not in spans:
+            raise MalformedMessage(f"tag {ordinal} is missing from the document")
         _, start, end, _ = spans[ordinal]
-        if start < pos:
-            continue            # copied with an enclosing subtree
+        if start < pos or ordinal not in src:
+            continue            # copied with an enclosing subtree, or in a run
         _, first, last, _ = src[ordinal]
         out += final[pos:start]
-        out += decoded[first:last + 1]
+        for item in decoded[first:last + 1]:
+            if type(item) is OpaqueRun:
+                _, copied, closer, _ = spans[item.ordinal]
+                out += final[copied:closer + 1]
+            else:
+                out.append(item)
         pos = end + 1
     out += final[pos:]
     return tuple(out)
@@ -632,15 +638,15 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     every digest must verify (else the run halts with the Reject verdicts);
     its Layout's ordinals must come in the closer order of the Body's
     spans, which fixes its tag tree and each tag's count of tags inside
-    (else MalformedMessage naming the provider); and a subtree inside a
-    granted one that another key owns must come back word for word as S
-    sent it, by the ``Signed`` record of the body S sent (else
-    KeptWordsChanged), for the group key, which every provider holds, may
-    be the only key that signs such a tag.  S then reads each reply under
-    ``reply_owners`` (the root, the granted subtrees and the tags that
-    enclose them) and splices in only the granted subtrees.  S's own copy
-    of every other subtree stays in the final document, so a word S cannot
-    read there is not decoded at all.
+    (else MalformedMessage naming the provider).  S reads each reply by
+    ``reply_owners``, the rule the provider read the message by: the root
+    and the granted tags are decoded, and every other subtree is one the
+    provider copied whole, which must come back word for word as S sent it,
+    by the ``Signed`` record of the body S sent (else KeptWordsChanged), for
+    the group key, which every provider holds, may be the only key that
+    signs such a tag.  Then S splices in only the granted subtrees, with
+    its own copy of every run inside them, and keeps its own copy of every
+    other subtree, so a word the provider could not read is not decoded.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -672,7 +678,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
         replies = {}
         for name, provider in providers.items():
             access = access_header(rule, ring, [config.providers[name]], tag_count)
-            reads = reply_owners(rule, body.spans, access)
+            reads = reply_owners(rule, access)
             message = EncryptedMessage(access, tuple(signed)).serialize()
             uri = f"{provider.url}/process"
             transcript.append(TranscriptEntry(f"S->{name}", uri, message))
@@ -692,7 +698,7 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             if list(reply_msg.layout.spans) != tree:
                 raise MalformedMessage(f"{name} replies with a tag tree other than "
                                        "the one it was sent")
-            changed = changed_kept(reads.kept, signed, reply_msg.layout)
+            changed = changed_kept(reads, signed, reply_msg.layout)
             if changed:
                 tags = ("tag " if len(changed) == 1 else "tags ") + ", ".join(map(str, changed))
                 raise KeptWordsChanged(f"{name} changes {tags}, which its key does not own")

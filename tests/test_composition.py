@@ -187,21 +187,23 @@ def test_access_headers(ring, policy):
     assert access_header(policy, ring, ["K3"], 4) == ()
 
 
-def test_a_reply_is_read_in_the_granted_subtrees_and_around_them(ring):
-    # r1 a2 b3 c4 d5 e6 f7; the group key K3 owns every tag
+def test_a_reply_is_read_in_the_root_and_the_granted_tags_only(ring):
+    # r1 a2 b3 c4 d5 e6 f7; the group key K3 owns every tag.  The sender
+    # reads a reply as the recipient read the message: a tag nested in a
+    # granted one is foreign unless granted too, and a granted tag nested
+    # in a foreign one lies in that tag's run
     rule = owners(ring, CompositionPolicy({}))
-    spans = compose_encrypt(parse_xml(
-        "<r><a><b>1</b><c><d>2</d></c></a><e><f>3</f></e></r>"), rule, ring, "st").spans
 
     def read(access):
         return sorted(o for o in range(1, 8) if composition.reply_owners(
-            rule, spans, access)[o] is not None)
+            rule, access)[o] is not None)
 
-    assert read((4,)) == [1, 2, 4, 5]          # a encloses c, d lies inside it
-    assert read((2, 7)) == [1, 2, 3, 4, 5, 6, 7]
-    assert read((2, 5)) == [1, 2, 3, 4, 5]     # d comes with a
+    assert read((4,)) == [1, 4]
+    assert read((2, 7)) == [1, 2, 7]
+    assert read((2, 5)) == [1, 2, 5]
     assert read(()) == [1]
-    assert composition.reply_owners(rule, spans, (4,))[2] is ring["K3"]
+    assert composition.reply_owners(rule, (4,))[4] is ring["K3"]
+    assert composition.reply_owners(rule, (4,))[2] is None
 
 
 # compose_decrypt
@@ -653,6 +655,53 @@ def test_all_decimal_digests_verify(monkeypatch, stream, ring, policy, marker):
         (2, Status.ACCEPT), (3, Status.ACCEPT), (4, Status.ACCEPT), (1, Status.ACCEPT),
     ]
     assert strip_digests(message.words)[0] == body
+
+
+#: (digest word, the tag it signs, the pairwise key whose holder re-signs that tag)
+_MISREAD_DIGESTS = [
+    ("0" + "1" * 31, 2, "K1"),          # tag-shaped inside the root: opens a sibling tag
+    ("0" + "9" * 31, 4, "K2"),
+    ("0000" + "1" * 28, 3, "K2"),       # four leading zeros: matches no word class
+    ("0" * 32, 1, "K1"),
+]
+
+
+@pytest.mark.parametrize("word, ordinal, pair_id", _MISREAD_DIGESTS)
+def test_a_signer_refuses_a_digest_word_its_receiver_would_misread(
+        monkeypatch, stream, ring, policy, k1, k2, k3, word, ordinal, pair_id):
+    body = compose_encrypt(stream, policy, ring, "st")
+    signed = attach_digests(body, policy, ring)
+    # the words a signer that checks no digest word sends: the receiver
+    # reads the tag-shaped digest as a tag left open, the other as no word
+    sent = [word if w == signed.layout.digests[ordinal] else w for w in signed]
+    fault = MalformedMessage if word[3] != "0" else Unclassifiable
+    with pytest.raises(fault, match="tags left open|matches no word class"):
+        subtree_spans(sent)
+    real = composition._digest
+    segment = signed.layout.segment(ordinal)
+    monkeypatch.setattr(composition, "_digest", lambda who, words: (
+        word if words == segment else real(who, words)))
+    refused = f"the digest of tag {ordinal}, {word}, would be misread"
+    with pytest.raises(MalformedMessage) as by_sender:
+        attach_digests(body, policy, ring)
+    holder = make_ring(k1, k2, k3, pair_id, "K3")
+    access = access_header(policy, ring, [pair_id], 4)
+    with pytest.raises(MalformedMessage) as by_provider:
+        refresh_digests(body, holder, owners(holder, access=access), signed.layout)
+    assert str(by_sender.value) == str(by_provider.value) == refused
+
+
+def test_a_tag_shaped_digest_after_the_root_is_signed_and_verifies(monkeypatch, stream,
+                                                                   ring, policy):
+    # after the root's closer no tag may follow, so the root's digest may be tag-shaped
+    body = compose_encrypt(stream, policy, ring, "st")
+    real = composition._digest
+    monkeypatch.setattr(composition, "_digest", lambda who, words: (
+        "0" + "1" * 31 if len(words) == len(body) else real(who, words)))
+    signed = attach_digests(body, policy, ring)
+    assert signed[-1] == "0" + "1" * 31
+    message = EncryptedMessage.parse(EncryptedMessage((2,), tuple(signed)).serialize())
+    assert all(v.status is Status.ACCEPT for v in verify_digests(message, ring, policy))
 
 
 def test_whole_document_digest_covers_body_without_digests(stream, ring, policy):

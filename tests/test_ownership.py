@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from restcipher import (Close, CompositionPolicy, EncryptedMessage, KeyRing, OpaqueRun, Open,
+from restcipher import (CompositionPolicy, EncryptedMessage, KeyRing, OpaqueRun, Open,
                         ScenarioConfig, compose_decrypt, compose_encrypt, emit_xml,
                         parse_xml, run_composition_scenario)
 from restcipher import composition, restkit
@@ -134,23 +134,6 @@ def _read_ordinals(items) -> tuple:
     return opened, opaque
 
 
-def _subtrees(items, ordinals) -> dict:
-    """Ordinal -> the items of its subtree, for each decoded tag of
-    ``ordinals``."""
-    subtrees, stack, ordinal = {}, [], 0
-    for i, item in enumerate(items):
-        if isinstance(item, Open):
-            ordinal += 1
-            stack.append((ordinal, i))
-        elif isinstance(item, Close):
-            opened, start = stack.pop()
-            if opened in ordinals:
-                subtrees[opened] = tuple(items[start:i + 1])
-        elif isinstance(item, OpaqueRun):
-            ordinal += 1 + item.opens_inside
-    return subtrees
-
-
 def test_s_reads_only_the_root_and_the_granted_items_of_a_reply(monkeypatch):
     """A 100-item catalog shaped like the three-party benchmark's: item j's
     four tags go to K1 when j % 3 == 0 and to K2 when j % 3 == 1; the rest
@@ -212,9 +195,9 @@ def _full_decode_outcome(config, lines) -> str:
 @pytest.mark.parametrize("mode", ["st", "tat"])
 def test_a_nested_policy_splices_as_the_full_decode_does(monkeypatch, mode):
     """A K2 price inside each K1 item, granted to SP2, and unmapped tags
-    inside the K2 items granted to SP2: S reads part of each reply and
-    reaches the outcome a decode of every word reaches.  In tat mode both
-    meet ROADMAP item 1's unreadable reply root."""
+    inside the K2 items granted to SP2: S reads each reply as its provider
+    read the message and reaches the outcome a decode of every word
+    reaches.  In tat mode both meet ROADMAP item 1's unreadable reply root."""
     config = _config(30, mode, nested=True)
     replies = []
     post = restkit.http_post
@@ -225,14 +208,6 @@ def test_a_nested_policy_splices_as_the_full_decode_does(monkeypatch, mode):
 
     monkeypatch.setattr(restkit, "http_post", recorded)
     decodes = _record_main_decodes(monkeypatch)
-    cuts = []
-    cut = restkit.reply_owners
-
-    def kept_recorded(rule, spans, access):
-        cuts.append(cut(rule, spans, access))
-        return cuts[-1]
-
-    monkeypatch.setattr(restkit, "reply_owners", kept_recorded)
     try:
         outcome = f"final\t{run_composition_scenario(config).final_document}"
     except RestCipherError as exc:
@@ -243,18 +218,18 @@ def test_a_nested_policy_splices_as_the_full_decode_does(monkeypatch, mode):
         assert outcome.startswith("error\tUnknownTatCode") and not decodes
         return
     assert outcome.startswith("final\t<catalog>")
-    k1_items = {2 + 5 * j for j in range(30) if j % 3 == 0}
+    every_item = {2 + 5 * j for j in range(30)}
+    k1_items = {item for item in every_item if item % 15 == 2}
+    k2_items = {item for item in every_item if item % 15 == 7}
     (_, sp1), (_, sp2) = decodes
-    opened, _ = _read_ordinals(sp1)
-    assert {item + 2 for item in k1_items} <= opened       # SP2's price in SP1's item
+    # each provider reads its items and the tags of them granted to it; S
+    # holds each subtree inside them that the provider copied (SP2's price
+    # and the unmapped tags, which hold SP1's tag, in SP1's item; the
+    # unmapped tags in SP2's) as the OpaqueRun the provider made, and every
+    # other item too, SP1's items with SP2's prices in them included
+    opened, opaque = _read_ordinals(sp1)
+    assert opened == {1} | k1_items | {item + 1 for item in k1_items}
+    assert opaque == (every_item - k1_items) | {item + d for item in k1_items for d in (2, 3)}
     opened, opaque = _read_ordinals(sp2)
-    assert k1_items <= opened                           # around SP2's price
-    assert {item + 1 for item in k1_items} <= opaque    # SP1's name beside it
-    # S splices each kept subtree from the reply: changed_kept has refused a
-    # reply whose words there are not the ones S signed, so S decodes its
-    # own items there
-    own = parse_xml(config.document)
-    for (_, read), reads in zip(decodes, cuts):
-        expected = _subtrees(own, reads.kept)
-        assert reads.kept and len(expected) == len(reads.kept)
-        assert _subtrees(read, reads.kept) == expected
+    assert opened == {1} | k2_items | {item + 2 for item in k2_items}
+    assert opaque == (every_item - k2_items) | {item + d for item in k2_items for d in (1, 3)}

@@ -34,8 +34,9 @@ from restcipher import (
     tag_names,
 )
 from restcipher.codec import Layout, OpaqueRun, Span, item_spans, subtree_spans
-from restcipher.composition import (Owners, compose_decrypt, compose_encrypt, owners,
-                                    refresh_digests, reply_owners)
+from restcipher.composition import (CompositionPolicy, KeyRing, Owners, access_header,
+                                    compose_decrypt, compose_encrypt, owners, refresh_digests,
+                                    reply_owners)
 from restcipher.docmodel import Close, Open, Variable
 from restcipher.errors import (EditNotApplied, KeptWordsChanged, MalformedMessage,
                                RestCipherError, Transport)
@@ -575,17 +576,19 @@ NESTED_EDITS = {"SP1": {3: "m"}, "SP2": {5: "z"}}
 
 
 class _NestedForger(_Provider):
-    """A provider that reads the group's tag 4, nested in its own tag 2,
-    with the group key, which every provider holds: it sets that tag's text
-    to FORGED and re-signs tag 2 and the root under the access list it was
-    sent."""
+    """A provider that reads a group tag its recipient rule leaves foreign,
+    by default tag 4, nested in its own tag 2, with the group key, which
+    every provider holds: it sets that tag's text to FORGED and re-signs the
+    subtrees it holds under the access list it was sent."""
+
+    forged = 4
 
     def process(self, body: str) -> str:
         msg = EncryptedMessage.parse(body)
         rule = owners(self.ring, access=msg.access)
-        rule[4] = self.ring[self.ring.group_id]
+        rule[self.forged] = self.ring[self.ring.group_id]
         items = compose_decrypt(msg, self.ring, rule)
-        words = compose_encrypt(_apply_edits(items, {4: "FORGED"}, self.name),
+        words = compose_encrypt(_apply_edits(items, {self.forged: "FORGED"}, self.name),
                                 rule, self.ring, self.mode)
         signed = refresh_digests(words, self.ring, rule, msg.layout)
         return EncryptedMessage(msg.access, tuple(signed)).serialize()
@@ -607,6 +610,41 @@ def test_a_reply_that_changes_a_group_tag_inside_its_own_is_refused(monkeypatch,
     with pytest.raises(KeptWordsChanged) as refused:
         run_composition_scenario(config)
     assert str(refused.value) == "SP1 changes tag 4, which its key does not own"
+
+
+@pytest.mark.parametrize("mode", ["tat", "st"])
+def test_s_holds_a_group_tag_inside_a_grant_as_the_run_its_provider_copied(monkeypatch, mode):
+    # SP1 reads its tags 2 and 3 and copies the group's tag 4 inside tag 2
+    # and SP2's tag 5 as runs; S reads SP1's reply by the same rule
+    decodes = _record_main_decodes(monkeypatch)
+    result = run_composition_scenario(ScenarioConfig(
+        document=NESTED_DOCUMENT, policy=NESTED_POLICY, edits=NESTED_EDITS, mode=mode))
+    assert result.final_document == \
+        '<root a="v"><item><name>m</name><nv>x</nv></item><q>z</q></root>'
+    (access, sp1), _ = decodes
+    assert access == (2, 3)
+    assert [item.ordinal for item in sp1 if type(item) is OpaqueRun] == [4, 5]
+
+
+#: tag 5 (q) is the group key's and lies beside the tags the default policy maps
+UNMAPPED_DOCUMENT = ('<root attr1="value1" attr2="value2"><name>iiti</name><value>2</value>'
+                     "<nv>a1</nv><q>y</q></root>")
+
+
+@pytest.mark.parametrize("mode", ["tat", "st"])
+def test_a_reply_that_changes_a_group_tag_beside_its_own_is_refused(monkeypatch, mode):
+    # no provider reads tag 5, so every honest reply copies it as it was
+    # sent; a forger that holds the group key re-signs the root over its
+    # own tag 5, and every digest of its reply verifies
+    honest = run_composition_scenario(ScenarioConfig(document=UNMAPPED_DOCUMENT, mode=mode))
+    assert honest.final_document == ('<root attr1="value1" attr2="value2"><name>iitd</name>'
+                                     "<value>7</value><nv>b2</nv><q>y</q></root>")
+    monkeypatch.setattr(_NestedForger, "forged", 5)
+    monkeypatch.setattr(restkit, "_Provider", lambda name, *args: (
+        _NestedForger if name == "SP1" else _Provider)(name, *args))
+    with pytest.raises(KeptWordsChanged) as refused:
+        run_composition_scenario(ScenarioConfig(document=UNMAPPED_DOCUMENT, mode=mode))
+    assert str(refused.value) == "SP1 changes tag 5, which its key does not own"
 
 
 def test_a_provider_refuses_an_edit_of_a_tag_it_cannot_read():
@@ -640,12 +678,13 @@ def test_an_edit_applies_to_the_variable_text_directly_under_its_tag():
         _apply_edits(items, {2: "z", 3: "w", 5: "v", 9: "q"}, "SP1")
 
 
-@settings(max_examples=25, deadline=None)
-@given(hs.randoms(use_true_random=False),
-       hs.lists(hs.sampled_from(["K1", "K2", "K3"]), min_size=1, max_size=20))
-def test_the_scenario_applies_every_edit_on_random_catalogs(rng, keys):
-    """Item j's subtree goes to ``keys[j]``; SP1 renames its items and SP2
-    reprices its own, and S assembles the edited document."""
+_RANDOM_CATALOGS = (hs.randoms(use_true_random=False),
+                    hs.lists(hs.sampled_from(["K1", "K2", "K3"]), min_size=1, max_size=20))
+
+
+def _random_catalog(rng, keys) -> tuple:
+    """(config, expected document): item j's subtree goes to ``keys[j]``;
+    SP1 renames its items and SP2 reprices its own."""
     document = nested_catalog(rng, len(keys))
     names = tag_names(parse_xml(document))
     items = [o for o, name in names.items() if name == "item"]
@@ -658,11 +697,39 @@ def test_the_scenario_applies_every_edit_on_random_catalogs(rng, keys):
         elif key == "K2":
             edits["SP2"][start + 2] = f"{j}9"
             expected = expected.replace(f"<price>{j}5</price>", f"<price>{j}9</price>")
-    result = run_composition_scenario(ScenarioConfig(
-        document=document, policy=policy, edits=edits, mode="st"))
+    config = ScenarioConfig(document=document, policy=policy, edits=edits, mode="st")
+    return config, emit_xml(parse_xml(expected))
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_RANDOM_CATALOGS)
+def test_the_scenario_applies_every_edit_on_random_catalogs(rng, keys):
+    config, expected = _random_catalog(rng, keys)
+    result = run_composition_scenario(config)
     assert not result.halted
     assert all(v.status is Status.ACCEPT for stage in result.verdicts.values() for v in stage)
-    assert result.final_document == emit_xml(parse_xml(expected))
+    assert result.final_document == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_RANDOM_CATALOGS)
+def test_s_reads_a_reply_by_the_rule_its_provider_read_the_message_by(rng, keys):
+    # one ownership rule at both ends: S's rule for a reply maps the
+    # ordinals the provider's maps, each to a key of the same id
+    config, _ = _random_catalog(rng, keys)
+    ring = KeyRing()
+    for key_id, key in config.keys.items():
+        ring.add_key(key_id, key, is_group=(key_id == config.group_id))
+    rule = owners(ring, CompositionPolicy(config.policy))
+    tags = range(1, len(tag_names(parse_xml(config.document))) + 1)
+    for pair_id in config.providers.values():
+        provider = KeyRing()
+        provider.add_key(pair_id, config.keys[pair_id])
+        provider.add_key(config.group_id, config.keys[config.group_id], is_group=True)
+        access = access_header(rule, ring, [pair_id], len(tags))
+        reads, read = reply_owners(rule, access), owners(provider, access=access)
+        assert [reads[o] and reads[o].key_id for o in tags] == \
+            [read[o] and read[o].key_id for o in tags]
 
 
 # the assembly against one replacement per listed ordinal
@@ -692,15 +759,17 @@ def _replace_one_by_one(final, decoded, ordinals) -> tuple:
 
 
 def _provider_copy(stream, owned: set, label: str) -> tuple:
-    """``stream`` with every variable inside an owned subtree relabelled."""
-    out, depth_in_owned, ordinal = [], [], 0
+    """``stream`` with the variable text of each owned tag that a recipient
+    rule reaches relabelled: an owned tag all of whose enclosing tags but
+    the root are owned too."""
+    out, stack, ordinal = [], [], 0     # per open tag, (its ordinal, whether it is reached)
     for token in stream:
         if isinstance(token, Open):
             ordinal += 1
-            depth_in_owned.append(ordinal in owned or bool(depth_in_owned and depth_in_owned[-1]))
+            stack.append((ordinal, not stack or ordinal in owned and stack[-1][1]))
         elif isinstance(token, Close):
-            depth_in_owned.pop()
-        elif isinstance(token, Variable) and depth_in_owned[-1]:
+            stack.pop()
+        elif isinstance(token, Variable) and stack[-1][0] in owned and stack[-1][1]:
             token = Variable(f"{label}-{token.text}")
         out.append(token)
     return tuple(out)
@@ -730,7 +799,7 @@ def _as_read(stream, ordinals) -> tuple:
     spans = item_spans(stream)
     everything = Owners()
     everything.default = "held"
-    reads = reply_owners(everything, spans, ordinals)
+    reads = reply_owners(everything, ordinals)
     out, ordinal, i = [], 0, 0
     while i < len(stream):
         if isinstance(stream[i], Open):
@@ -766,19 +835,22 @@ def test_splice_equals_replacing_one_by_one(seed):
     assert got == whole == want
 
 
-def test_an_sp2_tag_inside_an_sp1_item_keeps_the_sp2_edit():
+def test_s_keeps_its_own_copy_of_a_tag_its_provider_could_not_reach():
     final = parse_xml("<r><item><name>a</name><price>1</price></item><x>b</x></r>")
-    sp1 = _provider_copy(final, {2}, "SP1")           # the item, name included
-    sp2 = _provider_copy(final, {3}, "SP2")           # the name alone
-    # SP2's reply read by the sender: the item around the name is decoded,
-    # the price inside it and the tag x are opaque
-    read = _as_read(sp2, (3,))
+    # SP2 is granted the name alone, inside an item it cannot read: the
+    # sender reads the item as the one run SP2 copied and keeps its own name
+    forged = parse_xml("<r><item><name>z</name><price>1</price></item><x>b</x></r>")
+    read = _as_read(forged, (3,))
+    assert [type(t).__name__ for t in read] == ["Open", "OpaqueRun", "OpaqueRun", "Close"]
+    assert _splice(final, read, (3,)) == final
+    # SP1 is granted the item and its name, not the price inside it: the
+    # sender copies the item from the reply with its own price in the run
+    sp1 = _provider_copy(final, {2, 3}, "SP1")
+    read = _as_read(sp1, (2, 3))
     assert [type(t).__name__ for t in read] == [
         "Open", "Open", "Open", "Variable", "Close", "OpaqueRun", "Close", "OpaqueRun", "Close"]
-    got = _splice(_splice(final, _as_read(sp1, (2,)), (2,)), read, (3,))
-    want = _replace_one_by_one(_replace_one_by_one(final, sp1, (2,)), sp2, (3,))
-    assert got == want == parse_xml(
-        "<r><item><name>SP2-a</name><price>SP1-1</price></item><x>b</x></r>")
+    assert _splice(final, read, (2, 3)) == _replace_one_by_one(final, sp1, (2,)) == parse_xml(
+        "<r><item><name>SP1-a</name><price>1</price></item><x>b</x></r>")
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -858,8 +930,9 @@ def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused(monkeypatch):
     final = parse_xml("<r><item><name>a</name></item></r>")
     with pytest.raises(MalformedMessage, match="tag 9 is missing"):
         _splice(final, final, (9,))
-    with pytest.raises(MalformedMessage, match="tag 3 is missing"):     # left opaque
-        _splice(final, (final[0], OpaqueRun(("w",) * 5, 2, 1), final[-1]), (3,))
+    # a listed tag the reply holds in a run stays as S has it: its provider
+    # could not read it either
+    assert _splice(final, (final[0], OpaqueRun(("w",) * 5, 2, 1), final[-1]), (3,)) == final
     # S checks a reply's tag tree from its Layout before it decodes any reply
     honest = run_composition_scenario(ScenarioConfig(
         document=RESHAPE_DOCUMENT, policy=RESHAPE_POLICY, edits=RESHAPE_EDITS))
