@@ -145,6 +145,10 @@ def _load_state(path: str) -> Session:
                 raise ValueError(f"unknown tag-table kind {kind!r}")
             if not word:
                 raise ValueError("empty tag-table word")
+            # only the text _save_state writes: int() would also read "+10",
+            # "1_0", " 10", "010" and non-ASCII digits as a code
+            if not (code.isascii() and code.isdigit() and code[0] != "0"):
+                raise ValueError(f"tag code {code!r} is not written [1-9][0-9]* in ASCII")
             session.tat.insert(word, int(code), kind)
         except ValueError as exc:
             raise Malformed(f"state file {path} line {number}: {exc}") from None

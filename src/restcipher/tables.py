@@ -9,10 +9,16 @@ A symbol table is never changed once built, so every holder of an equal key
 shares one from ``build_st``'s cache.
 No tag code spells a word, so a held code on the wire was sent as one, and
 a receiver reads both encodings alike.
+
+Both peers insert every new non-variable word, so the tag table's insert is
+a per-word kernel like the symbol table's decode: ``tat_upsert`` finds a
+held word with one lookup, a new word's code with one free-code search
+(``TagTable.first_free``), and puts it in without checking again what that
+search established (``TagTable._put``); only rows read from outside, by
+``TagTable.insert``, are checked one by one.
 """
 
 import functools
-import re
 from dataclasses import dataclass
 
 from .charsets import charset_for
@@ -90,12 +96,13 @@ class _CodeMap(dict):
 
 
 class _CharMap(dict):
-    """code string -> char; a missing code raises UnknownCode."""
+    """code -> char, a code given as its digit string or as the tuple of its
+    digits; a missing code raises UnknownCode."""
 
     __slots__ = ()
 
     def __missing__(self, code):
-        raise UnknownCode(f"no symbol table entry for code {code}")
+        raise UnknownCode(f"no symbol table entry for code {''.join(code)}")
 
 
 class _ValueMap(dict):
@@ -110,15 +117,15 @@ class _ValueMap(dict):
 
 def _reader(width: int, chars: _CharMap):
     """The inverse of a word's code concatenation: a length check, one split
-    into ``width``-digit codes, and one join of their characters."""
-    split = re.compile(f".{{{width}}}", re.S).findall
-    char_of = chars.__getitem__
+    into ``width``-digit chunks, and one join of their characters, read from
+    a map keyed by each code's tuple of digits, the chunks ``zip`` cuts."""
+    char_of = _CharMap((tuple(code), char) for code, char in chars.items()).__getitem__
 
     def decode_chars(digits: str) -> str:
         if not digits or len(digits) % width:
             raise MalformedWord(
                 f"payload of {len(digits)} digits is no multiple of width {width}")
-        return "".join(map(char_of, split(digits)))
+        return "".join(map(char_of, zip(*[iter(digits)] * width)))
 
     return decode_chars
 
@@ -129,7 +136,9 @@ class SymbolTable:
     Held as three compiled maps and a reader, built once per key: ``codes``
     maps ``ord(char)`` to its code string, so spelling a word is one
     ``str.translate``; ``chars`` maps a code string back to its character,
-    and ``decode_chars(digits)`` reads a spelled word back with it, raising
+    so whether a ``width``-digit code spells a word is one ``in``;
+    ``decode_chars(digits)`` reads a spelled word back from its own map of
+    each code's tuple of digits, one lookup per ``width``-digit chunk, raising
     MalformedWord or UnknownCode; ``values`` maps a character to its code as
     an int, so a word's code sum is one lookup per character.
     """
@@ -167,8 +176,12 @@ class SymbolTable:
         return list(self.values.items())
 
     def spells(self, code: int) -> bool:
-        """Whether the digits of ``code`` split into ``width``-digit codes."""
+        """Whether the digits of ``code`` split into ``width``-digit codes:
+        one ``in`` for a code of ``width`` digits, and no lookup for a code
+        whose digit count is no multiple of ``width``."""
         digits, width = str(code), self.width
+        if len(digits) == width:
+            return digits in self.chars
         return not len(digits) % width and all(
             digits[i:i + width] in self.chars for i in range(0, len(digits), width))
 
@@ -224,15 +237,17 @@ class TagTable:
     a tag-table encoder sends after the marker, so a held word encodes with
     one lookup; ``word_for`` reads that text back.
 
-    No code it holds spells a word under its symbol table ``st``: ``insert``
-    refuses one and ``first_free`` steps past it.  An index of free codes
-    makes that search short: for each code held or found to spell a word,
-    ``_skip`` points to a higher code, and every code in between is one of
-    the two.  ``first_free`` follows these pointers and points each code it
-    passed straight at the answer, so a later search skips the whole run at
-    once.  Codes are never removed, so a pointer, once true, stays true;
-    ``insert`` points each new code at its successor, which keeps rows
-    loaded from a state file as visible to the index as assigned ones.
+    No code it holds spells a word under its symbol table ``st``:
+    ``first_free``, the one search for a free code, steps past one, and
+    ``insert`` refuses one.  An index of free codes makes that search short:
+    for each code held or found to spell a word, ``_skip`` points to a
+    higher code, and every code in between is one of the two.
+    ``first_free`` follows these pointers and points each code it passed
+    straight at the answer, so a later search skips the whole run at once.
+    Codes are never removed, so a pointer, once true, stays true.  Every
+    word goes in through ``_put``, which points its code at the successor,
+    so rows loaded from a state file are as visible to the index as
+    assigned ones.
     """
 
     def __init__(self, st: SymbolTable):
@@ -256,24 +271,45 @@ class TagTable:
         return None if entry is None else entry[0]
 
     def first_free(self, code: int) -> int:
-        """The smallest code at least ``code`` neither held nor spelling."""
-        skip, spells = self._skip, self.st.spells
+        """The smallest code at least ``code`` neither held nor spelling.
+
+        A code whose digit count is no multiple of ``st.width`` spells no
+        word, so the search counts digits as it climbs and asks
+        ``st.spells`` only of the codes that might."""
+        skip, spells, width = self._skip, self.st.spells, self.st.width
+        digits = len(str(code))
+        top = 10 ** digits          # the least code of more digits
         passed = []
-        while code in skip or spells(code):
+        while True:
+            after = skip.get(code)
+            if after is None:
+                while code >= top:
+                    digits += 1
+                    top *= 10
+                if digits % width or not spells(code):
+                    break
+                after = code + 1
             passed.append(code)
-            code = skip.get(code, code + 1)
+            code = after
         for held in passed:
             skip[held] = code
         return code
 
     def insert(self, word: str, code: int, kind: str) -> None:
-        text = str(code)
-        if word in self.codes or text in self._by_code:
+        """Add a row read from outside, a state file's, checking each fact
+        ``tat_upsert`` gets from its search: the word and the code are new,
+        the code is positive and spells no word; raises ValueError."""
+        if word in self.codes or str(code) in self._by_code:
             raise ValueError("tag table entries must be bijective")
         if code < 1:
             raise ValueError("tag codes are positive")
         if self.st.spells(code):
             raise ValueError(f"tag code {code} spells a word")
+        self._put(word, code, kind)
+
+    def _put(self, word: str, code: int, kind: str) -> None:
+        """Add a row that is known to be new, positive and spelling no word."""
+        text = str(code)
         self.codes[word] = text
         self._by_code[text] = (word, kind)
         self._skip[code] = code + 1
@@ -317,9 +353,12 @@ def tat_upsert(tat: TagTable, ctx: TatContext, word: str, kind: str) -> int:
     so one decoder reads both encodings.  That is the first free code in
     ``[start, 10**digits)``, else the first in ``[1, start)``: two
     ``first_free`` searches give the code a one-by-one probe would reach.
+    A held word costs one ``tat.codes`` lookup; a found code is free by the
+    search, so it goes in by ``_put`` with no check repeated.
     """
-    if word in tat:
-        return tat.code_for(word)
+    text = tat.codes.get(word)
+    if text is not None:
+        return int(text)
     digits = ctx.code_digits
     total = sum(map(tat.st.values.__getitem__, word))
     start = _adjust_width(total, digits) if digits else 0
@@ -328,5 +367,5 @@ def tat_upsert(tat: TagTable, ctx: TatContext, word: str, kind: str) -> int:
         code = tat.first_free(1)
     if code >= 10 ** digits:
         raise CodeSpaceExhausted(f"no free {digits}-digit tag code")
-    tat.insert(word, code, kind)
+    tat._put(word, code, kind)
     return code

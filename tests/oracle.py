@@ -4,7 +4,9 @@ The table oracles recompute the table construction from first principles
 (header numbering, fill order, group reversal, cell values, collision
 chains) with deliberately different data layouts than the library, so tests
 can compare the two implementations entry by entry; they use nothing from
-the package under test.
+the package under test.  The symbol-table decode reads a payload code by
+code, by slicing, as the library did before it cut the payload with ``zip``;
+the tag-table replay may start from rows a state file loaded.
 
 The message-loop oracles at the end keep the two encode walks and the two
 decode loops the library had before they became one walker each: the
@@ -26,7 +28,9 @@ The digest oracles keep the index-based structural scan and the verifier
 the library had before a message's Layout was scanned once: the scan marks
 digest words by their index in the signed words, and the verifier slices
 each subtree's segment out of a rebuilt digest-free body by bisecting the
-digest indexes.  They reuse the package's word classes and the paper's
+digest indexes.  The kept-subtree check compares each subtree the recipient
+copied on its own, as the library did before it compared runs of adjacent
+ones as one slice.  They reuse the package's word classes and the paper's
 keyed digest, ``sign_segment``, which hashes key and segment in one call.
 
 The document-model oracles keep the recursive ElementTree parser, the
@@ -176,6 +180,23 @@ def _spelling(codes):
     return spells
 
 
+def oracle_decode_chars(st, digits):
+    """The characters of a payload read code by code, else the (error class
+    name, text) the library raises: MalformedWord for a length that is no
+    multiple of the width, UnknownCode for the first code the table lacks."""
+    char_of = {str(code): char for char, code in st.items()}
+    width = len(next(iter(char_of)))
+    if not digits or len(digits) % width:
+        return "MalformedWord", f"payload of {len(digits)} digits is no multiple of width {width}"
+    out = []
+    for i in range(0, len(digits), width):
+        code = digits[i:i + width]
+        if code not in char_of:
+            return "UnknownCode", f"no symbol table entry for code {code}"
+        out.append(char_of[code])
+    return "".join(out)
+
+
 def oracle_free_codes(st, digits):
     """How many codes of at most ``digits`` digits, counted one by one,
     spell no word."""
@@ -209,9 +230,10 @@ def oracle_tat_code(st, existing_codes, word, digits_for_words):
     raise AssertionError("tag code space exhausted")
 
 
-def oracle_tat_replay(st, words_per_message):
-    """Replay message-by-message insertion; returns word -> code."""
-    table = {}
+def oracle_tat_replay(st, words_per_message, loaded=None):
+    """Replay message-by-message insertion after the rows ``loaded`` (word
+    -> code) as a state file gives them; returns word -> code."""
+    table = dict(loaded or {})
     for words in words_per_message:
         new = [w for w in dict.fromkeys(words) if w not in table]
         digits = oracle_code_digits(st, len(table) + len(new))
@@ -525,6 +547,18 @@ def oracle_verify_digests(msg, ring, policy=None) -> list:
         else:
             verdicts.append(Verdict(ordinal, Status.REJECT, "digest mismatch"))
     return verdicts
+
+
+def oracle_changed_kept(read, sent, layout) -> list:
+    """Each outermost tag ``read`` leaves foreign whose subtree's words in
+    ``layout`` differ from those ``sent`` signed, one subtree at a time."""
+    spans, end, changed = sent.layout.spans, 0, []
+    for ordinal in range(1, len(spans) + 1):
+        if ordinal > end and read.get(ordinal) is None:
+            end = ordinal + spans[ordinal].opens_inside
+            if layout.segment(ordinal) != sent.layout.segment(ordinal):
+                changed.append(ordinal)
+    return changed
 
 
 # document-model oracles

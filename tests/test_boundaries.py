@@ -450,6 +450,22 @@ def test_a_state_row_with_an_empty_word_is_refused_and_the_file_kept(tmp_path, c
     assert state.read_bytes() == before
 
 
+@pytest.mark.parametrize("code", ["1_0", "+10", " 10", "10 ", "010", "0", "\u0663", "1\u0663"])
+def test_a_state_code_other_than_the_saved_text_is_refused_and_the_file_kept(
+        tmp_path, capsys, code):
+    # int() reads each of these as a code; _save_state writes only [1-9][0-9]*
+    state, plain = tmp_path / "session.state", tmp_path / "plain.xml"
+    plain.write_text('<root a="v1">one</root>', encoding="utf-8")
+    state.write_text(f"{K1_TEXT}\ntag\tname\t5\ntag\troot\t{code}\n", encoding="utf-8")
+    before = state.read_bytes()
+    assert main(["encrypt", "--mode", "tat", "--in", str(plain), "--state", str(state)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: Malformed: state file {state} line 3: "
+                   f"tag code {code!r} is not written [1-9][0-9]* in ASCII\n")
+    assert state.read_bytes() == before
+
+
 def test_well_formed_state_file_loads(tmp_path, capsys):
     state = tmp_path / "session.state"
     state.write_text(f"{K1_TEXT}\ntag\troot\t4\n", encoding="utf-8")

@@ -35,8 +35,8 @@ from restcipher import (
 )
 from restcipher.codec import Layout, OpaqueRun, Span, item_spans, subtree_spans
 from restcipher.composition import (CompositionPolicy, KeyRing, Owners, access_header,
-                                    compose_decrypt, compose_encrypt, owners, refresh_digests,
-                                    reply_owners)
+                                    attach_digests, changed_kept, compose_decrypt,
+                                    compose_encrypt, owners, refresh_digests, reply_owners)
 from restcipher.docmodel import Close, Open, Variable
 from restcipher.errors import (EditNotApplied, KeptWordsChanged, MalformedMessage,
                                RestCipherError, Transport)
@@ -46,7 +46,7 @@ from restcipher.restkit import _HttpService, _Provider, _apply_edits, _splice_su
 
 from conftest import XML1, XML2
 from docgen import nested_catalog
-from oracle import oracle_apply_edits
+from oracle import oracle_apply_edits, oracle_changed_kept
 from test_ownership import _record_main_decodes
 
 DEFAULT_FINAL = ('<root attr1="value1" attr2="value2">'
@@ -730,6 +730,47 @@ def test_s_reads_a_reply_by_the_rule_its_provider_read_the_message_by(rng, keys)
         reads, read = reply_owners(rule, access), owners(provider, access=access)
         assert [reads[o] and reads[o].key_id for o in tags] == \
             [read[o] and read[o].key_id for o in tags]
+
+
+def _changed(word: str) -> str:
+    """The word with its last digit changed, of the same class."""
+    return word[:-1] + ("2" if word[-1] == "1" else "1")
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_RANDOM_CATALOGS, hs.randoms(use_true_random=False))
+def test_changed_kept_equals_the_per_tag_oracle_on_random_catalogs(rng, keys, pick):
+    # each provider's real reply, as sent and with one word of a subtree it
+    # copied changed: a tag word, or a word inside the subtree
+    config, _ = _random_catalog(rng, keys)
+    ring = KeyRing()
+    for key_id, key in config.keys.items():
+        ring.add_key(key_id, key, is_group=(key_id == config.group_id))
+    rule = owners(ring, CompositionPolicy(config.policy))
+    body = compose_encrypt(parse_xml(config.document), rule, ring, config.mode)
+    signed = attach_digests(body, rule, ring)
+    for name, pair_id in config.providers.items():
+        access = access_header(rule, ring, [pair_id], len(body.spans))
+        read = reply_owners(rule, access)
+        provider = _Provider(name, (pair_id, config.keys[pair_id]),
+                             (config.group_id, config.keys[config.group_id]), config)
+        try:
+            reply = provider.process(EncryptedMessage(access, tuple(signed)).serialize())
+        finally:
+            provider.close()
+        layout = EncryptedMessage.parse(reply).layout
+        assert changed_kept(read, signed, layout) == [] == oracle_changed_kept(
+            read, signed, layout)
+        foreign = [o for o in layout.spans if read.get(o) is None]
+        if not foreign:
+            continue
+        span = layout.spans[pick.choice(foreign)]
+        words = list(layout.body)
+        i = pick.choice([i for i in range(span.start, span.end) if words[i] != "0"])
+        words[i] = _changed(words[i])
+        edited = layout._replace(body=tuple(words))
+        got = changed_kept(read, signed, edited)
+        assert got == oracle_changed_kept(read, signed, edited) and len(got) == 1
 
 
 # the assembly against one replacement per listed ordinal

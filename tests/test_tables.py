@@ -24,12 +24,12 @@ from restcipher.composition import (CompositionPolicy, KeyRing, compose_decrypt,
                                     compose_encrypt)
 from restcipher.docmodel import CLOSE, AttrName, AttrValue, Open, parse_xml
 from restcipher.restkit import ResourceClient, serve
-from restcipher.errors import (CodeSpaceExhausted, UnbalancedClosers, UnknownCode,
-                               UnsupportedCharacter)
+from restcipher.errors import (CapacityExceeded, CodeSpaceExhausted, MalformedWord,
+                               UnbalancedClosers, UnknownCode, UnsupportedCharacter)
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT, XML1
-from oracle import (oracle_free_codes, oracle_spelling, oracle_symbol_table, oracle_tat_code,
-                    oracle_tat_replay)
+from oracle import (oracle_decode_chars, oracle_free_codes, oracle_spelling,
+                    oracle_symbol_table, oracle_tat_code, oracle_tat_replay)
 
 from restcipher import parse_key
 
@@ -330,6 +330,98 @@ def test_insert_refuses_a_code_that_spells_a_word():
     with pytest.raises(ValueError, match="spells"):
         tat.insert("root", spelled, "tag")
     assert tat.items() == [] and tat.first_free(spelled) == spelled + 1
+
+
+# the per-word kernels against their oracles
+
+#: one layout of the 62 letters and digits under each code width that
+#: validate_key accepts: one digit's nine codes cannot hold them
+_WIDTH_KEYS = {width: validate_key((10, 10, 0, 0, 0, 14, 7, 1, width, 1))
+               for width in range(2, 7)}
+_WIDTH_TABLES = {width: build_st(key) for width, key in _WIDTH_KEYS.items()}
+
+
+def test_every_code_width_up_to_six_but_one_is_accepted():
+    with pytest.raises(CapacityExceeded):
+        validate_key((10, 10, 0, 0, 0, 14, 7, 1, 1, 1))
+    assert [st.width for st in _WIDTH_TABLES.values()] == [2, 3, 4, 5, 6]
+
+
+def _decoded(st, digits):
+    """``st.decode_chars(digits)``, or the (class name, text) it raised."""
+    try:
+        return st.decode_chars(digits)
+    except (MalformedWord, UnknownCode) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from(sorted(_WIDTH_TABLES)), hs.data())
+def test_decode_chars_matches_the_code_by_code_oracle(width, data):
+    st = _WIDTH_TABLES[width]
+    codes = dict(st.items())
+    word = data.draw(hs.text(alphabet=sorted(codes), min_size=1, max_size=12))
+    payload = word.translate(st.codes)
+    assert st.decode_chars(payload) == word == oracle_decode_chars(codes, payload)
+    # codes and other digit runs of the width, then maybe a short tail
+    chunk = hs.text(alphabet="0123456789", min_size=width, max_size=width)
+    chunks = data.draw(hs.lists(hs.one_of(hs.sampled_from(sorted(st.chars)), chunk),
+                                max_size=4))
+    digits = "".join(chunks) + data.draw(hs.text(alphabet="0123456789", max_size=width - 1))
+    assert _decoded(st, digits) == oracle_decode_chars(codes, digits)
+
+
+@pytest.mark.parametrize("st", [K1_ST, *_WIDTH_TABLES.values()],
+                         ids=["K1", *(f"width{w}" for w in _WIDTH_TABLES)])
+def test_spells_matches_the_oracle_on_every_code_and_pair_of_codes(st):
+    spells = oracle_spelling(dict(st.items()))
+    # each code and its successor, which may be no code or have more digits
+    codes = [c for _, c in st.items()]
+    near = sorted({n for c in codes for n in (c, c + 1)})
+    for a in near:
+        assert st.spells(a) == spells(a)
+    for a in codes:
+        for b in codes:
+            assert st.spells(int(f"{a}{b}")) == spells(int(f"{a}{b}"))
+            assert st.spells(int(f"{a}{b + 1}")) == spells(int(f"{a}{b + 1}"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.sampled_from([K1_ST, *_WIDTH_TABLES.values()]), hs.data())
+def test_spells_matches_the_oracle_on_drawn_codes(st, data):
+    digits = data.draw(hs.integers(1, 2 * st.width + 1))
+    code = data.draw(hs.one_of(
+        hs.integers(10 ** (digits - 1), 10 ** digits - 1),
+        hs.lists(hs.sampled_from(sorted(st.chars)), min_size=1, max_size=2)
+        .map(lambda chunks: int("".join(chunks)))))
+    assert st.spells(code) == oracle_spelling(dict(st.items()))(code)
+
+
+#: the key of the benchmark's vocab-churn workload (perfbench/gen.py)
+_SESSION_KEY = (10, 10, 1, 0, 1, 40, 63, 1, 3, 1)
+
+
+def test_upsert_matches_the_replay_oracle_on_messages_of_fresh_ids():
+    # 20 messages of 100 fresh six-digit ids, as one vocab-churn conversation
+    st = build_st(validate_key(_SESSION_KEY))
+    codes = dict(st.items())
+    numbers = random.Random(1).sample(range(10 ** 5, 10 ** 6), 2000)
+    messages = [[str(n) for n in numbers[m:m + 100]] for m in range(0, 2000, 100)]
+    tat, ctx = TagTable(st), TatContext()
+    for n, code in enumerate((7, 650, 651, 4000)):
+        tat.insert(f"L{n}", tat.first_free(code), "tag")   # rows as a state file holds them
+    loaded = {word: code for word, code, _ in tat.items()}
+    widths, wrapped = set(), 0
+    for message in messages:
+        ctx.begin_message(len(tat), len(message), st)
+        widths.add(ctx.code_digits)
+        for word in message:
+            code = tat_upsert(tat, ctx, word, "attribute-value")
+            total = str(sum(codes[c] for c in word))
+            wrapped += code < int(total[:ctx.code_digits].ljust(ctx.code_digits, "0"))
+    assert {word: code for word, code, _ in tat.items()} == oracle_tat_replay(
+        codes, messages, loaded)
+    assert widths == {3, 4} and wrapped
 
 
 # code assignment against the oracle's linear probe

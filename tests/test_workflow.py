@@ -67,7 +67,7 @@ def test_tier_one_also_runs_with_unclosed_resources_as_errors():
 
 def test_every_benchmark_run_goes_through_the_checker():
     steps = [s for s in _steps() if "perfbench/run.py" in s.get("run", "")]
-    assert len(steps) == 7
+    assert len(steps) == 8
     for step in steps:
         # GitHub runs a bash step with -eo pipefail, so a failed run.py fails it
         assert step.get("shell") == "bash", step["name"]
