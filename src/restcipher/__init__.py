@@ -46,8 +46,6 @@ from .docmodel import (
     emit_xml,
     parse_json,
     parse_xml,
-    tag_names,
-    variable_type,
 )
 from .errors import RestCipherError
 from .keycore import TenElementKey, generate_key, parse_key, serialize_key, validate_key

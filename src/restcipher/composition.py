@@ -148,37 +148,20 @@ def reply_owners(rule: Owners, access) -> Owners:
 
 def changed_kept(read: Owners, sent: "Signed", layout) -> list:
     """Each outermost tag that ``read`` (see ``reply_owners``) leaves
-    foreign whose words in a reply's ``layout``, whose tag tree is the one
+    foreign whose words in a reply's ``layout``, whose Spans are the ones
     ``sent`` signed, differ from the words ``sent`` signed under it: the
     recipient copied that subtree whole, so an honest reply carries it back
-    as it was sent.
-
-    Copied subtrees that follow one another in the body are compared as one
-    slice, and one by one only where that slice differs: the tag tree is the
-    same at both ends, so such a run lies together in both bodies, and its
-    words split into the same subtrees wherever they are equal."""
+    as it was sent.  Each such subtree is compared once, on its own."""
     mine = sent.layout
-    spans, runs, ordinal = mine.spans, [], 1
+    spans, ordinal, changed = mine.spans, 1, []
     while ordinal <= len(spans):                        # document order
         # a rule of reply_owners has no default: an ordinal with no entry is foreign
         if read.get(ordinal) is None:
-            span = spans[ordinal]
-            if runs and spans[runs[-1][-1]].end + 1 == span.start:
-                runs[-1].append(ordinal)
-            else:
-                runs.append([ordinal])
-            ordinal += span.opens_inside                # past the tags inside it
+            if layout.segment(ordinal) != mine.segment(ordinal):
+                changed.append(ordinal)
+            ordinal += spans[ordinal].opens_inside      # past the tags inside it
         ordinal += 1
-    changed = []
-    for run in runs:
-        if _run_words(layout, run) != _run_words(mine, run):
-            changed += [o for o in run if layout.segment(o) != mine.segment(o)]
     return changed
-
-
-def _run_words(layout, run) -> tuple:
-    """The words of a run of adjacent subtrees, first to last, closers included."""
-    return layout.body[layout.spans[run[0]].start:layout.spans[run[-1]].end + 1]
 
 
 class Body(list):

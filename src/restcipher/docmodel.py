@@ -7,8 +7,8 @@ leaves, all within printable ASCII.  Mixed content, comments, processing
 instructions, CDATA, DOCTYPEs, and namespaces are rejected.
 
 XML is read in one pass of expat callbacks, so it has no nesting limit.
-JSON goes through the ``json`` module, whose nesting limit (the
-interpreter's recursion limit) surfaces as ``MalformedJson`` or
+JSON goes through the ``json`` module, and nesting deeper than the
+interpreter's recursion limit surfaces as ``MalformedJson`` or
 ``UnsupportedShape``.  Tokens are frozen and compare by value, so one
 ``parse_xml`` or ``parse_json`` call makes a single ``Open``, ``AttrName`` or
 ``AttrValue`` per distinct text and checks each distinct name and attribute
@@ -17,11 +17,15 @@ value once; ``Close`` is the shared ``CLOSE``.
 The stream rules are written down once, in one flat loop that checks a
 stream and writes its XML: ``emit_xml`` joins what it writes, and
 ``validate_stream`` runs it and drops the text.  A stream that breaks them
-raises ``MalformedStream``, which is also a ``ValueError``.
+raises ``MalformedStream``, which is also a ``ValueError``.  Both emitters
+walk the checked stream once: ``emit_xml`` in that loop, and ``emit_json``
+in one more flat loop over the stream ``validate_stream`` has passed, which
+builds the JSON value with a stack of open elements and no node tree.
 """
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from xml.parsers import expat
 
@@ -408,96 +412,44 @@ def emit_xml(stream) -> str:
     return "".join(_render(stream))
 
 
-class _Node:
-    __slots__ = ("name", "attrs", "children", "text")
-
-    def __init__(self, name):
-        self.name = name
-        self.attrs = []
-        self.children = []
-        self.text = None
-
-
-def _build_tree(stream) -> _Node:
-    root = None
-    stack = []
-    i = 0
-    while i < len(stream):
-        token = stream[i]
-        if isinstance(token, Open):
-            node = _Node(token.name)
-            if stack:
-                stack[-1].children.append(node)
-            else:
-                root = node
-            stack.append(node)
-        elif isinstance(token, AttrName):
-            stack[-1].attrs.append((token.name, stream[i + 1].text))
-            i += 1
-        elif isinstance(token, Variable):
-            stack[-1].text = token.text
-        else:
-            stack.pop()
-        i += 1
-    return root
-
-
-def _node_value(node: _Node):
-    if node.text is not None:
-        if node.attrs:
-            raise UnsupportedShape(
-                f"element {node.name!r} has both attributes and text; "
-                "JSON cannot represent it"
-            )
-        return node.text
-    if not node.attrs and not node.children:
-        return {}
-    obj = {}
-    for name, value in node.attrs:
-        obj["-" + name] = value
-    runs = []
-    for child in node.children:
-        if runs and runs[-1][0] == child.name:
-            runs[-1][1].append(child)
-        else:
-            runs.append((child.name, [child]))
-    names = [name for name, _ in runs]
-    if len(names) != len(set(names)):
-        raise UnsupportedShape(
-            "same-name siblings must be adjacent to map onto a JSON array"
-        )
-    for name, members in runs:
-        if len(members) == 1:
-            obj[name] = _node_value(members[0])
-        else:
-            obj[name] = [_node_value(m) for m in members]
-    return obj
-
-
 def emit_json(stream) -> str:
     """Canonical JSON for the stream; all scalars emit as strings."""
     validate_stream(stream)
-    root = _build_tree(stream)
+    # json.dumps of Python 3.12 and later may nest past the recursion limit
+    limit = sys.getrecursionlimit()
+    stack = []          # per open element: [name, members or text, last child's name]
+    for token in stream:
+        kind = type(token)
+        if kind is Open:
+            if len(stack) == limit:
+                raise UnsupportedShape("the document nests too deeply for JSON")
+            stack.append([token.name, {}, None])
+        elif kind is AttrName:
+            attr = "-" + token.name
+        elif kind is AttrValue:
+            stack[-1][1][attr] = token.text
+        elif kind is Variable:
+            # the stream rules let no child come before text
+            if stack[-1][1]:
+                raise UnsupportedShape(f"element {stack[-1][0]!r} has both attributes "
+                                       "and text; JSON cannot represent it")
+            stack[-1][1] = token.text
+        else:
+            name, value, _ = stack.pop()
+            if not stack:
+                break
+            parent = stack[-1]
+            members = parent[1]
+            if parent[2] != name:
+                if name in members:
+                    raise UnsupportedShape("same-name siblings must be adjacent "
+                                           "to map onto a JSON array")
+                members[name], parent[2] = value, name
+            elif type(members[name]) is list:
+                members[name].append(value)
+            else:
+                members[name] = [members[name], value]
     try:
-        return json.dumps({root.name: _node_value(root)})
+        return json.dumps({name: value})
     except RecursionError:
         raise UnsupportedShape("the document nests too deeply for JSON") from None
-
-
-def tag_names(stream) -> dict:
-    """Ordinal -> tag name, for policy display and configuration."""
-    return dict(enumerate((t.name for t in stream if isinstance(t, Open)), start=1))
-
-
-_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-
-
-def variable_type(text: str) -> str:
-    """Best-effort type tag recovered from decrypted variable text."""
-    if text in ("true", "false"):
-        return "boolean"
-    if text == "null":
-        return "null"
-    if _NUMBER_RE.fullmatch(text):
-        return "number"
-    return "string"

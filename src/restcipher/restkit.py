@@ -7,12 +7,13 @@ signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
 S checks each reply before it decodes any: its access list must be the one
 S sent, for nothing signs that list and every provider holds the group key
-that signs the root; every digest must verify; its tag tree, read from its
-Layout, must be the one S sent; and every subtree the provider copied
-whole must come back as S sent it (``changed_kept``).  S then decodes the
-reply by the rule the provider read the message by (``reply_owners``) and
-splices in the subtrees it granted that provider, with its own items for
-each subtree inside them that the provider copied.
+that signs the root; every digest must verify; its Layout's Spans must be
+the ones S sent, so every tag lies where it did and spans as many words;
+and every subtree the provider copied whole must come back as S sent it
+(``changed_kept``).  S then decodes the reply by the rule the provider read
+the message by (``reply_owners``) and splices in the subtrees it granted
+that provider, with its own items for each subtree inside them that the
+provider copied.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
 in front.  Bodies are text/plain and no custom header is used.  Each service
@@ -528,7 +529,7 @@ def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
     Only the outermost listed subtrees are copied, in stream order; a listed
     tag nested in one of them comes along with it.  This equals replacing
     the listed subtrees one by one, for ``run_composition_scenario`` has
-    refused a reply whose tag tree is not the document's.  An OpaqueRun
+    refused a reply whose Spans are not the sent body's.  An OpaqueRun
     inside a copied subtree, one the provider could not read, becomes
     ``final``'s own items by its Span in ``spans``, and a listed tag that
     lies in a run stays as ``final`` has it: its provider could not read
@@ -636,17 +637,18 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     S checks each reply before it decodes any.  Its access list must be
     the one S sent, for nothing signs that list (else AccessNotGranted);
     every digest must verify (else the run halts with the Reject verdicts);
-    its Layout's ordinals must come in the closer order of the Body's
-    spans, which fixes its tag tree and each tag's count of tags inside
-    (else MalformedMessage naming the provider).  S reads each reply by
-    ``reply_owners``, the rule the provider read the message by: the root
-    and the granted tags are decoded, and every other subtree is one the
-    provider copied whole, which must come back word for word as S sent it,
-    by the ``Signed`` record of the body S sent (else KeptWordsChanged), for
-    the group key, which every provider holds, may be the only key that
-    signs such a tag.  Then S splices in only the granted subtrees, with
-    its own copy of every run inside them, and keeps its own copy of every
-    other subtree, so a word the provider could not read is not decoded.
+    its Layout's Spans must equal the Body's, for an honest reply replaces
+    the sent body word for word, which fixes its tag tree, each tag's count
+    of tags inside and each tag's count of words (else MalformedMessage
+    naming the provider).  S reads each reply by ``reply_owners``, the rule
+    the provider read the message by: the root and the granted tags are
+    decoded, and every other subtree is one the provider copied whole,
+    which must come back word for word as S sent it, by the ``Signed``
+    record of the body S sent (else KeptWordsChanged), for the group key,
+    which every provider holds, may be the only key that signs such a tag.
+    Then S splices in only the granted subtrees, with its own copy of every
+    run inside them, and keeps its own copy of every other subtree, so a
+    word the provider could not read is not decoded.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -671,7 +673,6 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
         provider.start()
         providers[name] = provider
 
-    tree = list(body.spans)
     transcript = []
     verdicts = {}
     try:
@@ -694,10 +695,10 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             if rejected:
                 return ScenarioResult(transcript, verdicts, halted=True,
                                       reject_ordinals=rejected)
-            # ordinals count tags in document order, so their closer order fixes the tree
-            if list(reply_msg.layout.spans) != tree:
-                raise MalformedMessage(f"{name} replies with a tag tree other than "
-                                       "the one it was sent")
+            # an honest reply replaces the sent body word for word
+            if reply_msg.layout.spans != body.spans:
+                raise MalformedMessage(f"{name} replies with a body that does not lie "
+                                       "where the sent one did")
             changed = changed_kept(reads, signed, reply_msg.layout)
             if changed:
                 tags = ("tag " if len(changed) == 1 else "tags ") + ", ".join(map(str, changed))

@@ -323,17 +323,15 @@ class TagTable:
 class TatContext:
     """Per-message insertion counters for the tag table.
 
-    ``word_count`` is the number of non-variable words in play once the
-    current message is fully absorbed; ``code_digits`` the width used for new
-    codes, the fewest whose codes that spell no word hold ``word_count``.
-    Both are fixed by begin_message before any insertion.
+    ``code_digits`` is the width used for new codes, the fewest whose codes
+    that spell no word hold every non-variable word in play once the current
+    message is fully absorbed; begin_message fixes it before any insertion.
     """
 
-    word_count: int = 0
     code_digits: int = 0
 
     def begin_message(self, existing: int, new: int, st: SymbolTable) -> None:
-        self.word_count = count = existing + new
+        count = existing + new
         digits = 0
         # k-character words spell len(st)**k codes of k*width digits
         while count > 10 ** digits - 1 - sum(

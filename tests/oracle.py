@@ -28,18 +28,22 @@ The digest oracles keep the index-based structural scan and the verifier
 the library had before a message's Layout was scanned once: the scan marks
 digest words by their index in the signed words, and the verifier slices
 each subtree's segment out of a rebuilt digest-free body by bisecting the
-digest indexes.  The kept-subtree check compares each subtree the recipient
-copied on its own, as the library did before it compared runs of adjacent
-ones as one slice.  They reuse the package's word classes and the paper's
-keyed digest, ``sign_segment``, which hashes key and segment in one call.
+digest indexes.  The kept-subtree check visits every ordinal and skips the
+tags inside a copied subtree by that subtree's last ordinal, where the
+library steps past them by its count of tags inside.  They reuse the
+package's word classes and the paper's keyed digest, ``sign_segment``,
+which hashes key and segment in one call.
 
 The document-model oracles keep the recursive ElementTree parser, the
 recursive stream validator and the emitters built on them, as the library
 had them before it read XML in one pass of expat callbacks and checked a
-stream in one flat loop.  They reuse the package's per-word checks (name,
-printability, escaping) and its JSON tree builder, so a differential test of
-them checks the walks alone.  Being recursive, they raise RecursionError on a
-document nested about a thousand deep.
+stream in one flat loop.  The JSON emitter keeps the library's tree builder
+from before ``emit_json`` became one pass over the checked stream: it builds
+a node tree, then converts it top-down, so of two JSON faults it names the
+upper one where the library names the one it meets first in stream order.
+They reuse the package's per-word checks (name, printability, escaping), so
+a differential test of them checks the walks alone.  Being recursive, they
+raise RecursionError on a document nested about a thousand deep.
 
 The edit oracle keeps the provider's edit walk as the library had it before
 an edit found its tag's text by the tag's Span: a stack of open ordinals,
@@ -663,10 +667,76 @@ def oracle_emit_xml(stream) -> str:
     return "".join(parts)
 
 
+class _Node:
+    __slots__ = ("name", "attrs", "children", "text")
+
+    def __init__(self, name):
+        self.name = name
+        self.attrs = []
+        self.children = []
+        self.text = None
+
+
+def _build_tree(stream) -> _Node:
+    root = None
+    stack = []
+    i = 0
+    while i < len(stream):
+        token = stream[i]
+        if isinstance(token, Open):
+            node = _Node(token.name)
+            if stack:
+                stack[-1].children.append(node)
+            else:
+                root = node
+            stack.append(node)
+        elif isinstance(token, AttrName):
+            stack[-1].attrs.append((token.name, stream[i + 1].text))
+            i += 1
+        elif isinstance(token, Variable):
+            stack[-1].text = token.text
+        else:
+            stack.pop()
+        i += 1
+    return root
+
+
+def _node_value(node: _Node):
+    if node.text is not None:
+        if node.attrs:
+            raise UnsupportedShape(
+                f"element {node.name!r} has both attributes and text; "
+                "JSON cannot represent it"
+            )
+        return node.text
+    if not node.attrs and not node.children:
+        return {}
+    obj = {}
+    for name, value in node.attrs:
+        obj["-" + name] = value
+    runs = []
+    for child in node.children:
+        if runs and runs[-1][0] == child.name:
+            runs[-1][1].append(child)
+        else:
+            runs.append((child.name, [child]))
+    names = [name for name, _ in runs]
+    if len(names) != len(set(names)):
+        raise UnsupportedShape(
+            "same-name siblings must be adjacent to map onto a JSON array"
+        )
+    for name, members in runs:
+        if len(members) == 1:
+            obj[name] = _node_value(members[0])
+        else:
+            obj[name] = [_node_value(m) for m in members]
+    return obj
+
+
 def oracle_emit_json(stream) -> str:
     oracle_validate_stream(stream)
-    root = docmodel._build_tree(stream)
-    return json.dumps({root.name: docmodel._node_value(root)})
+    root = _build_tree(stream)
+    return json.dumps({root.name: _node_value(root)})
 
 
 def oracle_apply_edits(items, edits: dict, name: str) -> list:

@@ -18,8 +18,6 @@ from restcipher import (
     emit_xml,
     parse_json,
     parse_xml,
-    tag_names,
-    variable_type,
 )
 from restcipher import docmodel
 from restcipher.docmodel import CLOSE, validate_stream
@@ -33,7 +31,7 @@ from restcipher.errors import (
     UnsupportedShape,
 )
 
-from conftest import JSON1, XML1, XML2
+from conftest import JSON1, XML1
 from docgen import nested_catalog, random_doc_key, random_stream
 from oracle import (
     oracle_emit_json,
@@ -239,13 +237,6 @@ def test_validate_stream_rejects_structural_breaks():
         validate_stream((Open("a"), Close(), Open("b"), Close()))
 
 
-def test_tag_ordinals():
-    stream = parse_xml(XML1)
-    assert tag_names(stream) == {1: "root", 2: "name", 3: "value"}
-    assert tag_names(parse_xml(XML2)) == {1: "root", 2: "name", 3: "value", 4: "nv"}
-    assert tag_names(parse_xml("<a/>")) == {1: "a"}
-
-
 def test_round_trips_on_random_streams():
     rng = random.Random(31)
     for _ in range(100):
@@ -255,15 +246,6 @@ def test_round_trips_on_random_streams():
         safe = random_stream(rng, key, json_safe=True)
         assert parse_json(emit_json(safe)) == safe
         assert parse_xml(emit_xml(safe)) == safe
-
-
-def test_variable_type_tags():
-    assert variable_type("2") == "number"
-    assert variable_type("-3.5e2") == "number"
-    assert variable_type("true") == "boolean"
-    assert variable_type("null") == "null"
-    assert variable_type("iiti") == "string"
-    assert variable_type("02") == "string"
 
 
 # the one-pass parser and the flat validator against the recursive ones

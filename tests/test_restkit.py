@@ -31,13 +31,12 @@ from restcipher import (
     parse_xml,
     run_composition_scenario,
     serve,
-    tag_names,
 )
 from restcipher.codec import Layout, OpaqueRun, Span, item_spans, subtree_spans
 from restcipher.composition import (CompositionPolicy, KeyRing, Owners, access_header,
                                     attach_digests, changed_kept, compose_decrypt,
                                     compose_encrypt, owners, refresh_digests, reply_owners)
-from restcipher.docmodel import Close, Open, Variable
+from restcipher.docmodel import AttrName, AttrValue, Close, Open, Variable
 from restcipher.errors import (EditNotApplied, KeptWordsChanged, MalformedMessage,
                                RestCipherError, Transport)
 from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
@@ -686,10 +685,11 @@ def _random_catalog(rng, keys) -> tuple:
     """(config, expected document): item j's subtree goes to ``keys[j]``;
     SP1 renames its items and SP2 reprices its own."""
     document = nested_catalog(rng, len(keys))
-    names = tag_names(parse_xml(document))
-    items = [o for o, name in names.items() if name == "item"]
+    stream = parse_xml(document)
+    spans = item_spans(stream)
+    items = [o for o, span in spans.items() if stream[span.start].name == "item"]
     policy, edits, expected = {}, {"SP1": {}, "SP2": {}}, document
-    for j, (start, end, key) in enumerate(zip(items, items[1:] + [len(names) + 1], keys)):
+    for j, (start, end, key) in enumerate(zip(items, items[1:] + [len(spans) + 1], keys)):
         policy.update(dict.fromkeys(range(start, end), key))
         if key == "K1":
             edits["SP1"][start + 1] = f"m{j}"
@@ -721,7 +721,7 @@ def test_s_reads_a_reply_by_the_rule_its_provider_read_the_message_by(rng, keys)
     for key_id, key in config.keys.items():
         ring.add_key(key_id, key, is_group=(key_id == config.group_id))
     rule = owners(ring, CompositionPolicy(config.policy))
-    tags = range(1, len(tag_names(parse_xml(config.document))) + 1)
+    tags = range(1, len(item_spans(parse_xml(config.document))) + 1)
     for pair_id in config.providers.values():
         provider = KeyRing()
         provider.add_key(pair_id, config.keys[pair_id])
@@ -974,7 +974,7 @@ def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused(monkeypatch):
     # a listed tag the reply holds in a run stays as S has it: its provider
     # could not read it either
     assert _splice(final, (final[0], OpaqueRun(("w",) * 5, 2, 1), final[-1]), (3,)) == final
-    # S checks a reply's tag tree from its Layout before it decodes any reply
+    # S checks a reply's Spans from its Layout before it decodes any reply
     honest = run_composition_scenario(ScenarioConfig(
         document=RESHAPE_DOCUMENT, policy=RESHAPE_POLICY, edits=RESHAPE_EDITS))
     assert honest.final_document == "<r><a>y</a><item><name>m</name><price>1</price></item></r>"
@@ -993,8 +993,39 @@ def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused(monkeypatch):
             with pytest.raises(MalformedMessage) as refused:
                 run_composition_scenario(config)
             assert str(refused.value) == \
-                "SP1 replies with a tag tree other than the one it was sent"
+                "SP1 replies with a body that does not lie where the sent one did"
             assert decodes == []
+
+
+class _AttributeAdder(_Provider):
+    """A provider that adds ``x="evil"`` to its <name> and signs each
+    subtree signed before by its new Span, so every digest of its reply
+    verifies and no tag moves in document or closer order."""
+
+    def process(self, body: str) -> str:
+        msg = EncryptedMessage.parse(body)
+        rule = owners(self.ring, access=msg.access)
+        items = list(compose_decrypt(msg, self.ring, rule))
+        at = items.index(Open("name")) + 1
+        items[at:at] = [AttrName("x"), AttrValue("evil")]
+        words = compose_encrypt(items, rule, self.ring, self.mode)
+        layout = Layout(tuple(words), subtree_spans(words).spans, msg.layout.digests)
+        signed = refresh_digests(words, self.ring, rule, layout)
+        return EncryptedMessage(msg.access, tuple(signed)).serialize()
+
+
+def test_a_reply_that_adds_an_attribute_to_a_granted_tag_is_refused(monkeypatch):
+    # the tags come back in the order sent, but every word after the new
+    # attribute lies two words later than in the body S sent
+    decodes = _record_main_decodes(monkeypatch)
+    monkeypatch.setattr(restkit, "_Provider", lambda name, *args: (
+        _AttributeAdder if name == "SP1" else _Provider)(name, *args))
+    for mode in ("tat", "st"):
+        with pytest.raises(MalformedMessage) as refused:
+            run_composition_scenario(ScenarioConfig(mode=mode))
+        assert str(refused.value) == \
+            "SP1 replies with a body that does not lie where the sent one did"
+        assert decodes == []
 
 
 # closing a service returns at once

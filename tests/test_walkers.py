@@ -26,8 +26,8 @@ from restcipher import (
     compose_reencrypt,
     parse_key,
     parse_xml,
-    tag_names,
 )
+from restcipher.codec import item_spans
 from restcipher.composition import owners
 from restcipher.errors import (
     RestCipherError,
@@ -138,7 +138,7 @@ def test_walkers_equal_the_replaced_loops(steps):
             assert single == body == ("error", UnsupportedCharacter)
             continue
         single, body = single[1], body[1]
-        access = access_header(policy, new.ring, ["K1"], len(tag_names(stream)))
+        access = access_header(policy, new.ring, ["K1"], len(item_spans(stream)))
         if action in CORRUPTIONS:
             for outcome in _decrypt(new, old, single, body, policy, access, mode,
                                     CORRUPTIONS[action]):
