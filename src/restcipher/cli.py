@@ -22,7 +22,7 @@ from .composition import (
 )
 from .docmodel import AttrValue, Variable, emit_json, emit_xml, parse_json, parse_xml
 from .errors import Malformed, RestCipherError
-from .keycore import DEFAULT_BOUNDS, generate_key, parse_key, serialize_key
+from .keycore import DEFAULT_BOUNDS, MAX_DIGITS, generate_key, parse_key, serialize_key
 from .keyxchg import load_store
 from .restkit import (
     PLAIN_HTTP_WARNING,
@@ -303,7 +303,9 @@ def _cmd_scenario(args) -> int:
         config.document = _read(args.document)
     if args.tamper:
         name, _, ordinal = args.tamper.partition(":")
-        if not ordinal.isdecimal():
+        # [1-9][0-9]* in ASCII, as a state file's codes: int() also reads "+3" or "٣"
+        if not (ordinal.isascii() and ordinal.isdigit() and ordinal[0] != "0"
+                and len(ordinal) <= MAX_DIGITS):
             raise Malformed(f"bad tamper target {args.tamper!r}")
         config.tamper = (name, int(ordinal))
     result = run_composition_scenario(config)

@@ -39,8 +39,9 @@ word's place and cuts the body out of the words with slices.  It runs on
 first use only, so a message no step asks the layout of, as on the
 two-party path, never pays for it.  ``item_spans`` lays out a token stream
 by item, so a body to be encoded is signed without a scan of its words, and
-a decoded stream's tags are found without a walk of its own; an OpaqueRun
-is one item there, whose tags are counted but get no Span.
+a provider finds the tags it decoded without a walk of its own (a sender
+lays out no reply: each lies word for word where its body did); an
+OpaqueRun is one item there, whose tags are counted but get no Span.
 """
 
 import enum

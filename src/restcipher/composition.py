@@ -18,12 +18,13 @@ one before: a received message's ``layout``, scanned once from the classes
 its parse kept, serves both ``verify_digests`` and ``compose_decrypt``,
 which decodes its digest-free body; ``compose_encrypt`` returns a ``Body``
 that lays out the tokens it encoded on first use (``codec.item_spans``),
-by which ``attach_digests`` signs it.  A provider's re-encoded body lies
-word for word where the body it received did, for every decoded word is
-one token and every token one word again, so ``refresh_digests`` signs it
-by the received message's Layout.  A sender reads a recipient's reply by
-the rule the recipient read the message by (``reply_owners``): the root
-and the granted tags under the sender's keys, every other tag foreign.
+and ``attach_digests`` signs only a Body, by those spans.  A provider's
+re-encoded body lies word for word where the body it received did, for
+every decoded word is one token and every token one word again, so
+``refresh_digests`` signs it by the received message's Layout.  A sender
+reads a recipient's reply by the rule the recipient read the message by
+(``reply_owners``): the root and the granted tags under the sender's keys,
+every other tag foreign.
 
 Both signers, ``attach_digests`` and ``refresh_digests``, return the signed
 words as a ``Signed`` record of what they signed: a ``codec.Layout`` of the
@@ -244,17 +245,6 @@ def _digest(who: Session, segment_words) -> str:
     return digest.hexdigest()
 
 
-def _body_spans(body_words) -> dict:
-    """Spans of a body to sign: a Body's own, else a scan's, which must find
-    no digest word yet: the splice would put a second digest next to it."""
-    if isinstance(body_words, Body):
-        return body_words.spans
-    _, spans, digests = subtree_spans(body_words)
-    if digests:
-        raise MalformedMessage(f"body already holds a digest for tag {min(digests)}")
-    return spans
-
-
 class Signed(list):
     """Signed words, each digest word of ``layout`` directly after its
     subtree's closer, with ``layout``, the record of what was signed: the
@@ -279,15 +269,19 @@ class Signed(list):
         self.layout = layout
 
 
-def attach_digests(body_words, policy, ring: KeyRing) -> Signed:
+def attach_digests(body: Body, policy, ring: KeyRing) -> Signed:
     """Sign the whole body and every subtree the policy gives a key other
     than the group's.
 
-    Each digest lands directly after its subtree's closer; the whole-document
-    digest (group key) closes the message.  Input must be digest-free.
+    ``body`` is the ``Body`` that ``compose_encrypt`` returns, signed by its
+    ``spans``; any other list of words, a ``Signed`` one included, is
+    MalformedMessage.  Each digest lands directly after its subtree's
+    closer; the whole-document digest (group key) closes the message.
     """
+    if not isinstance(body, Body):
+        raise MalformedMessage("only a Body that compose_encrypt returns is signed")
     rule = owners(ring, policy)
-    layout = Layout(tuple(body_words), _body_spans(body_words), {})
+    layout = Layout(tuple(body), body.spans, {})
     for ordinal in layout.spans:
         who = rule[ordinal]
         if ordinal == 1 or who is not rule[1]:

@@ -69,9 +69,24 @@ def max_headers(rows: int, cols: int, start_with: int) -> tuple:
     return rows, rows + cols
 
 
+#: the most digits of a key element, a code or a cell value: int() and str()
+#: convert 640 under every limit ``sys.set_int_max_str_digits`` admits
+MAX_DIGITS = 640
+
+
+def _cells_fit(max_rh: int, max_ch: int, power: int, width: int) -> bool:
+    """Whether ``max_rh ** power + max_ch ** power`` has at most ``width``
+    digits; the larger header is at least 2, so a power whose lower bound
+    ``2 ** bits`` passes ``16 ** width`` is refused before it is computed."""
+    bits = power * (max(max_rh, max_ch).bit_length() - 1)
+    return bits < 4 * width and max_rh ** power + max_ch ** power < 10 ** width
+
+
 def _width_needed(rows, cols, start_with, power, charset_size) -> int:
-    """Minimum final_sum passing both the width and capacity checks."""
+    """Minimum final_sum passing the width and capacity checks; over MAX_DIGITS if none."""
     max_rh, max_ch = max_headers(rows, cols, start_with)
+    if not _cells_fit(max_rh, max_ch, power, MAX_DIGITS):
+        return MAX_DIGITS + 1
     width = len(str(max_rh ** power + max_ch ** power))
     while 9 * 10 ** (width - 1) < charset_size:
         width += 1
@@ -98,8 +113,8 @@ def validate_key(candidate) -> TenElementKey:
         raise OutOfRange(5, f"symbol_type must be 0..63, got {symbol_type}")
     if not 1 <= group_size <= rows * cols:
         raise OutOfRange(6, f"group_size must be 1..{rows * cols}, got {group_size}")
-    if final_sum < 1:
-        raise OutOfRange(8, f"final_sum must be positive, got {final_sum}")
+    if not 1 <= final_sum <= MAX_DIGITS:
+        raise OutOfRange(8, f"final_sum must be 1..{MAX_DIGITS}, got {final_sum}")
     if power < 1:
         raise OutOfRange(9, f"power must be positive, got {power}")
 
@@ -115,10 +130,9 @@ def validate_key(candidate) -> TenElementKey:
             f"for {size} characters"
         )
     max_rh, max_ch = max_headers(rows, cols, start_with)
-    widest = max_rh ** power + max_ch ** power
-    if len(str(widest)) > final_sum:
+    if not _cells_fit(max_rh, max_ch, power, final_sum):
         raise WidthTooSmall(
-            f"cell value {widest} has {len(str(widest))} digits, final_sum is {final_sum}"
+            f"cell value {max_rh}**{power} + {max_ch}**{power} is wider than final_sum {final_sum}"
         )
     return TenElementKey(*values)
 
@@ -166,4 +180,7 @@ def parse_key(text: str) -> TenElementKey:
     """Inverse of serialize_key; rejects any non-canonical spelling."""
     if not _KEY_RE.fullmatch(text):
         raise Malformed(f"not a serialized key: {text!r}")
-    return validate_key([int(part) for part in text[1:-1].split(",")])
+    parts = text[1:-1].split(",")
+    if max(map(len, parts)) > MAX_DIGITS:
+        raise Malformed(f"a key element has more than {MAX_DIGITS} digits")
+    return validate_key([int(part) for part in parts])

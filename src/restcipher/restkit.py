@@ -11,9 +11,9 @@ that signs the root; every digest must verify; its Layout's Spans must be
 the ones S sent, so every tag lies where it did and spans as many words;
 and every subtree the provider copied whole must come back as S sent it
 (``changed_kept``).  S then decodes the reply by the rule the provider read
-the message by (``reply_owners``) and splices in the subtrees it granted
-that provider, with its own items for each subtree inside them that the
-provider copied.
+the message by (``reply_owners``) and writes it into its own items of the
+body in place, by word position, keeping each subtree the provider copied
+and the root's own words.
 
 Everything runs over plain HTTP on loopback; real deployments terminate TLS
 in front.  Bodies are text/plain and no custom header is used.  Each service
@@ -497,7 +497,6 @@ class ScenarioConfig:
     edits: dict = None                   # provider -> {ordinal: new variable text}
     mode: str = "tat"
     tamper: tuple = None                 # (provider name, foreign ordinal)
-    host: str = "127.0.0.1"
 
     def __post_init__(self):
         if self.keys is None:
@@ -520,41 +519,23 @@ class ScenarioResult:
     reject_ordinals: tuple = ()
 
 
-def _splice_subtrees(final, spans: dict, decoded, ordinals) -> tuple:
-    """``final``, a token stream whose ``item_spans`` are ``spans``, with the
-    subtrees of ``ordinals`` copied in from ``decoded``, a reply's items, by
-    their Spans in ``item_spans(decoded)``; a listed tag the document lacks
-    is MalformedMessage.
-
-    Only the outermost listed subtrees are copied, in stream order; a listed
-    tag nested in one of them comes along with it.  This equals replacing
-    the listed subtrees one by one, for ``run_composition_scenario`` has
-    refused a reply whose Spans are not the sent body's.  An OpaqueRun
-    inside a copied subtree, one the provider could not read, becomes
-    ``final``'s own items by its Span in ``spans``, and a listed tag that
-    lies in a run stays as ``final`` has it: its provider could not read
-    it either.
-    """
-    src = item_spans(decoded)
-    out = []
+def _splice_subtrees(final: list, decoded, head: int) -> None:
+    """Write ``decoded``, a reply's items, into ``final``, S's items of the
+    body it sent, one per word, in place by word position: the reply's
+    Spans are the sent body's, so each item lies where its word did, and an
+    OpaqueRun, a subtree the provider could not read, leaves S's items for
+    its words.  The root's tag and attributes, before ``head``, where its
+    first child starts, and its closer stay S's: every provider holds the
+    group key that signs the root."""
+    last = len(final) - 1
     pos = 0
-    for ordinal in sorted(ordinals):
-        if ordinal not in spans:
-            raise MalformedMessage(f"tag {ordinal} is missing from the document")
-        _, start, end, _ = spans[ordinal]
-        if start < pos or ordinal not in src:
-            continue            # copied with an enclosing subtree, or in a run
-        _, first, last, _ = src[ordinal]
-        out += final[pos:start]
-        for item in decoded[first:last + 1]:
-            if type(item) is OpaqueRun:
-                _, copied, closer, _ = spans[item.ordinal]
-                out += final[copied:closer + 1]
-            else:
-                out.append(item)
-        pos = end + 1
-    out += final[pos:]
-    return tuple(out)
+    for item in decoded:
+        if type(item) is OpaqueRun:
+            pos += len(item.words)
+            continue
+        if head <= pos < last:
+            final[pos] = item
+        pos += 1
 
 
 def _apply_edits(items: list, edits: dict, name: str) -> list:
@@ -604,7 +585,7 @@ class _Provider(_HttpService):
         self.tamper = config.tamper if config.tamper and config.tamper[0] == name else None
         self.verdicts = []
         self._processing = threading.Lock()     # one message at a time
-        super().__init__(config.host, 0)
+        super().__init__("127.0.0.1", 0)
 
     def respond(self, path: str, body) -> tuple:
         if body is None:
@@ -646,9 +627,9 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
     which must come back word for word as S sent it, by the ``Signed``
     record of the body S sent (else KeptWordsChanged), for the group key,
     which every provider holds, may be the only key that signs such a tag.
-    Then S splices in only the granted subtrees, with its own copy of every
-    run inside them, and keeps its own copy of every other subtree, so a
-    word the provider could not read is not decoded.
+    Then S writes each reply into its own items of the body in place, by
+    word position, so only the granted subtrees change, no stream is laid
+    out again and a word the provider could not read is not decoded.
     """
     config = config or ScenarioConfig()
     stream = _parse_document(config.document)
@@ -705,17 +686,15 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
                 raise KeptWordsChanged(f"{name} changes {tags}, which its key does not own")
             replies[name] = reply_msg, reads
 
-        # assemble: take each provider's granted subtrees, everything else from S's copy
-        final = stream
+        # assemble in S's copy: the body's words are its items, one for one
+        final = list(stream)
+        head = body.spans[2].start if tag_count > 1 else len(final)
         for reply, reads in replies.values():
-            decoded = compose_decrypt(reply, ring, reads)
-            # the body's words are the stream's items, so it has the stream's spans
-            spans = body.spans if final is stream else item_spans(final)
-            final = _splice_subtrees(final, spans, decoded, reply.access)
+            _splice_subtrees(final, compose_decrypt(reply, ring, reads), head)
         document = emit_xml(final)
         transcript.append(TranscriptEntry("S", "final", document, kind="document"))
         return ScenarioResult(transcript, verdicts, final_document=document,
-                              final_stream=final)
+                              final_stream=tuple(final))
     finally:
         for provider in providers.values():
             provider.close()

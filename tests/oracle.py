@@ -34,6 +34,11 @@ library steps past them by its count of tags inside.  They reuse the
 package's word classes and the paper's keyed digest, ``sign_segment``,
 which hashes key and segment in one call.
 
+The splice oracle keeps the sender's assembly as the library had it before
+it wrote each reply into its own items by word position: it lays out both
+streams by item and copies each outermost granted subtree from the reply,
+with the sender's own items for every run inside it.
+
 The document-model oracles keep the recursive ElementTree parser, the
 recursive stream validator and the emitters built on them, as the library
 had them before it read XML in one pass of expat callbacks and checked a
@@ -563,6 +568,35 @@ def oracle_changed_kept(read, sent, layout) -> list:
             if layout.segment(ordinal) != sent.layout.segment(ordinal):
                 changed.append(ordinal)
     return changed
+
+
+def oracle_splice_subtrees(final, decoded, ordinals) -> tuple:
+    """``final`` with the subtrees of ``ordinals`` copied in from
+    ``decoded``, a reply's items, each found by its ``item_spans`` Span; a
+    listed tag ``final`` lacks is MalformedMessage.  Only the outermost
+    listed subtrees are copied, in stream order; an OpaqueRun inside one
+    becomes ``final``'s own items, and a listed tag that lies in a run stays
+    as ``final`` has it."""
+    spans, src = codec.item_spans(final), codec.item_spans(decoded)
+    out = []
+    pos = 0
+    for ordinal in sorted(ordinals):
+        if ordinal not in spans:
+            raise MalformedMessage(f"tag {ordinal} is missing from the document")
+        _, start, end, _ = spans[ordinal]
+        if start < pos or ordinal not in src:
+            continue            # copied with an enclosing subtree, or in a run
+        _, first, last, _ = src[ordinal]
+        out += final[pos:start]
+        for item in decoded[first:last + 1]:
+            if type(item) is codec.OpaqueRun:
+                _, copied, closer, _ = spans[item.ordinal]
+                out += final[copied:closer + 1]
+            else:
+                out.append(item)
+        pos = end + 1
+    out += final[pos:]
+    return tuple(out)
 
 
 # document-model oracles

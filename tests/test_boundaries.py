@@ -33,7 +33,8 @@ from restcipher import (
 )
 from restcipher.cli import main
 from restcipher.docmodel import CLOSE, AttrName, Open, Variable
-from restcipher.errors import Bind, Corrupt, Malformed, MalformedStream, Transport
+from restcipher.errors import (Bind, Corrupt, Malformed, MalformedStream, OutOfRange, Transport,
+                               WidthTooSmall)
 from restcipher.keyxchg import KeyStore, http_get, http_post, load_store, save_store
 from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider
 
@@ -751,7 +752,13 @@ def test_scenario_runs_and_a_tampering_provider_halts_it(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "halted: reject on tags 3,1"
 
 
-@pytest.mark.parametrize("tamper", ["SP1:x", "SP1:", "SP1:999", "SP1:0", "SP9:2"])
+#: more digits than int() and str() convert under the interpreter's default limit
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("tamper", ["SP1:x", "SP1:", "SP1:999", "SP1:0", "SP9:2",
+                                    "SP1:\u0663", "SP1:+3", "SP1:03", f"SP1:{NINES}"],
+                         ids=lambda tamper: tamper if len(tamper) < 10 else "SP1:5000-nines")
 def test_scenario_bad_tamper_target_is_malformed(capsys, tamper):
     assert main(["scenario", "--tamper", tamper]) == 1
     assert capsys.readouterr().err.startswith("error: Malformed: ")
@@ -785,6 +792,55 @@ def test_request_key_refuses_a_reply_that_is_no_key():
         assert len(store) == 0
     finally:
         service.close()
+
+
+class _KeyTextService(_HttpService):
+    """Answers every request with ``text``."""
+
+    text = None
+
+    def respond(self, path, body):
+        return 200, self.text
+
+
+@pytest.mark.parametrize("text,error,detail", [
+    (f"[{NINES},6,1,1,1,14,4,1,3,2]", Malformed, "a key element has more than 640 digits"),
+    ("[12,6,1,1,1,14,4,1,5000,2]", OutOfRange, "final_sum must be 1..640, got 5000"),
+    ("[12,6,1,1,1,14,4,1,3,5000]", WidthTooSmall,
+     "cell value 18**5000 + 6**5000 is wider than final_sum 3"),
+], ids=["rows", "final_sum", "power"])
+def test_a_key_with_an_element_too_wide_to_convert_is_a_named_error(
+        tmp_path, capsys, monkeypatch, text, error, detail):
+    # Python's int() and str() stop at 4,300 digits by default
+    with pytest.raises(error) as raised:
+        parse_key(text)
+    assert type(raised.value) is error and str(raised.value) == detail
+    monkeypatch.setattr(_KeyTextService, "text", text)
+    service = _KeyTextService("127.0.0.1", 0).start()
+    try:
+        store = KeyStore()
+        with pytest.raises(Malformed) as raised:
+            request_key(f"{service.url}/peer", store=store)
+        assert str(raised.value) == f"peer response is not a valid key: {detail}"
+        assert len(store) == 0
+    finally:
+        service.close()
+    ring = tmp_path / "ring.store"
+    ring.write_text(f"peer\tK1\tpairwise\t{K1_TEXT}\n\npeer\tK2\tgroup\t{text}\n",
+                    encoding="utf-8")
+    with pytest.raises(Corrupt) as raised:
+        load_store(ring)
+    assert raised.value.line == 3 and str(raised.value) == f"line 3: {detail}"
+    state = tmp_path / "session.state"
+    state.write_text(f"{text}\n", encoding="utf-8")
+    plain = tmp_path / "plain.xml"
+    plain.write_text(XML1, encoding="utf-8")
+    for argv, line in ((["tables", "--key", text], f"{error.__name__}: {detail}"),
+                       (["tables", "--state", str(state)], f"{error.__name__}: {detail}"),
+                       (["sign", "--keyring", str(ring), "--policy", "2=K1", "--in", str(plain)],
+                        f"Corrupt: line 3: {detail}")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
 
 
 class _NotAsciiHandler(BaseHTTPRequestHandler):

@@ -11,8 +11,9 @@ from restcipher import (CompositionPolicy, EncryptedMessage, KeyRing, OpaqueRun,
                         ScenarioConfig, compose_decrypt, compose_encrypt, emit_xml,
                         parse_xml, run_composition_scenario)
 from restcipher import composition, restkit
-from restcipher.codec import item_spans
 from restcipher.errors import RestCipherError
+
+from oracle import oracle_splice_subtrees
 
 
 def _catalog(items: int) -> str:
@@ -186,7 +187,7 @@ def _full_decode_outcome(config, lines) -> str:
             reply = EncryptedMessage.parse(line)
             decoded = compose_decrypt(reply, ring, rule)
             assert not any(isinstance(t, OpaqueRun) for t in decoded)
-            final = restkit._splice_subtrees(final, item_spans(final), decoded, reply.access)
+            final = oracle_splice_subtrees(final, decoded, reply.access)
         return f"final\t{emit_xml(final)}"
     except RestCipherError as exc:
         return f"error\t{exc.name}: {exc}"

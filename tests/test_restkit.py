@@ -38,14 +38,14 @@ from restcipher.composition import (CompositionPolicy, KeyRing, Owners, access_h
                                     compose_encrypt, owners, refresh_digests, reply_owners)
 from restcipher.docmodel import AttrName, AttrValue, Close, Open, Variable
 from restcipher.errors import (EditNotApplied, KeptWordsChanged, MalformedMessage,
-                               RestCipherError, Transport)
+                               RestCipherError, Transport, UnknownTatCode)
 from restcipher.keyxchg import GET_KEY_COMMAND, Connection, http_get, http_post
 from restcipher import restkit
 from restcipher.restkit import _HttpService, _Provider, _apply_edits, _splice_subtrees
 
 from conftest import XML1, XML2
 from docgen import nested_catalog
-from oracle import oracle_apply_edits, oracle_changed_kept
+from oracle import oracle_apply_edits, oracle_changed_kept, oracle_splice_subtrees
 from test_ownership import _record_main_decodes
 
 DEFAULT_FINAL = ('<root attr1="value1" attr2="value2">'
@@ -857,8 +857,11 @@ def _as_read(stream, ordinals) -> tuple:
     return tuple(out)
 
 
-def _splice(final, decoded, ordinals) -> tuple:
-    return _splice_subtrees(final, item_spans(final), decoded, ordinals)
+def _splice(final, decoded) -> tuple:
+    """``final`` with ``decoded`` written into it as S writes a reply."""
+    out = list(final)
+    _splice_subtrees(out, decoded, item_spans(final)[2].start)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -871,9 +874,43 @@ def test_splice_equals_replacing_one_by_one(seed):
     want = got = whole = final
     for ordinals, decoded in replies:
         want = _replace_one_by_one(want, decoded, ordinals)
-        got = _splice(got, _as_read(decoded, ordinals), ordinals)
-        whole = _splice(whole, decoded, ordinals)       # every subtree decoded
+        got = _splice(got, _as_read(decoded, ordinals))
+        whole = oracle_splice_subtrees(whole, decoded, ordinals)    # every subtree decoded
     assert got == whole == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_RANDOM_CATALOGS, hs.sampled_from(["st", "tat"]))
+def test_s_splices_each_reply_as_the_oracle_does_on_random_catalogs(rng, keys, mode):
+    # every reply S decodes, with its runs, written in by word position
+    # equals the copy of each granted subtree by its Spans
+    config, expected = _random_catalog(rng, keys)
+    config.mode = mode
+    accesses, spliced = [], []
+    decode, splice = restkit.compose_decrypt, restkit._splice_subtrees
+
+    def recorded(msg, ring, policy=None):
+        items = decode(msg, ring, policy)
+        if threading.current_thread() is threading.main_thread():
+            accesses.append(msg.access)
+        return items
+
+    def checked(final, decoded, head):
+        want = oracle_splice_subtrees(tuple(final), decoded, accesses[-1])
+        splice(final, decoded, head)
+        spliced.append(tuple(final) == want)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(restkit, "compose_decrypt", recorded)
+        patch.setattr(restkit, "_splice_subtrees", checked)
+        try:
+            result = run_composition_scenario(config)
+        except UnknownTatCode:
+            # ROADMAP item 1: in tat mode S may misread a reply's root
+            assert mode == "tat"
+        else:
+            assert result.final_document == expected and len(spliced) == 2
+    assert all(spliced) and len(spliced) == len(accesses)
 
 
 def test_s_keeps_its_own_copy_of_a_tag_its_provider_could_not_reach():
@@ -883,14 +920,14 @@ def test_s_keeps_its_own_copy_of_a_tag_its_provider_could_not_reach():
     forged = parse_xml("<r><item><name>z</name><price>1</price></item><x>b</x></r>")
     read = _as_read(forged, (3,))
     assert [type(t).__name__ for t in read] == ["Open", "OpaqueRun", "OpaqueRun", "Close"]
-    assert _splice(final, read, (3,)) == final
+    assert _splice(final, read) == final
     # SP1 is granted the item and its name, not the price inside it: the
     # sender copies the item from the reply with its own price in the run
     sp1 = _provider_copy(final, {2, 3}, "SP1")
     read = _as_read(sp1, (2, 3))
     assert [type(t).__name__ for t in read] == [
         "Open", "Open", "Open", "Variable", "Close", "OpaqueRun", "Close", "OpaqueRun", "Close"]
-    assert _splice(final, read, (2, 3)) == _replace_one_by_one(final, sp1, (2,)) == parse_xml(
+    assert _splice(final, read) == _replace_one_by_one(final, sp1, (2,)) == parse_xml(
         "<r><item><name>SP1-a</name><price>1</price></item><x>b</x></r>")
 
 
@@ -969,11 +1006,9 @@ class _Reshaper(_Provider):
 
 def test_a_reply_that_changes_the_tags_inside_a_subtree_is_refused(monkeypatch):
     final = parse_xml("<r><item><name>a</name></item></r>")
-    with pytest.raises(MalformedMessage, match="tag 9 is missing"):
-        _splice(final, final, (9,))
     # a listed tag the reply holds in a run stays as S has it: its provider
     # could not read it either
-    assert _splice(final, (final[0], OpaqueRun(("w",) * 5, 2, 1), final[-1]), (3,)) == final
+    assert _splice(final, (final[0], OpaqueRun(("w",) * 5, 2, 1), final[-1])) == final
     # S checks a reply's Spans from its Layout before it decodes any reply
     honest = run_composition_scenario(ScenarioConfig(
         document=RESHAPE_DOCUMENT, policy=RESHAPE_POLICY, edits=RESHAPE_EDITS))
@@ -1026,6 +1061,42 @@ def test_a_reply_that_adds_an_attribute_to_a_granted_tag_is_refused(monkeypatch)
         assert str(refused.value) == \
             "SP1 replies with a body that does not lie where the sent one did"
         assert decodes == []
+
+
+class _RootRewriter(_Provider):
+    """A provider that also renames the root and changes its first
+    attribute value and any text of its own, and re-signs the root with the
+    group key it holds, so every digest of its reply verifies and every
+    word lies where it did."""
+
+    def process(self, body: str) -> str:
+        msg = EncryptedMessage.parse(body)
+        rule = owners(self.ring, access=msg.access)
+        items = _apply_edits(compose_decrypt(msg, self.ring, rule), self.edits, self.name)
+        items[:3] = [Open("evil"), items[1], AttrValue("evil")]
+        if type(items[-2]) is Variable:
+            items[-2] = Variable("evil")
+        words = compose_encrypt(items, rule, self.ring, self.mode)
+        signed = refresh_digests(words, self.ring, rule, msg.layout)
+        return EncryptedMessage(msg.access, tuple(signed)).serialize()
+
+
+@pytest.mark.parametrize("mode", ["tat", "st"])
+@pytest.mark.parametrize("document,edits,final", [
+    (restkit.SCENARIO_DOCUMENT, None, DEFAULT_FINAL),
+    ('<root attr1="value1">x</root>', {}, '<root attr1="value1">x</root>'),
+], ids=["default", "text-only-root"])
+def test_s_keeps_its_own_root_when_a_provider_re_signs_a_changed_one(
+        monkeypatch, mode, document, edits, final):
+    # a provider holds the group key that signs the root, so S takes none
+    # of the root's own words from a reply
+    decodes = _record_main_decodes(monkeypatch)
+    monkeypatch.setattr(restkit, "_Provider", _RootRewriter)
+    result = run_composition_scenario(ScenarioConfig(document=document, edits=edits, mode=mode))
+    assert all(v.status is Status.ACCEPT for stage in result.verdicts.values() for v in stage)
+    assert [read[:3] for _, read in decodes] == \
+        [[Open("evil"), AttrName("attr1"), AttrValue("evil")]] * 2
+    assert result.final_document == final
 
 
 # closing a service returns at once
