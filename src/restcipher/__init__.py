@@ -49,13 +49,7 @@ from .docmodel import (
 )
 from .errors import RestCipherError
 from .keycore import TenElementKey, generate_key, parse_key, serialize_key, validate_key
-from .keyxchg import (
-    GET_KEY_COMMAND,
-    KeyStore,
-    load_store,
-    request_key,
-    save_store,
-)
+from .keyxchg import GET_KEY_COMMAND, load_ring, request_key
 from .restkit import (
     ResourceClient,
     ResourceServer,

@@ -7,13 +7,13 @@ stderr and exits nonzero; file I/O failures report as ``Io``.
 
 import argparse
 import random
+import re
 import sys
 import time
 
 from .codec import EncryptedMessage, Session, WordKind
 from .composition import (
     CompositionPolicy,
-    KeyRing,
     Status,
     access_header,
     attach_digests,
@@ -23,7 +23,7 @@ from .composition import (
 from .docmodel import AttrValue, Variable, emit_json, emit_xml, parse_json, parse_xml
 from .errors import Malformed, RestCipherError
 from .keycore import DEFAULT_BOUNDS, MAX_DIGITS, generate_key, parse_key, serialize_key
-from .keyxchg import load_store
+from .keyxchg import load_ring
 from .restkit import (
     PLAIN_HTTP_WARNING,
     ResourceClient,
@@ -62,6 +62,19 @@ def _emit_doc(stream, fmt: str) -> str:
     return emit_json(stream) if fmt == "json" else emit_xml(stream)
 
 
+#: an integer as the command line reads one: ASCII digits with no leading zero,
+#: and a minus sign at most; int() alone would also read "+2", " 2", "2_0" or "٢"
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _integer(text: str) -> int:
+    """``text`` as an int if ``_INTEGER`` spells it in at most MAX_DIGITS
+    digits; ValueError otherwise."""
+    if not (_INTEGER.fullmatch(text) and len(text.lstrip("-")) <= MAX_DIGITS):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_bounds(spec: str) -> dict:
     """"rows=4..16,power=1..3" -> per-element (lo, hi) overrides."""
     bounds = {}
@@ -73,7 +86,7 @@ def _parse_bounds(spec: str) -> dict:
             raise Malformed(f"bad bounds {spec!r}: {name} given twice")
         lo, sep, hi = span.partition("..")
         try:
-            bounds[name] = (int(lo), int(hi) if sep else int(lo))
+            bounds[name] = (_integer(lo), _integer(hi) if sep else _integer(lo))
         except ValueError:
             raise Malformed(f"bad range {span!r} for {name}") from None
     return bounds
@@ -83,7 +96,7 @@ def _parse_access(spec: str) -> tuple:
     if not spec:
         return ()
     try:
-        access = tuple(int(part) for part in spec.split(","))
+        access = tuple(_integer(part) for part in spec.split(","))
     except ValueError:
         raise Malformed(f"bad access list {spec!r}") from None
     if min(access) < 1:
@@ -100,7 +113,7 @@ def _parse_policy(spec: str) -> dict:
     for part in filter(None, spec.split(",")):
         ordinal, _, key_id = part.partition("=")
         try:
-            ordinal = int(ordinal)
+            ordinal = _integer(ordinal)
         except ValueError:
             raise Malformed(f"bad policy entry {part!r}") from None
         if ordinal in policy:
@@ -176,16 +189,6 @@ def _session_for(args) -> Session:
     return session
 
 
-def _load_ring(path: str) -> KeyRing:
-    ring = KeyRing()
-    for record in load_store(path).records():
-        try:
-            ring.add_key(record.key_id, record.key, is_group=(record.role == "group"))
-        except ValueError as exc:
-            raise Malformed(f"keystore {path} does not form one ring: {exc}") from None
-    return ring
-
-
 # subcommands
 
 
@@ -227,7 +230,7 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_sign(args) -> int:
-    ring = _load_ring(args.keyring)
+    ring = load_ring(args.keyring)
     policy = CompositionPolicy(_parse_policy(args.policy))
     stream = _parse_doc(_read(args.infile), args.format)
     body = compose_encrypt(stream, policy, ring, args.mode)
@@ -241,7 +244,7 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ring = _load_ring(args.keyring)
+    ring = load_ring(args.keyring)
     policy = CompositionPolicy(_parse_policy(args.policy)) if args.policy else None
     message = EncryptedMessage.parse(_read(args.infile).strip("\n"))
     verdicts = verify_digests(message, ring, policy)
@@ -303,11 +306,13 @@ def _cmd_scenario(args) -> int:
         config.document = _read(args.document)
     if args.tamper:
         name, _, ordinal = args.tamper.partition(":")
-        # [1-9][0-9]* in ASCII, as a state file's codes: int() also reads "+3" or "٣"
-        if not (ordinal.isascii() and ordinal.isdigit() and ordinal[0] != "0"
-                and len(ordinal) <= MAX_DIGITS):
+        try:
+            ordinal = _integer(ordinal)
+        except ValueError:
+            ordinal = 0
+        if ordinal < 1:
             raise Malformed(f"bad tamper target {args.tamper!r}")
-        config.tamper = (name, int(ordinal))
+        config.tamper = (name, ordinal)
     result = run_composition_scenario(config)
     print(format_transcript(result.transcript))
     for stage, verdicts in result.verdicts.items():
@@ -351,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("sign", help="multi-key encrypt and attach digests")
-    p.add_argument("--keyring", required=True, help="keystore file with the ring")
+    p.add_argument("--keyring", required=True,
+                   help="keyring file: peer id, key id, role and key per line")
     p.add_argument("--policy", required=True, help="tag assignments, e.g. 2=K1,3=K2")
     p.add_argument("--mode", choices=("st", "tat"), default="tat")
     p.add_argument("--format", choices=("xml", "json"), default="xml")

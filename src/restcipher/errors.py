@@ -113,10 +113,6 @@ class MissingKey(RestCipherError):
 # key exchange and harness
 
 
-class StoreFailure(RestCipherError):
-    """A key record could not be stored."""
-
-
 class Transport(RestCipherError):
     """An HTTP exchange failed at the transport level."""
 

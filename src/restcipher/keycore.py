@@ -73,6 +73,10 @@ def max_headers(rows: int, cols: int, start_with: int) -> tuple:
 #: convert 640 under every limit ``sys.set_int_max_str_digits`` admits
 MAX_DIGITS = 640
 
+#: the most cells of a key's table, 256 x 256: the tables a key derives are
+#: built in full, so a short key text must not ask for more memory than this
+MAX_CELLS = 65536
+
 
 def _cells_fit(max_rh: int, max_ch: int, power: int, width: int) -> bool:
     """Whether ``max_rh ** power + max_ch ** power`` has at most ``width``
@@ -106,6 +110,8 @@ def validate_key(candidate) -> TenElementKey:
         raise OutOfRange(0, f"rows must be positive, got {rows}")
     if cols < 1:
         raise OutOfRange(1, f"cols must be positive, got {cols}")
+    if rows * cols > MAX_CELLS:
+        raise OutOfRange(1, f"rows * cols must be at most {MAX_CELLS}, got {rows * cols}")
     for index, bit in ((2, start_with), (3, row_rev), (4, col_rev), (7, reverse)):
         if bit not in (0, 1):
             raise OutOfRange(index, f"{ELEMENTS[index]} must be 0 or 1, got {bit}")

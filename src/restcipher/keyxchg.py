@@ -1,10 +1,11 @@
-"""The HTTP client, the client side of the "Get key" exchange and the keystore.
+"""The HTTP client, the client side of the "Get key" exchange and the keyring file.
 
 A client POSTs the exact body ``Get key`` (text/plain); the server
-(``restkit.ResourceServer``) generates a fresh key, stores it against the
-peer, and replies with the serialized key as the entire response body.  The
-exchange should ride on TLS in real deployments; this package's harness
-speaks plain HTTP and says so.
+(``restkit.ResourceServer``) generates a fresh key, keeps it in the peer's
+session, and replies with the serialized key as the entire response body.
+The exchange should ride on TLS in real deployments; this package's
+harness speaks plain HTTP and says so.  ``load_ring`` reads the keyring
+file that the command line's ``sign`` and ``verify`` take.
 
 Every request goes through ``Connection.request``.  A ``Connection`` is one
 HTTP/1.1 connection on a socket of its own, opened on first use and kept
@@ -28,65 +29,28 @@ stdlib's limits on lines.  Neither end loads ``http.client``,
 import contextlib
 import re
 import socket
-import threading
 import urllib.parse
-from dataclasses import dataclass
 
-from .errors import Corrupt, Malformed, RestCipherError, StoreFailure, Transport
-from .keycore import TenElementKey, parse_key, serialize_key
+from .composition import KeyRing
+from .errors import Corrupt, Malformed, RestCipherError, Transport
+from .keycore import TenElementKey, parse_key
 
 GET_KEY_COMMAND = "Get key"
 ROLES = ("pairwise", "group")
 
 
-@dataclass(frozen=True)
-class StoreRecord:
-    peer_id: str
-    key_id: str
-    role: str
-    key: TenElementKey
+def load_ring(path) -> KeyRing:
+    """The ring of keys in the keyring file at ``path``.
 
-
-class KeyStore:
-    """(peer, key-id) records; writes are atomic under one lock."""
-
-    def __init__(self):
-        self._records = {}
-        self._lock = threading.Lock()
-
-    def put(self, peer_id: str, key_id: str, role: str, key: TenElementKey) -> StoreRecord:
-        for label, value in (("peer id", peer_id), ("key id", key_id)):
-            if not value or "\t" in value or "\n" in value:
-                raise StoreFailure(f"invalid {label}: {value!r}")
-        if role not in ROLES:
-            raise StoreFailure(f"role must be one of {ROLES}, got {role!r}")
-        record = StoreRecord(peer_id, key_id, role, key)
-        with self._lock:
-            self._records[(peer_id, key_id)] = record
-        return record
-
-    def get(self, peer_id: str, key_id: str):
-        return self._records.get((peer_id, key_id))
-
-    def records(self) -> list:
-        return list(self._records.values())
-
-    def __len__(self):
-        return len(self._records)
-
-
-def save_store(store: KeyStore, path) -> None:
-    """One record per line: peer-id, key-id, role, serialized key, tab-separated."""
-    lines = [
-        f"{r.peer_id}\t{r.key_id}\t{r.role}\t{serialize_key(r.key)}\n"
-        for r in store.records()
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-
-
-def load_store(path) -> KeyStore:
-    store = KeyStore()
+    One key per line, four tab-separated fields: peer id, key id, role
+    (``pairwise`` or ``group``) and the serialized key; blank lines are
+    skipped.  The peer id must not be empty but is otherwise not read.  A
+    line that is not UTF-8, has another number of fields, names another
+    role, leaves an id empty or holds no valid key is ``Corrupt`` with its
+    line number; keys that do not form one ring (a key id given twice, a
+    second group key) are ``Malformed``.
+    """
+    records = []
     # undecodable bytes become lone surrogates, so the line they sit on is known
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
@@ -103,12 +67,20 @@ def load_store(path) -> KeyStore:
             peer_id, key_id, role, key_text = fields
             if role not in ROLES:
                 raise Corrupt(number, f"line {number}: unknown role {role!r}")
+            for label, value in (("peer id", peer_id), ("key id", key_id)):
+                if not value:
+                    raise Corrupt(number, f"line {number}: empty {label}")
             try:
-                key = parse_key(key_text)
+                records.append((key_id, parse_key(key_text), role == "group"))
             except RestCipherError as exc:
                 raise Corrupt(number, f"line {number}: {exc}") from None
-            store.put(peer_id, key_id, role, key)
-    return store
+    ring = KeyRing()
+    for key_id, key, is_group in records:
+        try:
+            ring.add_key(key_id, key, is_group)
+        except ValueError as exc:
+            raise Malformed(f"keystore {path} does not form one ring: {exc}") from None
+    return ring
 
 
 #: the stdlib's limits: bytes in one line, and lines in one header block,
@@ -308,18 +280,13 @@ def http_get(url: str, timeout: float = 10.0, *, connection=None) -> str:
     return _request("GET", url, None, timeout, connection)
 
 
-def request_key(endpoint: str, *, store: KeyStore = None, peer_id: str = "server",
-                key_id: str = "session", timeout: float = 10.0,
+def request_key(endpoint: str, *, timeout: float = 10.0,
                 connection: Connection = None) -> TenElementKey:
-    """Client side: fetch a session key from a peer endpoint.
-
-    Nothing is stored unless the response parses as a key.
-    """
+    """Client side of the exchange: POST ``Get key`` to ``endpoint`` and
+    return the key its reply body holds.  A reply that is no valid key is
+    ``Malformed``; the caller keeps the key in its own session."""
     body = http_post(endpoint, GET_KEY_COMMAND, timeout=timeout, connection=connection)
     try:
-        key = parse_key(body)
+        return parse_key(body)
     except RestCipherError as exc:
         raise Malformed(f"peer response is not a valid key: {exc}") from None
-    if store is not None:
-        store.put(peer_id, key_id, "pairwise", key)
-    return key

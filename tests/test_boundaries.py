@@ -35,7 +35,7 @@ from restcipher.cli import main
 from restcipher.docmodel import CLOSE, AttrName, Open, Variable
 from restcipher.errors import (Bind, Corrupt, Malformed, MalformedStream, OutOfRange, Transport,
                                WidthTooSmall)
-from restcipher.keyxchg import KeyStore, http_get, http_post, load_store, save_store
+from restcipher.keyxchg import http_get, http_post, load_ring
 from restcipher.restkit import PLAIN_HTTP_WARNING, _HttpService, _Provider
 
 from conftest import K1_TEXT, K2_TEXT, K3_TEXT, XML1, XML2
@@ -508,14 +508,11 @@ def test_a_non_utf8_document_is_malformed(tmp_path, capsys):
 
 
 def test_a_non_utf8_store_line_is_corrupt(tmp_path, capsys):
-    store = KeyStore()
-    store.put("peer", "K1", "pairwise", parse_key(K1_TEXT))
     path = tmp_path / "ring.store"
-    save_store(store, path)
-    with open(path, "ab") as fh:
-        fh.write(b"p\xe9er\tK3\tgroup\t" + K1_TEXT.encode("ascii") + b"\n")
+    path.write_bytes(f"peer\tK1\tpairwise\t{K1_TEXT}\n".encode("ascii")
+                     + b"p\xe9er\tK3\tgroup\t" + K1_TEXT.encode("ascii") + b"\n")
     with pytest.raises(Corrupt) as info:
-        load_store(path)
+        load_ring(path)
     assert info.value.line == 2
     assert main(["verify", "--keyring", str(path), "--in", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: Corrupt: ")
@@ -564,12 +561,9 @@ def test_keygen_bad_bounds_are_named_errors(capsys, bounds, error):
 
 
 def _keyring(tmp_path):
-    store = KeyStore()
-    for key_id, text, role in (("K1", K1_TEXT, "pairwise"), ("K2", K2_TEXT, "pairwise"),
-                               ("K3", K3_TEXT, "group")):
-        store.put("S", key_id, role, parse_key(text))
     path = tmp_path / "ring.store"
-    save_store(store, path)
+    path.write_text(f"S\tK1\tpairwise\t{K1_TEXT}\nS\tK2\tpairwise\t{K2_TEXT}\n"
+                    f"S\tK3\tgroup\t{K3_TEXT}\n", encoding="utf-8")
     return path
 
 
@@ -647,6 +641,31 @@ def test_a_policy_naming_a_tag_twice_is_malformed(tmp_path, capsys, command):
     assert captured.out == "" and not signed.exists()
 
 
+@pytest.mark.parametrize("option,value,refusal", [
+    ("--policy", "\u0662=K1", "bad policy entry"),        # an Arabic-Indic two
+    ("--policy", " +2=K1", "bad policy entry"),
+    ("--access", "\u0662", "bad access list"),
+    ("--access", "2_0", "bad access list"),
+    ("--bounds", "rows=\u0664..\u0664", "bad range"),
+    ("--bounds", "rows=04..4", "bad range"),
+], ids=["policy-arabic-indic", "policy-plus", "access-arabic-indic", "access-underscore",
+        "bounds-arabic-indic", "bounds-leading-zero"])
+def test_a_number_int_reads_but_no_one_writes_is_malformed(tmp_path, capsys, option, value,
+                                                           refusal):
+    # int() reads each of these as a plain decimal, so each once passed as one
+    plain, out = tmp_path / "plain.xml", tmp_path / "out"
+    plain.write_text(XML2, encoding="utf-8")
+    files = ["--in", str(plain), "--out", str(out)]
+    command = {"--policy": ["sign", "--keyring", str(_keyring(tmp_path)), *files],
+               "--access": ["encrypt", "--key", K1_TEXT, "--mode", "st", *files],
+               "--bounds": ["keygen"]}[option]
+    assert main([*command, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: Malformed: {refusal} ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sign", "verify"])
 @pytest.mark.parametrize("records,detail", [
     ([("S", "K1", "pairwise"), ("T", "K1", "pairwise"), ("S", "K3", "group")],
@@ -655,11 +674,9 @@ def test_a_policy_naming_a_tag_twice_is_malformed(tmp_path, capsys, command):
 ])
 def test_a_keystore_that_forms_no_ring_is_malformed(tmp_path, capsys, command, records, detail):
     texts = {"K1": K1_TEXT, "K3": K3_TEXT}
-    store = KeyStore()
-    for peer_id, key_id, role in records:
-        store.put(peer_id, key_id, role, parse_key(texts[key_id]))
     ring, plain, out = tmp_path / "ring.store", tmp_path / "plain.xml", tmp_path / "out"
-    save_store(store, ring)
+    ring.write_text("".join(f"{peer_id}\t{key_id}\t{role}\t{texts[key_id]}\n"
+                            for peer_id, key_id, role in records), encoding="utf-8")
     plain.write_text(XML2, encoding="utf-8")
     files = ["--in", str(plain)] + (["--out", str(out)] if command == "sign" else [])
     assert main([command, "--keyring", str(ring), "--policy", "2=K1", *files]) == 1
@@ -767,12 +784,10 @@ def test_scenario_bad_tamper_target_is_malformed(capsys, tamper):
 # the key exchange and the keystore file
 
 
-def test_request_key_stores_the_key_the_server_issued():
+def test_request_key_returns_the_key_the_server_keeps_for_the_peer():
     server = serve(XML1, rng=random.Random(3), bounds=SERVER_BOUNDS)
     try:
-        store = KeyStore()
-        key = request_key(f"{server.url}/peer", store=store)
-        assert store.get("server", "session").key == key
+        key = request_key(f"{server.url}/peer")
         assert server.peers["peer"].session.key == key
     finally:
         server.close()
@@ -786,10 +801,8 @@ class _NotAKeyService(_HttpService):
 def test_request_key_refuses_a_reply_that_is_no_key():
     service = _NotAKeyService("127.0.0.1", 0).start()
     try:
-        store = KeyStore()
         with pytest.raises(Malformed, match="not a valid key"):
-            request_key(f"{service.url}/peer", store=store)
-        assert len(store) == 0
+            request_key(f"{service.url}/peer")
     finally:
         service.close()
 
@@ -808,7 +821,9 @@ class _KeyTextService(_HttpService):
     ("[12,6,1,1,1,14,4,1,5000,2]", OutOfRange, "final_sum must be 1..640, got 5000"),
     ("[12,6,1,1,1,14,4,1,3,5000]", WidthTooSmall,
      "cell value 18**5000 + 6**5000 is wider than final_sum 3"),
-], ids=["rows", "final_sum", "power"])
+    # a table of a million cells, which a key of 28 characters would have built
+    ("[1000,1000,1,1,1,14,4,1,7,2]", OutOfRange, "rows * cols must be at most 65536, got 1000000"),
+], ids=["rows", "final_sum", "power", "cells"])
 def test_a_key_with_an_element_too_wide_to_convert_is_a_named_error(
         tmp_path, capsys, monkeypatch, text, error, detail):
     # Python's int() and str() stop at 4,300 digits by default
@@ -818,18 +833,16 @@ def test_a_key_with_an_element_too_wide_to_convert_is_a_named_error(
     monkeypatch.setattr(_KeyTextService, "text", text)
     service = _KeyTextService("127.0.0.1", 0).start()
     try:
-        store = KeyStore()
         with pytest.raises(Malformed) as raised:
-            request_key(f"{service.url}/peer", store=store)
+            request_key(f"{service.url}/peer")
         assert str(raised.value) == f"peer response is not a valid key: {detail}"
-        assert len(store) == 0
     finally:
         service.close()
     ring = tmp_path / "ring.store"
     ring.write_text(f"peer\tK1\tpairwise\t{K1_TEXT}\n\npeer\tK2\tgroup\t{text}\n",
                     encoding="utf-8")
     with pytest.raises(Corrupt) as raised:
-        load_store(ring)
+        load_ring(ring)
     assert raised.value.line == 3 and str(raised.value) == f"line 3: {detail}"
     state = tmp_path / "session.state"
     state.write_text(f"{text}\n", encoding="utf-8")
@@ -921,10 +934,8 @@ def test_a_refusal_quotes_its_first_line_with_non_ascii_escaped(not_ascii_url):
 
 
 def test_a_key_exchange_reply_that_is_not_ascii_is_a_named_error(not_ascii_url):
-    store = KeyStore()
     with pytest.raises(Transport, match=f"POST {not_ascii_url} failed: reply is not ASCII"):
-        request_key(not_ascii_url, store=store)
-    assert len(store) == 0
+        request_key(not_ascii_url)
 
 
 def test_a_client_refuses_a_key_exchange_reply_that_is_no_key():
@@ -938,17 +949,25 @@ def test_a_client_refuses_a_key_exchange_reply_that_is_no_key():
         service.close()
 
 
+def test_a_keyring_file_reads_into_one_ring(tmp_path):
+    ring = load_ring(_keyring(tmp_path))
+    assert ring.group_id == "K3" and ring.pairwise_ids() == ["K1", "K2"]
+    assert ring["K1"].key == parse_key(K1_TEXT)
+
+
 @pytest.mark.parametrize("line,detail", [
     ("peer\tK2\tpairwise", "expected 4 fields, got 3"),
     ("peer\tK2\tpairwise\t" + K1_TEXT + "\tmore", "expected 4 fields, got 5"),
     ("peer\tK2\towner\t" + K1_TEXT, "unknown role 'owner'"),
     ("peer\tK2\tpairwise\t[1,2]", "not a serialized key"),
     ("peer\tK2\tpairwise\t[0,6,1,1,1,14,4,1,3,2]", "rows must be positive"),
+    ("\tK2\tpairwise\t" + K1_TEXT, "empty peer id"),
+    ("peer\t\tpairwise\t" + K1_TEXT, "empty key id"),
 ])
 def test_a_bad_store_line_is_corrupt_with_its_number(tmp_path, line, detail):
     path = tmp_path / "ring.store"
     path.write_text(f"peer\tK1\tpairwise\t{K1_TEXT}\n\n{line}\n", encoding="utf-8")
     with pytest.raises(Corrupt, match=detail) as info:
-        load_store(path)
+        load_ring(path)
     assert info.value.line == 3
     assert str(info.value).startswith("line 3: ")
