@@ -9,7 +9,10 @@ tags are the group key's; a recipient that knows no policy gives the root to
 the group key, the tags its access list names to its pairwise key, and
 treats every other tag as foreign.  One ciphertext body serves every
 recipient.  A digest word (keyed hash of the serialized key plus a subtree's
-words) follows the closer of the root and of each subtree another key owns.
+words) follows the closer of the root and of each tag whose key id under
+the policy differs from its parent's (``key_boundaries``): every word lies
+under the digest of its owner's key at the nearest such boundary, and under
+the root's.
 
 The codec's two walkers, ``codec._encode`` and ``codec._decode``, do the
 rest with the rule as their ``owner_for``; the decoder keeps a subtree under
@@ -94,9 +97,13 @@ class CompositionPolicy:
 class Owners(dict):
     """One message's ownership rule: tag ordinal -> the ring Session that
     owns it, or None for a tag under a key not held; an ordinal with no
-    entry falls to ``default``, the group key under a policy, else None."""
+    entry falls to ``default``, the group key under a policy, else None.
+    A rule built from a policy also keeps its ``key_ids`` (tag ordinal ->
+    key id) and the ring's ``group_id``, which every unmapped tag takes."""
 
     default = None
+    key_ids = None
+    group_id = None
 
     def __missing__(self, ordinal: int):
         return self.default
@@ -123,6 +130,7 @@ def owners(ring: KeyRing, policy=None, access=()) -> Owners:
             raise ValueError("the outermost tag always uses the group key")
         rule = Owners({o: keys.get(k) for o, k in policy.assignments.items()})
         rule.default = keys.get(ring.group_id)
+        rule.key_ids, rule.group_id = policy.assignments, ring.group_id
     else:
         pairwise = ring.pairwise_ids()
         if len(pairwise) > 1:
@@ -269,9 +277,31 @@ class Signed(list):
         self.layout = layout
 
 
+def key_boundaries(spans, rule: Owners) -> set:
+    """The ordinals whose subtrees carry a digest: the root and, under a
+    rule built from a policy, each tag whose key id differs from its
+    parent's, for the parent's digest already covers a tag of its own key.
+    Key ids are compared, not Sessions: a rule maps every key the ring
+    lacks to None, and two such keys still differ.  Each tag of ``spans``,
+    a whole tag tree's, is visited once, as a child of its parent."""
+    ids, group = rule.key_ids, rule.group_id
+    if ids is None:
+        return {1}
+    signed = {1}
+    for ordinal, span in spans.items():
+        key_id = ids.get(ordinal, group)
+        child = ordinal + 1
+        while child <= ordinal + span.opens_inside:
+            if ids.get(child, group) != key_id:
+                signed.add(child)
+            child += spans[child].opens_inside + 1
+    return signed
+
+
 def attach_digests(body: Body, policy, ring: KeyRing) -> Signed:
-    """Sign the whole body and every subtree the policy gives a key other
-    than the group's.
+    """Sign the whole body and each subtree at a key boundary: every tag
+    whose key under the policy differs from its parent's
+    (``key_boundaries``).
 
     ``body`` is the ``Body`` that ``compose_encrypt`` returns, signed by its
     ``spans``; any other list of words, a ``Signed`` one included, is
@@ -282,9 +312,10 @@ def attach_digests(body: Body, policy, ring: KeyRing) -> Signed:
         raise MalformedMessage("only a Body that compose_encrypt returns is signed")
     rule = owners(ring, policy)
     layout = Layout(tuple(body), body.spans, {})
-    for ordinal in layout.spans:
-        who = rule[ordinal]
-        if ordinal == 1 or who is not rule[1]:
+    signed = key_boundaries(layout.spans, rule)
+    for ordinal in layout.spans:        # closer order, the order of the digests
+        if ordinal in signed:
+            who = rule[ordinal]
             if who is None:
                 raise MissingKey(f"tag {ordinal} needs a key the ring does not hold")
             layout.digests[ordinal] = _digest(who, layout.segment(ordinal))
@@ -311,11 +342,12 @@ class Verdict(NamedTuple):
 
 def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
     """One verdict per digest word, in word order, and a Reject for each
-    missing digest: the root's always, under a policy also each one
-    attach_digests makes.  A structurally broken message, one holding a hex
-    word that is no md5 digest among them, is a single whole-message Reject
-    rather than an exception.  Each digest under a key held is checked by a
-    hash of its subtree's words."""
+    missing digest: the root's always, under a policy each one
+    attach_digests makes, at every key boundary (``key_boundaries``).  A
+    structurally broken message, one holding a hex word that is no md5
+    digest among them, is a single whole-message Reject rather than an
+    exception.  Each digest under a key held is checked by a hash of its
+    subtree's words."""
     try:
         body, spans, digests = msg.layout
         rule = owners(ring, policy, msg.access)
@@ -323,17 +355,16 @@ def verify_digests(msg: EncryptedMessage, ring: KeyRing, policy=None) -> list:
         return [Verdict(0, Status.REJECT, f"malformed message: {exc}")]
     except ValueError as exc:
         return [Verdict(0, Status.REJECT, str(exc))]
-    # a policy's rule gives every unmapped tag to the group key, its
-    # default, so it knows each subtree attach_digests signs; a recipient's
-    # rule (default None) knows only the root's
-    group = rule.default
+    # a policy's rule knows each subtree attach_digests signs; a
+    # recipient's rule knows only the root's
+    due = key_boundaries(spans, rule)
     verdicts = []
     # spans come in closer order, the order of the digests after them
     for ordinal, span in spans.items():
         who = rule[ordinal]
         word = digests.get(ordinal)
         if word is None:
-            if ordinal == 1 or group is not None and who is not group:
+            if ordinal in due:
                 verdicts.append(Verdict(ordinal, Status.REJECT, "missing digest"))
             continue
         if who is None:

@@ -154,6 +154,10 @@ def generate_key(bounds=None, rng=None, attempts: int = 1000) -> TenElementKey:
     empty = [name for name, (lo, hi) in merged.items() if lo > hi]
     if empty:
         raise NoValidKeyInBounds(f"empty range for {', '.join(empty)}")
+    rows, cols = (max(merged[name][0], 1) for name in ("rows", "cols"))
+    if rows * cols > MAX_CELLS:
+        raise NoValidKeyInBounds(f"rows * cols is at least {rows * cols}, over the "
+                                 f"{MAX_CELLS} cells a key's table may hold")
     rng = rng if rng is not None else random.Random()
     for _ in range(attempts):
         sampled = {name: rng.randint(*merged[name]) for name in ELEMENTS}

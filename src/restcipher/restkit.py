@@ -7,8 +7,8 @@ signed document out to providers SP1 and SP2, each of which edits only the
 variables of its own tags and passes everything else through byte-identical.
 S checks each reply before it decodes any: its access list must be the one
 S sent, for nothing signs that list and every provider holds the group key
-that signs the root; every digest must verify; its Layout's Spans must be
-the ones S sent, so every tag lies where it did and spans as many words;
+that signs the root; its Layout's Spans must be the ones S sent, so every
+tag lies where it did and spans as many words; every digest must verify;
 and every subtree the provider copied whole must come back as S sent it
 (``changed_kept``).  S then decodes the reply by the rule the provider read
 the message by (``reply_owners``) and writes it into its own items of the
@@ -617,16 +617,18 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
 
     S checks each reply before it decodes any.  Its access list must be
     the one S sent, for nothing signs that list (else AccessNotGranted);
-    every digest must verify (else the run halts with the Reject verdicts);
     its Layout's Spans must equal the Body's, for an honest reply replaces
     the sent body word for word, which fixes its tag tree, each tag's count
     of tags inside and each tag's count of words (else MalformedMessage
-    naming the provider).  S reads each reply by ``reply_owners``, the rule
-    the provider read the message by: the root and the granted tags are
-    decoded, and every other subtree is one the provider copied whole,
-    which must come back word for word as S sent it, by the ``Signed``
-    record of the body S sent (else KeptWordsChanged), for the group key,
-    which every provider holds, may be the only key that signs such a tag.
+    naming the provider); then every digest must verify (else the run halts
+    with the Reject verdicts).  The tree goes first so that a reshaped reply
+    is named as one, not as a digest missing at a key boundary it moved.
+    S reads each reply by ``reply_owners``, the rule the provider read the
+    message by: the root and the granted tags are decoded, and every other
+    subtree is one the provider copied whole, which must come back word for
+    word as S sent it, by the ``Signed`` record of the body S sent (else
+    KeptWordsChanged), for the group key, which every provider holds, may
+    be the only key that signs such a tag.
     Then S writes each reply into its own items of the body in place, by
     word position, so only the granted subtrees change, no stream is laid
     out again and a word the provider could not read is not decoded.
@@ -670,16 +672,21 @@ def run_composition_scenario(config: ScenarioConfig = None) -> ScenarioResult:
             if reply_msg.access != access:
                 raise AccessNotGranted(f"{name} replies for tags {reply_msg.access}, "
                                        f"but was granted {access}")
+            # an honest reply replaces the sent body word for word; a body
+            # that is no tag tree at all is verify_digests' whole-message Reject
+            try:
+                reshaped = reply_msg.layout.spans != body.spans
+            except RestCipherError:
+                reshaped = False
+            if reshaped:
+                raise MalformedMessage(f"{name} replies with a body that does not lie "
+                                       "where the sent one did")
             stage = verify_digests(reply_msg, ring, rule)
             verdicts[f"S<-{name}"] = stage
             rejected = tuple(v.ordinal for v in stage if v.status is Status.REJECT)
             if rejected:
                 return ScenarioResult(transcript, verdicts, halted=True,
                                       reject_ordinals=rejected)
-            # an honest reply replaces the sent body word for word
-            if reply_msg.layout.spans != body.spans:
-                raise MalformedMessage(f"{name} replies with a body that does not lie "
-                                       "where the sent one did")
             changed = changed_kept(reads, signed, reply_msg.layout)
             if changed:
                 tags = ("tag " if len(changed) == 1 else "tags ") + ", ".join(map(str, changed))

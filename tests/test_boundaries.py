@@ -560,6 +560,12 @@ def test_keygen_bad_bounds_are_named_errors(capsys, bounds, error):
     assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
 
+def test_keygen_refuses_bounds_whose_least_table_is_over_the_cell_bound(capsys):
+    assert main(["keygen", "--bounds", "rows=300..300,cols=300..300"]) == 1
+    assert capsys.readouterr().err == ("error: NoValidKeyInBounds: rows * cols is at least "
+                                       "90000, over the 65536 cells a key's table may hold\n")
+
+
 def _keyring(tmp_path):
     path = tmp_path / "ring.store"
     path.write_text(f"S\tK1\tpairwise\t{K1_TEXT}\nS\tK2\tpairwise\t{K2_TEXT}\n"

@@ -565,6 +565,58 @@ def test_each_dropped_subtree_digest_is_missing_under_the_policy(stream, ring, p
         assert rejects == [(ordinal, "missing digest")]
 
 
+@pytest.mark.parametrize("mode", ["st", "tat"])
+def test_a_change_to_a_same_key_child_is_rejected_at_its_outermost_tag(ring, mode):
+    # the K1 <item> is a key boundary; its <name> and <price> are not, and
+    # neither is the group's <x> directly under the group's root
+    stream = parse_xml("<r><item><name>a</name><price>1</price></item><x>y</x></r>")
+    policy = CompositionPolicy({2: "K1", 3: "K1", 4: "K1"})
+    signed = attach_digests(compose_encrypt(stream, policy, ring, mode), policy, ring)
+    layout = signed.layout
+    assert list(layout.digests) == [2, 1]
+    name = layout.spans[3]
+    for index in range(name.start, name.end):           # every word but the closer
+        word = signed[index]                            # no digest before it
+        tampered = list(signed)
+        tampered[index] = word[:-1] + str((int(word[-1]) + 1) % 10)
+        message = EncryptedMessage((2,), tuple(tampered))
+        assert message.layout.spans == layout.spans
+        assert [(v.ordinal, v.status, v.detail) for v in verify_digests(message, ring, policy)] \
+            == [(2, Status.REJECT, "digest mismatch"), (1, Status.REJECT, "digest mismatch")]
+
+
+def test_a_missing_digest_between_two_keys_not_held_is_named(ring, k1, k2, k3):
+    # K2's <b> lies directly in K1's <a>; a verifier holding neither key
+    # still knows from the policy that <b> is a key boundary
+    stream = parse_xml("<r><a><b>x</b></a></r>")
+    policy = CompositionPolicy({2: "K1", 3: "K2"})
+    signed = attach_digests(compose_encrypt(stream, policy, ring, "st"), policy, ring)
+    assert list(signed.layout.digests) == [3, 2, 1]
+    stripped = [w for w in signed if w != signed.layout.digests[3]]
+    group_only = make_ring(k1, k2, k3, "K3")
+    verdicts = verify_digests(EncryptedMessage((), tuple(stripped)), group_only, policy)
+    assert [(v.ordinal, v.status, v.detail) for v in verdicts] == [
+        (3, Status.REJECT, "missing digest"), (2, Status.NOT_CHECKABLE, "key not held"),
+        (1, Status.ACCEPT, "")]
+
+
+def test_a_hundred_item_catalog_carries_one_digest_per_key_boundary(ring):
+    # item j's four tags go to K1 when j % 3 == 0, to K2 when j % 3 == 1 and
+    # stay with the group key otherwise: 34 + 33 items and the root
+    stream = parse_xml("<catalog>" + "".join(
+        f'<item id="i{j}" kind="k{j % 7}"><name>n{j}</name><price>{j}5</price>'
+        f"<qty>{j}</qty></item>" for j in range(100)) + "</catalog>")
+    keys = {0: "K1", 1: "K2"}
+    policy = CompositionPolicy({2 + 4 * j + t: keys[j % 3]
+                                for j in range(100) if j % 3 in keys for t in range(4)})
+    body = compose_encrypt(stream, policy, ring, "st")
+    signed = attach_digests(body, policy, ring)
+    assert len(signed) - len(body) == 68
+    assert sorted(signed.layout.digests) == [1] + [2 + 4 * j for j in range(100) if j % 3 < 2]
+    assert all(v.status is Status.ACCEPT
+               for v in verify_digests(EncryptedMessage((), tuple(signed)), ring, policy))
+
+
 def test_a_body_that_holds_a_digest_is_not_signed_again(stream, ring, policy, k1, k3):
     body = compose_encrypt(stream, policy, ring, "st")
     signed = attach_digests(body, policy, ring)

@@ -35,7 +35,7 @@ from restcipher.errors import MalformedMessage, RestCipherError, Unclassifiable
 
 from conftest import D1, D2, K1_TEXT, K2_TEXT, K3_TEXT, make_ring
 from docgen import nested_catalog
-from oracle import oracle_subtree_spans, oracle_verify_digests
+from oracle import oracle_key_for, oracle_subtree_spans, oracle_verify_digests
 
 KEYS = {"K1": parse_key(K1_TEXT), "K2": parse_key(K2_TEXT), "K3": parse_key(K3_TEXT)}
 MISSING = "missing digest"
@@ -137,10 +137,13 @@ def test_the_layout_equals_the_index_based_scan(seed, mode, how):
         if isinstance(got, type):
             assert not missing
             continue
-        # the root's digest is always due; with a policy, each pairwise one
-        group = ring.group_id
-        due = {o for o in got.spans if o == 1 or view is not None
-               and view.assignments.get(o, group) != group}
+        # the root's digest is always due; with a policy, each one at a key
+        # boundary: a tag whose key differs from its parent's, the nearest
+        # tag whose subtree holds it
+        spans = got.spans
+        due = {1} | {o for o in spans if view is not None and o > 1
+                     and oracle_key_for(view, o, ring) != oracle_key_for(view, max(
+                         p for p in spans if p < o <= p + spans[p].opens_inside), ring)}
         assert missing == due - set(got.digests)
 
 

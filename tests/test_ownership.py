@@ -47,8 +47,8 @@ def _config(items: int, mode: str, nested: bool) -> ScenarioConfig:
 
 #: sha256 of every body S posts and every reply, in order, then the outcome
 TRANSCRIPTS = {
-    (30, "st", True): "c5fb6ce44c666bad7134b78a72224d08a0964b39f50dcd95d5236da2fa873836",
-    (100, "tat", False): "966ac2cd47148b0b3982e25be851fe90384a2ee566161eae50ba1045468fb22c",
+    (30, "st", True): "46cab1fdec1263b8f9018770653f6e4fedcbc52fb0f0ff980f7a9feaf7eb0883",
+    (100, "tat", False): "4c96d9937f949b7f55d34fe82573e2140a786556b1c373fc063f70a0e50ac058",
 }
 
 
